@@ -149,11 +149,6 @@ def parity_expectation(d: CountDistribution, mode: OutputMode = "a") -> float:
     return float(math.fsum(d.probs * signs))
 
 
-def parity_squared_expectation(d: CountDistribution, mode: OutputMode = "a") -> float:
-    """<((-1)^l)^2>; equals the total probability outcome by outcome."""
-    return d.total()
-
-
 def parity_from_histogram(h: CountHistogram, post_select_total: int | None = None) -> ParityEstimate:
     """Sample parity of mode a, optionally post-selecting on l1 + l2.
 

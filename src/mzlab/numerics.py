@@ -31,13 +31,6 @@ def log_factorial(n: int) -> float:
     return float(log_factorials(n)[n])
 
 
-def log_binomial(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    lf = log_factorials(n)
-    return float(lf[n] - lf[k] - lf[n - k])
-
-
 def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:
     """Column-stochastic matrix T with T[k, l] = C(l, k) eta^k (1-eta)^(l-k).
 

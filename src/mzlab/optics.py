@@ -33,6 +33,15 @@ Convention notes, fixed once here and relied on everywhere else:
   depending on N mod 4, which is the same fringe up to an unobservable
   phase origin.
 
+Sweep readouts are evaluated harmonically.  The arm phase is generated by
+n2 (``mode_b``) or Jz (``relative``), whose spectra step by whole units
+inside a fixed-total block, and every readout used here conserves the
+total photon number.  So each swept moment is an exact trigonometric
+polynomial Re(sum_d c_d e^{i d phi}) whose coefficients are sums over the
+probe: ``exchange_harmonics`` (degree 1 and 2) and ``parity_harmonics``
+(degree N) compute them once, and ``eval_harmonics`` evaluates a whole
+grid in one expression.
+
 Wigner d-matrices are evaluated through the Jacobi-polynomial form with a
 log-factorial prefactor.  The textbook alternating factorial sum cancels
 catastrophically in float64 once 2j exceeds roughly 40; the Jacobi
@@ -295,3 +304,67 @@ def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:
         sl = block_slice(total)
         out[sl] = _bs_block(spec, total) @ s.amps[sl]
     return s.with_amps(out)
+
+
+# --------------------------------------------------------------------------
+# Harmonic readout kernels
+# --------------------------------------------------------------------------
+
+
+def exchange_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients in phi of <Jx> and <Jx^2> under the ``mode_b`` phase.
+
+    The phase exp(i phi n2) turns b into b e^{i phi}, so with the phi = 0
+    sums A = <a+ b>, B = <(a+ b)^2> and C = <a+a b b+ + b+b a a+>:
+
+        <Jx>(phi)   = Re(A e^{i phi})
+        <Jx^2>(phi) = Re(B e^{2i phi}) / 2 + C / 4
+
+    Through ``BS2_JY`` the output half difference pulls back to Jx, so the
+    same coefficients give the counting readout (l1 - l2)/2 at the output.
+    Returns the coefficient arrays of the mean and the second moment for
+    :func:`eval_harmonics`.
+    """
+    n1, n2 = index_pairs(s.n_cap)
+    psi = s.amps
+    # a+ b maps |n1, n2> one slot earlier in its block, (a+ b)^2 two slots;
+    # the weights vanish where that would leave the block.
+    hop = np.sqrt(n2 * (n1 + 1.0))
+    hop2 = hop[1:] * hop[:-1]
+    a = np.vdot(psi[:-1], hop[1:] * psi[1:])
+    b = np.vdot(psi[:-2], hop2[1:] * psi[2:])
+    c = np.dot(np.abs(psi) ** 2, n1 * (n2 + 1.0) + n2 * (n1 + 1.0))
+    return np.array([0.0, a]), np.array([c / 4, 0.0, b / 2])
+
+
+def parity_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients in phi of the output parity <(-1)^l1> and its square.
+
+    The phase is the ``relative`` one, exp(-i phi m), and ``BS2_JX`` closes
+    the interferometer.  On a block with splitter block U the parity pulls
+    back to M = U^dagger Pi_a U, and with m_k - m_l = l - k inside the block
+
+        <Pi_a>(phi) = sum_{k,l} conj(psi_k) M_kl psi_l e^{i (l - k) phi},
+
+    so the coefficient of e^{i d phi} is the d-th diagonal sum of
+    conj(psi) M psi.  That matrix is Hermitian, so the d < 0 terms fold into
+    twice the real part of the d > 0 ones.  Parity squares to one, so the
+    second moment is the squared norm at every phi.
+    """
+    coeffs = np.zeros(s.n_cap + 1, dtype=np.complex128)
+    for total in range(s.n_cap + 1):
+        v = s.amps[block_slice(total)]
+        if not v.any():
+            continue
+        u = _bs_block(BS2_JX, total)
+        parity = np.where(np.arange(total, -1, -1) % 2 == 0, 1.0, -1.0)  # (-1)^n1 down the block
+        g = v.conj()[:, None] * (u.conj().T @ (parity[:, None] * u)) * v[None, :]
+        coeffs[0] += np.trace(g)
+        for d in range(1, total + 1):
+            coeffs[d] += 2.0 * np.trace(g, offset=d)
+    return coeffs, np.array([s.squared_norm()])
+
+
+def eval_harmonics(coeffs: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Re(sum_d coeffs[d] e^{i d phi}) at every phi of the grid."""
+    return (np.exp(1j * np.outer(phis, np.arange(len(coeffs)))) @ coeffs).real

@@ -26,6 +26,23 @@ Observable conventions (recorded per row in the ``convention`` column):
 The phase bookkeeping is ``mode_b`` (phase accumulates on arm b) for the
 coherent, Fock, twin-Fock and squeezed scenarios and ``relative`` (the
 half-difference generator) for the NOON scenario.
+
+Sweeps are evaluated harmonically, not by evolving the probe at every grid
+point.  The arm phase is generated by n2 or Jz, and every readout conserves
+the total photon number, so each swept moment is an exact trigonometric
+polynomial in phi: degree 1 (mean) and 2 (second moment) for the exchange
+readout, degree N for the NOON parity.  Its Fourier coefficients come from
+one pass over the probe (``optics.exchange_harmonics``,
+``optics.parity_harmonics``), and the whole grid is then evaluated at once
+(Pezze et al., Rev. Mod. Phys. 90, 035005 (2018), Sec. II).  The counting
+readout of the coherent and Fock scenarios rests on the pullback identity:
+through ``BS2_JY`` the output half difference (l1 - l2)/2 equals Jx inside
+the interferometer, moment by moment, so ``jz_half`` and ``jx_half`` share
+one kernel and no ``BS2_JY`` block is built.  Direct evolution (phase,
+splitter and count distribution at each phi) remains the reference the
+tests compare against, and ``noon_output_distribution`` still uses it for
+Monte Carlo sampling.  Each scenario is one ``Scenario`` entry of
+``SCENARIOS``, run by :func:`run_sweep`.
 """
 
 from __future__ import annotations
@@ -40,6 +57,7 @@ from .errors import ConfigError
 from .estimation import (
     SINGULAR,
     FisherReport,
+    GeneratorName,
     ObservableCurve,
     central_difference,
     cramer_rao,
@@ -55,11 +73,18 @@ from .measurement import (
     lossy_distribution,
     parity_expectation,
     photon_distribution,
-    jz_moments,
     parity_from_histogram,
     sample_counts,
 )
-from .optics import BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, expect_j, expect_j2, phase_shift
+from .optics import (
+    BS1_SYMMETRIC,
+    BS2_JX,
+    beam_splitter,
+    eval_harmonics,
+    exchange_harmonics,
+    parity_harmonics,
+    phase_shift,
+)
 from .states import (
     SqueezeParams,
     auto_coherent,
@@ -69,9 +94,6 @@ from .states import (
     product_state,
     twin_fock,
 )
-
-SCENARIO_NAMES = ("coherent", "fock", "twin_fock", "squeezed", "noon")
-
 
 @dataclass
 class ScenarioConfig:
@@ -102,6 +124,10 @@ class ScenarioConfig:
     n_cap: int | None = None
 
     def validate(self) -> "ScenarioConfig":
+        for fld in fields(self):
+            val = getattr(self, fld.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{fld.name} must be finite, got {val}")
         if self.scenario not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIO_NAMES}")
         if self.phi_steps < 3:
@@ -250,107 +276,110 @@ def squeezed_probe(cfg: ScenarioConfig) -> TwoModeState:
 # scenario runners
 # --------------------------------------------------------------------------
 
+Harmonics = tuple[np.ndarray, np.ndarray]  # Fourier coefficients of mean and second moment
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What one sweep measures; :func:`run_sweep` does the rest.
+
+    ``readout`` gives the Fourier coefficients in phi of the observable's
+    mean and second moment on the probe; the reported observable is
+    ``scale`` times it.  ``closed_form`` gives the textbook delta-phi at one
+    grid phase, or None where none applies.
+    """
+
+    probe: Callable[[ScenarioConfig], TwoModeState]
+    readout: Callable[[TwoModeState], Harmonics]
+    scale: float
+    generator: GeneratorName
+    closed_form: Callable[[ScenarioConfig, float], float | None]
+    convention: str
+    annotation: str = ""
+
+
+def _coherent_closed(cfg: ScenarioConfig, phi: float) -> float:
+    amp = cfg.alpha_mag * cfg.beta_mag
+    s = abs(math.sin(phi + (cfg.theta2 - cfg.theta1)))
+    if amp == 0.0 or s == 0.0:
+        return math.inf
+    return math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp) / s
+
+
+def _fock_closed(cfg: ScenarioConfig, phi: float) -> float | None:
+    return 1.0 / math.sqrt(cfg.n) if abs(math.sin(phi)) > 1e-12 else None
+
+
+def _squeezed_closed(cfg: ScenarioConfig, phi: float) -> float | None:
+    if cfg.alpha_mag > 0 and abs(math.cos(phi)) <= 1e-9:
+        return math.exp(-cfg.r) / cfg.alpha_mag
+    return None
+
+
+def _noon_closed(cfg: ScenarioConfig, phi: float) -> float | None:
+    return 1.0 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "coherent": Scenario(coherent_probe, exchange_harmonics, 1.0, "nb", _coherent_closed, "mode_b/jz_half"),
+    "fock": Scenario(
+        lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, "nb", _fock_closed, "mode_b/jz_half"
+    ),
+    "twin_fock": Scenario(
+        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC),
+        exchange_harmonics,
+        1.0,
+        "nb",
+        lambda cfg, phi: None,
+        "mode_b/jx_half",
+        annotation="number-difference readout carries no first-order signal for a twin-Fock input",
+    ),
+    # reported observable is the unhalved pair exchange a+ b + b+ a
+    "squeezed": Scenario(squeezed_probe, exchange_harmonics, 2.0, "nb", _squeezed_closed, "mode_b/jx_pair"),
+    "noon": Scenario(lambda cfg: noon_state(cfg.n), parity_harmonics, 1.0, "jz", _noon_closed, "relative/parity_a"),
+}
+
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+
+def run_sweep(cfg: ScenarioConfig) -> SweepTable:
+    """Sweep the scenario named by ``cfg`` over its phi grid."""
+    cfg.validate()
+    sc = SCENARIOS[cfg.scenario]
+    psi = sc.probe(cfg)
+    phis = cfg.phi_grid()
+    mean_c, second_c = sc.readout(psi)
+    mean = sc.scale * eval_harmonics(mean_c, phis)
+    second = sc.scale**2 * eval_harmonics(second_c, phis)
+    closed = [sc.closed_form(cfg, float(phi)) for phi in phis]
+    fisher = qfi_analytic(psi, sc.generator)
+    return _assemble_table(cfg.scenario, phis, mean, second, fisher, closed, sc.convention, sc.annotation)
+
 
 def run_scenario_coherent(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    psi = coherent_probe(cfg)
-    phis = cfg.phi_grid()
-    mean = np.empty_like(phis)
-    second = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        out = beam_splitter(phase_shift(psi, float(phi), "mode_b"), BS2_JY)
-        mean[i], second[i] = jz_moments(photon_distribution(out))
-    fisher = qfi_analytic(psi, "nb")
-    amp = cfg.alpha_mag * cfg.beta_mag
-    dc = cfg.theta2 - cfg.theta1
-    closed: list[float | None] = []
-    for phi in phis:
-        s = abs(math.sin(phi + dc))
-        if amp == 0.0:
-            closed.append(math.inf)
-        else:
-            num = math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp)
-            closed.append(math.inf if s == 0.0 else num / s)
-    return _assemble_table("coherent", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    return run_sweep(replace(cfg, scenario="coherent"))
 
 
 def run_scenario_fock(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    if cfg.n < 1:
-        raise ConfigError("fock scenario needs n >= 1")
-    psi = fock_after_symmetric_bs(cfg.n)
-    phis = cfg.phi_grid()
-    mean = np.empty_like(phis)
-    second = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        out = beam_splitter(phase_shift(psi, float(phi), "mode_b"), BS2_JY)
-        mean[i], second[i] = jz_moments(photon_distribution(out))
-    fisher = qfi_analytic(psi, "nb")
-    root = 1.0 / math.sqrt(cfg.n)
-    closed = [root if abs(math.sin(phi)) > 1e-12 else None for phi in phis]
-    return _assemble_table("fock", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    return run_sweep(replace(cfg, scenario="fock"))
 
 
 def run_scenario_twin_fock(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    psi = beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC)
-    phis = cfg.phi_grid()
-    mean = np.empty_like(phis)
-    second = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        st = phase_shift(psi, float(phi), "mode_b")
-        mean[i] = expect_j(st, "x")
-        second[i] = expect_j2(st, "x")
-    fisher = qfi_analytic(psi, "nb")
-    closed: list[float | None] = [None] * phis.size
-    return _assemble_table(
-        "twin_fock",
-        phis,
-        mean,
-        second,
-        fisher,
-        closed,
-        "mode_b/jx_half",
-        annotation="number-difference readout carries no first-order signal for a twin-Fock input",
-    )
+    return run_sweep(replace(cfg, scenario="twin_fock"))
 
 
 def run_scenario_squeezed(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    psi = squeezed_probe(cfg)
-    phis = cfg.phi_grid()
-    mean = np.empty_like(phis)
-    second = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        st = phase_shift(psi, float(phi), "mode_b")
-        # reported observable is the unhalved pair exchange a+ b + b+ a
-        mean[i] = 2.0 * expect_j(st, "x")
-        second[i] = 4.0 * expect_j2(st, "x")
-    fisher = qfi_analytic(psi, "nb")
-    opt = math.exp(-cfg.r) / cfg.alpha_mag if cfg.alpha_mag > 0 else None
-    closed = [opt if abs(math.cos(phi)) <= 1e-9 else None for phi in phis]
-    return _assemble_table("squeezed", phis, mean, second, fisher, closed, "mode_b/jx_pair")
+    return run_sweep(replace(cfg, scenario="squeezed"))
+
+
+def run_scenario_noon(cfg: ScenarioConfig) -> SweepTable:
+    return run_sweep(replace(cfg, scenario="noon"))
 
 
 def noon_output_distribution(n: int, phi: float):
     """Exact output count distribution of the NOON probe at one phase."""
     st = beam_splitter(phase_shift(noon_state(n), phi, "relative"), BS2_JX)
     return photon_distribution(st)
-
-
-def run_scenario_noon(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    phis = cfg.phi_grid()
-    mean = np.empty_like(phis)
-    second = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        d = noon_output_distribution(cfg.n, float(phi))
-        mean[i] = parity_expectation(d, "a")
-        second[i] = d.total()  # parity squares to one outcome by outcome
-    fisher = qfi_analytic(phase_shift(noon_state(cfg.n), 0.0, "relative"), "jz")
-    inv = 1.0 / cfg.n
-    closed = [inv if abs(math.sin(cfg.n * phi)) > 1e-12 else None for phi in phis]
-    return _assemble_table("noon", phis, mean, second, fisher, closed, "relative/parity_a")
 
 
 @dataclass(frozen=True)
@@ -410,20 +439,6 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     )
 
 
-RUNNERS: dict[str, Callable[[ScenarioConfig], SweepTable]] = {
-    "coherent": run_scenario_coherent,
-    "fock": run_scenario_fock,
-    "twin_fock": run_scenario_twin_fock,
-    "squeezed": run_scenario_squeezed,
-    "noon": run_scenario_noon,
-}
-
-
-def run_sweep(cfg: ScenarioConfig) -> SweepTable:
-    cfg.validate()
-    return RUNNERS[cfg.scenario](cfg)
-
-
 # --------------------------------------------------------------------------
 # Fisher-information comparison table and metric cross-check
 # --------------------------------------------------------------------------
@@ -440,20 +455,12 @@ class QfiRow:
     note: str = ""
 
 
-def _error_prop_at(pipeline: Callable[[float], tuple[float, float]], center: float, step: float = 1e-4) -> float:
+def _error_prop_at(harmonics: Harmonics, center: float, step: float = 1e-4) -> float:
     """Error-propagation delta-phi from a 5-point fine grid around ``center``."""
+    mean_c, second_c = harmonics
     phis = center + step * np.arange(-2.0, 3.0)
-    pairs = [pipeline(float(p)) for p in phis]
-    curve = ObservableCurve(phis, [m for m, _ in pairs], [s for _, s in pairs])
+    curve = ObservableCurve(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))
     return delta_phi_error_propagation(curve, 2)
-
-
-def _counting_pipeline(psi: TwoModeState) -> Callable[[float], tuple[float, float]]:
-    def at(phi: float) -> tuple[float, float]:
-        out = beam_splitter(phase_shift(psi, phi, "mode_b"), BS2_JY)
-        return jz_moments(photon_distribution(out))
-
-    return at
 
 
 def run_qfi_table(
@@ -473,7 +480,7 @@ def run_qfi_table(
     fam_c = lambda p: phase_shift(psi_c, p, "mode_b")
     f_an = qfi_analytic(psi_c, "nb")
     f_num = qfi_numeric(fam_c, 0.7, h, generator="nb")
-    dp = _error_prop_at(_counting_pipeline(psi_c), math.pi / 2)
+    dp = _error_prop_at(exchange_harmonics(psi_c), math.pi / 2)
     rows.append(
         QfiRow(
             case=f"coherent beta={beta_mag:g}",
@@ -490,7 +497,7 @@ def run_qfi_table(
     fam_f = lambda p: phase_shift(psi_f, p, "mode_b")
     f_an = qfi_analytic(psi_f, "nb")
     f_num = qfi_numeric(fam_f, 0.7, h, generator="nb")
-    dp = _error_prop_at(_counting_pipeline(psi_f), math.pi / 2)
+    dp = _error_prop_at(exchange_harmonics(psi_f), math.pi / 2)
     rows.append(
         QfiRow(
             case=f"fock n={fock_n}",
@@ -506,12 +513,7 @@ def run_qfi_table(
     fam_n = lambda p: phase_shift(psi_n, p, "relative")
     f_an = qfi_analytic(psi_n, "jz")
     f_num = qfi_numeric(fam_n, 0.4, h, generator="jz")
-
-    def parity_pipeline(phi: float) -> tuple[float, float]:
-        d = noon_output_distribution(noon_n, phi)
-        return parity_expectation(d, "a"), d.total()
-
-    dp = _error_prop_at(parity_pipeline, math.pi / (2 * noon_n), step=1e-5)
+    dp = _error_prop_at(parity_harmonics(psi_n), math.pi / (2 * noon_n), step=1e-5)
     rows.append(
         QfiRow(
             case=f"noon n={noon_n}",

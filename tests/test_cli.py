@@ -85,3 +85,38 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+NON_FINITE_CASES = [
+    (["sweep", "--scenario", "coherent"], flag)
+    for flag in ("--alpha", "--beta", "--theta1", "--theta2", "--epsilon-trunc")
+] + [
+    (["sweep", "--scenario", "squeezed", "--alpha", "4"], flag) for flag in ("--r", "--theta", "--f")
+] + [
+    (["sample", "--n", "4"], flag) for flag in ("--phi-at", "--eta-a", "--eta-b")
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("head,flag", NON_FINITE_CASES, ids=[f for _, f in NON_FINITE_CASES])
+def test_non_finite_values_exit_two(tmp_path, capsys, head, flag, value):
+    assert main(head + [f"{flag}={value}", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan:1:5", "0:inf:5"])
+def test_non_finite_phi_grid_exits_two(tmp_path, capsys, grid):
+    assert main(["sweep", "--scenario", "fock", "--phi", grid, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_value_exits_two_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzlab", "sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "nan",
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "r must be finite" in proc.stderr

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, pair_index
-from mzlab.measurement import parity_expectation, photon_distribution
+from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, normalize, pair_index
+from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import (
     BS1_SYMMETRIC,
     BS2_JX,
@@ -14,12 +16,16 @@ from mzlab.optics import (
     BeamSplitterSpec,
     apply_angular,
     beam_splitter,
+    eval_harmonics,
+    exchange_harmonics,
     expect_j,
     expect_j2,
     mode_matrix_of,
+    parity_harmonics,
     phase_shift,
     wigner_d_block,
 )
+from mzlab.scenarios import noon_output_distribution
 from mzlab.states import fock_after_symmetric_bs, noon_state
 
 from conftest import random_fixed_total_state, random_state
@@ -265,3 +271,40 @@ def test_parity_squared_is_total_probability():
         signs_sq = np.ones_like(d.probs)
         assert math.fsum(d.probs * signs_sq) == d.total()
         assert d.total() == pytest.approx(1.0, abs=1e-12)
+
+
+# ----- harmonic sweep kernels against direct evolution ------------------------------
+
+def close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1), st.floats(-2 * math.pi, 2 * math.pi), st.booleans())
+def test_harmonic_kernels_match_direct_evolution(n_cap, seed, phi, sparse):
+    psi = random_state(n_cap, seed)
+    if sparse:  # zero amplitudes inside and at the head of some blocks
+        psi = normalize(psi.with_amps(psi.amps * (np.arange(psi.dim) % 3 != 1)))
+    grid = np.array([phi])
+    mean_c, second_c = exchange_harmonics(psi)
+    mean, second = eval_harmonics(mean_c, grid)[0], eval_harmonics(second_c, grid)[0]
+    inside = phase_shift(psi, phi, "mode_b")
+    out_mean, out_second = jz_moments(photon_distribution(beam_splitter(inside, BS2_JY)))
+    assert close(mean, out_mean) and close(second, out_second)
+    assert close(mean, expect_j(inside, "x")) and close(second, expect_j2(inside, "x"))
+    parity_c, norm_c = parity_harmonics(psi)
+    out = photon_distribution(beam_splitter(phase_shift(psi, phi, "relative"), BS2_JX))
+    assert close(eval_harmonics(parity_c, grid)[0], parity_expectation(out, "a"))
+    assert close(eval_harmonics(norm_c, grid)[0], out.total())
+
+
+def test_parity_harmonics_match_noon_output_distribution():
+    phis = np.linspace(-0.3, math.pi + 0.3, 53)
+    for n in range(1, 17):
+        parity_c, norm_c = parity_harmonics(noon_state(n))
+        assert parity_c.size == n + 1  # a degree-N trigonometric polynomial
+        got, norm = eval_harmonics(parity_c, phis), eval_harmonics(norm_c, phis)
+        for i, phi in enumerate(phis):
+            d = noon_output_distribution(n, float(phi))
+            assert abs(got[i] - parity_expectation(d, "a")) <= 1e-12
+            assert abs(norm[i] - d.total()) <= 1e-12

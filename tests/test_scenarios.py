@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from mzlab.errors import ConfigError
-from mzlab.estimation import is_singular
+from mzlab.estimation import is_singular, qfi_analytic
+from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
+from mzlab.optics import BS1_SYMMETRIC, BS2_JY, beam_splitter, expect_j, expect_j2, phase_shift
 from mzlab.scenarios import (
     ScenarioConfig,
+    _assemble_table,
+    coherent_probe,
     config_from_values,
     config_lines,
+    noon_output_distribution,
     parse_config_text,
     run_metric_check,
     run_noon_sampling,
     run_qfi_table,
+    run_scenario_coherent,
+    run_scenario_fock,
+    run_scenario_noon,
+    run_scenario_squeezed,
+    run_scenario_twin_fock,
     run_sweep,
+    squeezed_probe,
 )
+from mzlab.states import fock_after_symmetric_bs, noon_state, twin_fock
 
 SINC_181 = math.sin(math.pi / 180) / (math.pi / 180)  # grid derivative attenuation
 
@@ -168,6 +180,75 @@ def test_noon_sampling_requires_noon():
     cfg = ScenarioConfig(scenario="fock", n=4)
     with pytest.raises(ConfigError):
         run_noon_sampling(cfg)
+
+
+# ----- harmonic sweeps against direct evolution ------------------------------------------
+
+def direct_sweep(cfg: ScenarioConfig):
+    """The sweep evolved and measured at every grid point, as the reference."""
+    phis = cfg.phi_grid()
+    mean, second = np.empty_like(phis), np.empty_like(phis)
+    if cfg.scenario == "noon":
+        psi, generator = noon_state(cfg.n), "jz"
+        for i, phi in enumerate(phis):
+            d = noon_output_distribution(cfg.n, float(phi))
+            mean[i], second[i] = parity_expectation(d, "a"), d.total()
+        closed = [1 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None for phi in phis]
+        return _assemble_table("noon", phis, mean, second, qfi_analytic(psi, generator), closed, "relative/parity_a")
+    psi = {
+        "coherent": lambda: coherent_probe(cfg),
+        "fock": lambda: fock_after_symmetric_bs(cfg.n),
+        "twin_fock": lambda: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC),
+        "squeezed": lambda: squeezed_probe(cfg),
+    }[cfg.scenario]()
+    scale = 2.0 if cfg.scenario == "squeezed" else 1.0
+    for i, phi in enumerate(phis):
+        inside = phase_shift(psi, float(phi), "mode_b")
+        if cfg.scenario in ("coherent", "fock"):
+            mean[i], second[i] = jz_moments(photon_distribution(beam_splitter(inside, BS2_JY)))
+        else:
+            mean[i], second[i] = scale * expect_j(inside, "x"), scale**2 * expect_j2(inside, "x")
+    fisher = qfi_analytic(psi, "nb")
+    if cfg.scenario == "coherent":
+        amp, dc = cfg.alpha_mag * cfg.beta_mag, cfg.theta2 - cfg.theta1
+        root = math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp) if amp else math.inf
+        closed = [root / abs(math.sin(phi + dc)) if math.sin(phi + dc) != 0 else math.inf for phi in phis]
+        return _assemble_table("coherent", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    if cfg.scenario == "fock":
+        closed = [1 / math.sqrt(cfg.n) if abs(math.sin(phi)) > 1e-12 else None for phi in phis]
+        return _assemble_table("fock", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    if cfg.scenario == "twin_fock":
+        return _assemble_table("twin_fock", phis, mean, second, fisher, [None] * phis.size, "mode_b/jx_half")
+    opt = math.exp(-cfg.r) / cfg.alpha_mag
+    closed = [opt if abs(math.cos(phi)) <= 1e-9 else None for phi in phis]
+    return _assemble_table("squeezed", phis, mean, second, fisher, closed, "mode_b/jx_pair")
+
+
+ORACLE_CASES = [
+    (run_scenario_coherent, ScenarioConfig(scenario="coherent", alpha_mag=1.7, beta_mag=2.3, theta1=0.3, theta2=0.9, n_cap=40)),
+    (run_scenario_fock, ScenarioConfig(scenario="fock", n=16)),
+    (run_scenario_twin_fock, ScenarioConfig(scenario="twin_fock", n=3)),
+    (run_scenario_squeezed, ScenarioConfig(scenario="squeezed", alpha_mag=3.0, r=0.5, phi_steps=61)),
+    (run_scenario_noon, ScenarioConfig(scenario="noon", n=5)),
+]
+
+
+@pytest.mark.parametrize("runner,cfg", ORACLE_CASES, ids=[c.scenario for _, c in ORACLE_CASES])
+def test_harmonic_sweep_matches_direct_evolution(runner, cfg):
+    got, want = runner(cfg), direct_sweep(cfg)
+    assert got.scenario == want.scenario and len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        for name in ("phi", "qfi", "crb", "closed_form_delta_phi", "convention"):
+            assert getattr(g, name) == getattr(w, name), name
+        for name in ("mean_o", "second_o"):
+            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-12 * max(1.0, abs(getattr(w, name))), name
+        assert g.var_o == pytest.approx(w.var_o, rel=1e-9, abs=1e-12 * max(1.0, w.second_o))
+        assert (g.d_mean_dphi is None) == (w.d_mean_dphi is None)
+        if w.d_mean_dphi is not None:
+            assert g.d_mean_dphi == pytest.approx(w.d_mean_dphi, rel=1e-9, abs=1e-9)
+        assert is_singular(g.delta_phi) == is_singular(w.delta_phi)
+        if not is_singular(w.delta_phi):
+            assert g.delta_phi == pytest.approx(w.delta_phi, rel=1e-8)
 
 
 # ----- cross-cutting table invariants ------------------------------------------------
