@@ -141,7 +141,7 @@ def main(argv=None) -> int:
                 beta_mag=args.beta_mag,
                 fock_n=args.fock_n,
                 noon_n=args.noon_n,
-                epsilon_trunc=args.epsilon_trunc if args.epsilon_trunc else 1e-10,
+                epsilon_trunc=1e-10 if args.epsilon_trunc is None else args.epsilon_trunc,
             )
             write_qfi_table_csv(rows, _require_out(args))
             print(f"wrote {args.out} ({len(rows)} rows)")
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
                 beta_mag=args.beta_mag,
                 noon_n=args.noon_n,
                 h=args.step,
-                epsilon_trunc=args.epsilon_trunc if args.epsilon_trunc else 1e-10,
+                epsilon_trunc=1e-10 if args.epsilon_trunc is None else args.epsilon_trunc,
             )
             write_metric_csv(rows, _require_out(args))
             print(f"wrote {args.out} ({len(rows)} rows)")

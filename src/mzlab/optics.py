@@ -3,20 +3,32 @@
 Every passive two-mode element (beam splitter, phase shifter) conserves the
 total photon number, so it acts block-diagonally: the block with total N is
 the spin-j representation, j = N/2.  A 2x2 mode matrix M (the Heisenberg
-action on the annihilation pair, (a, b) -> M (a, b)) is realized on Fock
-space by Euler-decomposing its conjugate C = conj(M), which is the action
-on creation operators:
+action on the annihilation pair, (a, b) -> M (a, b)) acts on the creation
+operators through G = M^dagger,
 
-    C = e^{i delta} Rz(phi_l) Ry(beta) Rz(phi_r)
+    U a+ U^dag = g00 a+ + g10 b+,    U b+ U^dag = g01 a+ + g11 b+,
 
-with Rz(t) = diag(e^{-it/2}, e^{it/2}) and Ry(t) the real rotation by t/2.
-The block of total photon number 2j is then
+so G is the one-photon block.  Inside a block, index k = n2 runs 0..N
+(n1 = N - k, m = j - k descending).  Applying U to the photon ladder
 
-    U^j[v, u] = e^{2ij delta} e^{-i phi_r v} d^j_{v,u}(beta) e^{-i phi_l u}
+    (N+1) |n1, n2> = sqrt(n1) a+ |n1-1, n2> + sqrt(n2) b+ |n1, n2-1>
 
-over m-values v, u = j, j-1, ..., -j, where d^j is the Wigner (small)
-d-matrix.  The overall phase is pinned by mapping vacuum to +vacuum, which
-makes the block the 2j-th symmetric power of C^T and hence unique.
+builds block N+1 from block N in O(N^2): the a+ term of old column k lands
+in new column k with weight sqrt(n1 n1'), the b+ term of old column k in
+new column k+1 with weight sqrt(n2 n2'), where the primed number belongs to
+the new column and the unprimed one to the new row (g00/g01 keep the row,
+g10/g11 move it down one), and the sum is divided by N+1.  Vacuum maps to
++vacuum, so block N is the N-th symmetric power of G and unique.
+
+Two numerical points.  Both ladder terms are kept: the one-sided form (a+
+only, divided by sqrt(n1)) is exact in algebra but amplifies rounding by
+about sqrt(C(N, k)), to 1e8 at N = 170, while the two-term form keeps every
+block orthogonal to a few 1e-14 at that size.  And every weight is the
+square root of an integer product, never a product of square roots, so
+sqrt(n^2) = n holds exactly: the identity stays exactly the identity and a
+half turn exactly the signed antidiagonal.  The Wigner d-matrix d^j(theta),
+the block of exp(-i theta Jy), is the same ladder on the real rotation
+[[c, -s], [s, c]], c = cos(theta/2), s = sin(theta/2).
 
 Convention notes, fixed once here and relied on everywhere else:
 
@@ -41,12 +53,6 @@ polynomial Re(sum_d c_d e^{i d phi}) whose coefficients are sums over the
 probe: ``exchange_harmonics`` (degree 1 and 2) and ``parity_harmonics``
 (degree N) compute them once, and ``eval_harmonics`` evaluates a whole
 grid in one expression.
-
-Wigner d-matrices are evaluated through the Jacobi-polynomial form with a
-log-factorial prefactor.  The textbook alternating factorial sum cancels
-catastrophically in float64 once 2j exceeds roughly 40; the Jacobi
-three-term recurrence is stable to 2j well beyond 100 (orthogonality holds
-at the 1e-13 level at 2j = 120).
 """
 
 from __future__ import annotations
@@ -57,10 +63,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 from .fock import TwoModeState, block_slice, index_pairs
-from .numerics import log_factorials
 
 AngularAxis = Literal["x", "y", "z"]
 PhaseConvention = Literal["relative", "mode_b"]
@@ -118,11 +122,46 @@ def mode_matrix_of(spec: BeamSplitterSpec) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Wigner d-matrix blocks
+# Fixed-total blocks by the photon ladder
 # --------------------------------------------------------------------------
 
+_ladders: dict[object, list[np.ndarray]] = {}  # blocks 0, 1, ... per splitter or d(theta)
 _d_cache: dict[tuple[int, float], "WignerBlock"] = {}
 _cache_lock = threading.Lock()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _ladder_step(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Block N+1 from block N of the element whose one-photon block is ``g``."""
+    n = u.shape[0]  # the new total N+1
+    # Old row/column k keeps n1 = n - k in place and gets n2 = k + 1 one
+    # slot down, so all four weight patterns are flips of one matrix.
+    w = np.sqrt(np.outer(np.arange(n, 0, -1), np.arange(n, 0, -1)))
+    out = np.zeros((n + 1, n + 1), dtype=np.result_type(u, g))
+    out[:-1, :-1] = g[0, 0] * w * u
+    out[1:, :-1] += g[1, 0] * w[::-1] * u
+    out[:-1, 1:] += g[0, 1] * w[:, ::-1] * u
+    out[1:, 1:] += g[1, 1] * w[::-1, ::-1] * u
+    out /= n
+    return _frozen(out)
+
+
+def _ladder_block(key, g: np.ndarray, total: int) -> np.ndarray:
+    """Block ``total`` of the element with one-photon block ``g``.
+
+    Every block up to ``total`` is built once and cached under ``key``.
+    """
+    blocks = _ladders.get(key)
+    if blocks is None or len(blocks) <= total:
+        with _cache_lock:
+            blocks = _ladders.setdefault(key, [_frozen(np.ones((1, 1), dtype=g.dtype))])
+            while len(blocks) <= total:
+                blocks.append(_ladder_step(blocks[-1], g))
+    return blocks[total]
 
 
 @dataclass(frozen=True)
@@ -139,62 +178,22 @@ class WignerBlock:
         object.__setattr__(self, "entries", e)
 
 
-def _wigner_pi_pattern(twice_j: int, sign: int) -> np.ndarray:
-    # d(-pi)[i, dim-1-i] = (-1)^i ; d(+pi)[i, dim-1-i] = (-1)^(2j - i).
-    dim = twice_j + 1
-    out = np.zeros((dim, dim))
-    i = np.arange(dim)
-    par = i if sign < 0 else twice_j - i
-    out[i, dim - 1 - i] = np.where(par % 2 == 0, 1.0, -1.0)
-    return out
-
-
-def _wigner_entries(twice_j: int, theta: float) -> np.ndarray:
-    if theta == 0.0:
-        return np.eye(twice_j + 1)
-    if theta == math.pi or theta == -math.pi:
-        # cos(pi/2) is 6e-17 in float64; pin the exact antidiagonal instead.
-        return _wigner_pi_pattern(twice_j, 1 if theta > 0 else -1)
-    dim = twice_j + 1
-    # doubled m values, descending: 2m = 2j, 2j-2, ..., -2j
-    tm = twice_j - 2 * np.arange(dim)
-    tmp = tm[:, None]  # row index: m'
-    tmv = tm[None, :]  # column index: m
-    jpm = (twice_j + tmv) // 2
-    jmm = (twice_j - tmv) // 2
-    jpmp = (twice_j + tmp) // 2
-    jmmp = (twice_j - tmp) // 2
-    k = np.minimum(np.minimum(jpm, jmm), np.minimum(jpmp, jmmp))
-    # (a, lambda) per the smallest of the four corner indices
-    mp_minus_m = (tmp - tmv) // 2
-    a = np.empty_like(k)
-    lam = np.empty_like(k)
-    c1 = k == jpm
-    c2 = ~c1 & (k == jmm)
-    c3 = ~c1 & ~c2 & (k == jpmp)
-    c4 = ~(c1 | c2 | c3)
-    for cond, aval, lval in ((c1, mp_minus_m, mp_minus_m), (c2, -mp_minus_m, 0), (c3, -mp_minus_m, 0), (c4, mp_minus_m, mp_minus_m)):
-        a[cond] = aval[cond] if isinstance(aval, np.ndarray) else aval
-        lam[cond] = lval[cond] if isinstance(lval, np.ndarray) else lval
-    b = twice_j - 2 * k - a
-    lf = log_factorials(twice_j)
-    prefactor = np.exp(0.5 * (lf[k] + lf[twice_j - k] - lf[k + a] - lf[k + b]))
-    sign = np.where(lam % 2 == 0, 1.0, -1.0)
-    sh, ch = math.sin(theta / 2), math.cos(theta / 2)
-    return sign * prefactor * sh**a * ch**b * eval_jacobi(k, a, b, math.cos(theta))
-
-
 def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
     """d^j(theta) = matrix of exp(-i theta Jy) in the 2j-photon block; memoized."""
     if twice_j < 0:
         raise ValueError("twice_j must be >= 0")
-    key = (twice_j, float(theta))
+    theta = float(theta)
+    key = (twice_j, theta)
     blk = _d_cache.get(key)
     if blk is None:
-        blk = WignerBlock(twice_j, float(theta), _wigner_entries(twice_j, float(theta)))
+        # cos(pi/2) is 6e-17 in float64, so pin c = 0 at a half turn (and
+        # s = 0 at theta = 0); the ladder then gives both cases exactly.
+        c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
+        s = 0.0 if theta == 0.0 else math.sin(theta / 2)
+        rotation = np.array([[c, -s], [s, c]])
+        blk = WignerBlock(twice_j, theta, _ladder_block(("d", theta), rotation, twice_j))
         with _cache_lock:
-            _d_cache.setdefault(key, blk)
-        blk = _d_cache[key]
+            blk = _d_cache.setdefault(key, blk)
     return blk
 
 
@@ -262,39 +261,8 @@ def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeSt
 # --------------------------------------------------------------------------
 
 
-def _euler_zyz(c: np.ndarray) -> tuple[float, float, float, float]:
-    """(delta, phi_l, beta, phi_r) with c = e^{i delta} Rz(phi_l) Ry(beta) Rz(phi_r).
-
-    Any valid solution yields the same Fock-space blocks (they are
-    polynomial in the entries of c), so branch choices here are free.
-    """
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    delta = math.atan2(det.imag, det.real) / 2
-    b = c * np.exp(-1j * delta)
-    beta = 2.0 * math.atan2(abs(b[0, 1]), abs(b[0, 0]))
-    spl = -2.0 * np.angle(b[0, 0])  # phi_l + phi_r
-    dif = -2.0 * np.angle(b[0, 1])  # phi_l - phi_r
-    return delta, (spl + dif) / 2, beta, (spl - dif) / 2
-
-
-_block_cache: dict[tuple[bytes, int], np.ndarray] = {}
-
-
 def _bs_block(spec: BeamSplitterSpec, twice_j: int) -> np.ndarray:
-    key = (spec.cache_key, twice_j)
-    blk = _block_cache.get(key)
-    if blk is None:
-        delta, phi_l, beta, phi_r = _euler_zyz(spec.matrix.conj())
-        tm = twice_j - 2 * np.arange(twice_j + 1)  # doubled m, descending
-        d = wigner_d_block(twice_j, beta).entries
-        left = np.exp(-0.5j * phi_r * tm)
-        right = np.exp(-0.5j * phi_l * tm)
-        blk = np.exp(1j * twice_j * delta) * (left[:, None] * d * right[None, :])
-        blk.flags.writeable = False
-        with _cache_lock:
-            _block_cache.setdefault(key, blk)
-        blk = _block_cache[key]
-    return blk
+    return _ladder_block(spec.cache_key, spec.matrix.conj().T, twice_j)
 
 
 def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:

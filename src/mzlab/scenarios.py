@@ -143,8 +143,8 @@ class ScenarioConfig:
             raise ConfigError(f"scenario {self.scenario} needs n >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.r < 0:
             raise ConfigError("squeezing magnitude r must be >= 0")
         if self.n_cap is not None and self.n_cap < 0:
@@ -463,6 +463,15 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float = 1e-4) -> f
     return delta_phi_error_propagation(curve, 2)
 
 
+def _table_config(beta_mag: float, epsilon_trunc: float, **photon_numbers: int) -> ScenarioConfig:
+    """The coherent probe of qfi-table and metric-check, with their inputs checked."""
+    for name, n in photon_numbers.items():
+        if n < 1:
+            raise ConfigError(f"{name} must be >= 1, got {n}")
+    cfg = ScenarioConfig(scenario="coherent", beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
+    return replace(cfg, alpha_mag=beta_mag)
+
+
 def run_qfi_table(
     beta_mag: float = 2.0,
     fock_n: int = 9,
@@ -472,10 +481,10 @@ def run_qfi_table(
 ) -> list[QfiRow]:
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
+    ccfg = _table_config(beta_mag, epsilon_trunc, fock_n=fock_n, noon_n=noon_n)
     rows = []
 
     # coherent pair with equal magnitudes; phase accumulates on arm b only
-    ccfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc)
     psi_c = coherent_probe(ccfg)
     fam_c = lambda p: phase_shift(psi_c, p, "mode_b")
     f_an = qfi_analytic(psi_c, "nb")
@@ -548,8 +557,10 @@ class MetricRow:
 
 def run_metric_check(beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = 1e-10) -> list[MetricRow]:
     """Rate of change of the projective distance against F/4 per family."""
+    ccfg = _table_config(beta_mag, epsilon_trunc, noon_n=noon_n)
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"step must be finite and > 0, got {h}")
     rows = []
-    ccfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc)
     psi_c = normalize(coherent_probe(ccfg))
     fam_c = lambda p: phase_shift(psi_c, p, "mode_b")
     quarter = qfi_analytic(psi_c, "nb").f_q / 4

@@ -120,3 +120,40 @@ def test_non_finite_value_exits_two_without_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "r must be finite" in proc.stderr
+
+
+OUT_OF_RANGE_CASES = [
+    ["qfi-table", "--beta", "nan"],
+    ["qfi-table", "--beta", "-1"],
+    ["qfi-table", "--fock-n", "-1"],
+    ["qfi-table", "--noon-n", "0"],
+    ["qfi-table", "--epsilon-trunc", "0.5"],
+    ["qfi-table", "--epsilon-trunc", "0"],
+    ["metric-check", "--beta", "inf"],
+    ["metric-check", "--noon-n", "0"],
+    ["metric-check", "--step", "0"],
+    ["metric-check", "--step", "nan"],
+    ["sample", "--n", "4", "--seed", "18446744073709551616"],
+    ["sample", "--n", "4", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_CASES, ids=[" ".join(a) for a in OUT_OF_RANGE_CASES])
+def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_largest_u64_seed_is_accepted(tmp_path):
+    args = ["sample", "--n", "2", "--trials", "10", "--seed", str(2**64 - 1), "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing the CLI must not pull it in
+    code = "import sys, mzlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_jacobi, gammaln
+
+from mzlab import optics
 
 from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, normalize, pair_index
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
@@ -54,6 +58,58 @@ def block_operator(twice_j: int, which: str) -> np.ndarray:
         if col + 1 < dim:
             mat[col + 1, col] += cm / 2 * (1 if which == "x" else 1j)
     return mat
+
+
+def euler_zyz(c: np.ndarray) -> tuple[float, float, float, float]:
+    """(delta, phi_l, beta, phi_r) with c = e^{i delta} Rz(phi_l) Ry(beta) Rz(phi_r)."""
+    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+    delta = math.atan2(det.imag, det.real) / 2
+    b = c * np.exp(-1j * delta)
+    beta = 2.0 * math.atan2(abs(b[0, 1]), abs(b[0, 0]))
+    spl = -2.0 * np.angle(b[0, 0])  # phi_l + phi_r
+    dif = -2.0 * np.angle(b[0, 1])  # phi_l - phi_r
+    return delta, (spl + dif) / 2, beta, (spl - dif) / 2
+
+
+@functools.lru_cache(maxsize=8)  # the three presets share beta = pi/2
+def jacobi_wigner_d(twice_j: int, theta: float) -> np.ndarray:
+    """d^j(theta) from the Jacobi-polynomial form with a log-factorial prefactor.
+
+    Rows m', columns m, both descending.  The smallest of j+-m, j+-m' picks
+    the polynomial degree k and the pair (a, lambda); the three-term
+    recurrence inside ``eval_jacobi`` is stable to 2j well beyond 100.
+    """
+    tm = twice_j - 2 * np.arange(twice_j + 1)  # doubled m, descending
+    tmp, tmv = tm[:, None], tm[None, :]
+    jpm, jmm = (twice_j + tmv) // 2, (twice_j - tmv) // 2
+    jpmp, jmmp = (twice_j + tmp) // 2, (twice_j - tmp) // 2
+    k = np.minimum(np.minimum(jpm, jmm), np.minimum(jpmp, jmmp))
+    diff = (tmp - tmv) // 2  # m' - m
+    first = (k == jpm) | ((k != jmm) & (k != jpmp))  # k = j+m or k = j-m'
+    a = np.where(first, diff, -diff)
+    lam = np.where(first, diff, 0)
+    b = twice_j - 2 * k - a
+    lf = gammaln(np.arange(twice_j + 1) + 1.0)
+    prefactor = np.exp(0.5 * (lf[k] + lf[twice_j - k] - lf[k + a] - lf[k + b]))
+    sign = np.where(lam % 2 == 0, 1.0, -1.0)
+    sh, ch = math.sin(theta / 2), math.cos(theta / 2)
+    return sign * prefactor * sh**a * ch**b * eval_jacobi(k, a, b, math.cos(theta))
+
+
+def euler_jacobi_block(spec: BeamSplitterSpec, twice_j: int) -> np.ndarray:
+    """The splitter block from the Euler angles of conj(M) and the Jacobi d-matrix:
+    U^j[v, u] = e^{2ij delta} e^{-i phi_r v} d^j_{v,u}(beta) e^{-i phi_l u}."""
+    delta, phi_l, beta, phi_r = euler_zyz(spec.matrix.conj())
+    tm = twice_j - 2 * np.arange(twice_j + 1)
+    left = np.exp(-0.5j * phi_r * tm)
+    right = np.exp(-0.5j * phi_l * tm)
+    return np.exp(1j * twice_j * delta) * (left[:, None] * jacobi_wigner_d(twice_j, beta) * right[None, :])
+
+
+def random_spec(seed: int) -> BeamSplitterSpec:
+    g = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2)))
+    return BeamSplitterSpec(q, label=f"random{seed}")
 
 
 # ----- angular momentum action -------------------------------------------------
@@ -271,6 +327,30 @@ def test_parity_squared_is_total_probability():
         signs_sq = np.ones_like(d.probs)
         assert math.fsum(d.probs * signs_sq) == d.total()
         assert d.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ladder_blocks_match_euler_jacobi_oracle():
+    specs = [BS1_SYMMETRIC, BS2_JX, BS2_JY] + [random_spec(1200 + i) for i in range(4)]
+    for tj in range(171):
+        for spec in specs:
+            blk = optics._bs_block(spec, tj)
+            err = np.abs(blk - euler_jacobi_block(spec, tj)).max()
+            assert err <= 1e-12, f"{spec.label} 2j={tj}: entries off by {err}"
+            err = np.abs(blk @ blk.conj().T - np.eye(tj + 1)).max()
+            assert err <= 1e-12, f"{spec.label} 2j={tj}: unitarity off by {err}"
+
+
+def test_ladder_cache_extension_matches_direct_build(monkeypatch):
+    spec = random_spec(1300)
+    monkeypatch.setattr(optics, "_ladders", {})
+    optics._bs_block(spec, 40)
+    assert len(optics._ladders[spec.cache_key]) == 41  # built only as far as asked
+    extended = [optics._bs_block(spec, tj) for tj in range(81)]
+    monkeypatch.setattr(optics, "_ladders", {})
+    direct = optics._bs_block(spec, 80)
+    assert np.array_equal(extended[80], direct)
+    for tj in range(81):
+        assert np.array_equal(extended[tj], optics._bs_block(spec, tj))
 
 
 # ----- harmonic sweep kernels against direct evolution ------------------------------
