@@ -87,11 +87,6 @@ from .scenarios import (
     run_metric_check,
     run_noon_sampling,
     run_qfi_table,
-    run_scenario_coherent,
-    run_scenario_fock,
-    run_scenario_noon,
-    run_scenario_squeezed,
-    run_scenario_twin_fock,
     run_sweep,
 )
 

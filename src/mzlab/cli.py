@@ -13,6 +13,8 @@ import sys
 from .errors import ConfigError, NumericsError
 from .measurement import write_histogram_csv
 from .scenarios import (
+    _CONFIG_FIELDS,
+    EPS_TRUNC_DEFAULT,
     SCENARIO_NAMES,
     ScenarioConfig,
     config_from_values,
@@ -36,11 +38,15 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"--phi expects start:stop:steps, got {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file; flags override it")
+def _add_common(p: argparse.ArgumentParser, config_file: bool) -> None:
+    """Flags of every subcommand.  Those that read a config file (sweep, sample) also take
+    --config and --seed, and leave --epsilon-trunc unset so the file's value stands."""
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc", help="allowed truncation deficit (default 1e-10)")
-    p.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
+    p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc", default=None if config_file else EPS_TRUNC_DEFAULT,
+                   help=f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})")
+    if config_file:
+        p.add_argument("--config", help="flat key = value config file; flags override it")
+        p.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sw = sub.add_parser("sweep", help="phase sweep of one scenario, written as CSV")
-    _add_common(sw)
+    _add_common(sw, config_file=True)
     sw.add_argument("--scenario", choices=SCENARIO_NAMES)
     sw.add_argument("--n", type=int, help="photon number for fock/twin_fock/noon")
     sw.add_argument("--alpha", type=float, dest="alpha_mag", help="|alpha| of the first arm")
@@ -59,10 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--theta", type=float, help="squeezing phase")
     sw.add_argument("--f", type=float, help="coherent phase of the squeezed scenario (default (pi - theta)/2)")
     sw.add_argument("--phi", help="grid as start:stop:steps (default 0:pi:181)")
-    sw.add_argument("--n-cap", type=int, dest="n_cap", help="override the automatic basis cutoff")
+    sw.add_argument("--n-cap", type=int, dest="n_cap", help="override the automatic basis cutoff (coherent, squeezed)")
 
     sa = sub.add_parser("sample", help="Monte Carlo photon counting with loss (noon scenario)")
-    _add_common(sa)
+    _add_common(sa, config_file=True)
     sa.add_argument("--scenario", choices=("noon",), default="noon")
     sa.add_argument("--n", type=int)
     sa.add_argument("--eta", type=float, help="transmissivity of both arms")
@@ -74,35 +80,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sa.add_argument("--phi-at", type=float, dest="sample_phi", help="phase at which to sample (default pi/(3n))")
 
     qt = sub.add_parser("qfi-table", help="Fisher-information comparison table")
-    _add_common(qt)
+    _add_common(qt, config_file=False)
     qt.add_argument("--beta", type=float, dest="beta_mag", default=2.0)
     qt.add_argument("--fock-n", type=int, dest="fock_n", default=9)
     qt.add_argument("--noon-n", type=int, dest="noon_n", default=4)
 
     mc = sub.add_parser("metric-check", help="projective-metric cross-check of the Fisher information")
-    _add_common(mc)
+    _add_common(mc, config_file=False)
     mc.add_argument("--beta", type=float, dest="beta_mag", default=2.0)
     mc.add_argument("--noon-n", type=int, dest="noon_n", default=4)
     mc.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
     return ap
 
 
-_SWEEP_KEYS = (
-    "scenario", "n", "alpha_mag", "beta_mag", "theta1", "theta2", "r", "theta", "f",
-    "epsilon_trunc", "seed", "n_cap", "eta_a", "eta_b", "trials", "post_select", "sample_phi",
-)
-
-
 def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
     if getattr(args, "phi", None):
         start, stop, steps = _parse_phi_range(args.phi)
         values.update(phi_start=start, phi_stop=stop, phi_steps=steps)
     if getattr(args, "eta", None) is not None:
         values.update(eta_a=args.eta, eta_b=args.eta)
-    for key in _SWEEP_KEYS:
+    for key in _CONFIG_FIELDS:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
                 beta_mag=args.beta_mag,
                 fock_n=args.fock_n,
                 noon_n=args.noon_n,
-                epsilon_trunc=1e-10 if args.epsilon_trunc is None else args.epsilon_trunc,
+                epsilon_trunc=args.epsilon_trunc,
             )
             write_qfi_table_csv(rows, _require_out(args))
             print(f"wrote {args.out} ({len(rows)} rows)")
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
                 beta_mag=args.beta_mag,
                 noon_n=args.noon_n,
                 h=args.step,
-                epsilon_trunc=1e-10 if args.epsilon_trunc is None else args.epsilon_trunc,
+                epsilon_trunc=args.epsilon_trunc,
             )
             write_metric_csv(rows, _require_out(args))
             print(f"wrote {args.out} ({len(rows)} rows)")

@@ -42,7 +42,9 @@ one kernel and no ``BS2_JY`` block is built.  Direct evolution (phase,
 splitter and count distribution at each phi) remains the reference the
 tests compare against, and ``noon_output_distribution`` still uses it for
 Monte Carlo sampling.  Each scenario is one ``Scenario`` entry of
-``SCENARIOS``, run by :func:`run_sweep`.
+``SCENARIOS``, run by :func:`run_sweep`; the Fisher-information table and
+the metric cross-check take their probes, readouts and generators from the
+same entries.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .estimation import (
     GeneratorName,
     ObservableCurve,
     central_difference,
-    cramer_rao,
     delta_phi_error_propagation,
     qfi_analytic,
     qfi_numeric,
@@ -86,6 +87,7 @@ from .optics import (
     phase_shift,
 )
 from .states import (
+    EPS_TRUNC_DEFAULT,
     SqueezeParams,
     auto_coherent,
     auto_squeezed,
@@ -120,8 +122,8 @@ class ScenarioConfig:
     phi_start: float = 0.0
     phi_stop: float = math.pi
     phi_steps: int = 181
-    epsilon_trunc: float = 1e-10
-    n_cap: int | None = None
+    epsilon_trunc: float = EPS_TRUNC_DEFAULT
+    n_cap: int | None = None  # coherent and squeezed only; the other bases are fixed by n
 
     def validate(self) -> "ScenarioConfig":
         for fld in fields(self):
@@ -139,8 +141,11 @@ class ScenarioConfig:
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"{tag} must lie in [0, 1]")
-        if self.scenario in ("fock", "twin_fock", "noon") and self.n < 1:
-            raise ConfigError(f"scenario {self.scenario} needs n >= 1")
+        if self.scenario in ("fock", "twin_fock", "noon"):
+            if self.n < 1:
+                raise ConfigError(f"scenario {self.scenario} needs n >= 1")
+            if self.n_cap is not None:
+                raise ConfigError(f"scenario {self.scenario} has its basis fixed by n; n_cap applies to coherent and squeezed only")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -356,26 +361,6 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     return _assemble_table(cfg.scenario, phis, mean, second, fisher, closed, sc.convention, sc.annotation)
 
 
-def run_scenario_coherent(cfg: ScenarioConfig) -> SweepTable:
-    return run_sweep(replace(cfg, scenario="coherent"))
-
-
-def run_scenario_fock(cfg: ScenarioConfig) -> SweepTable:
-    return run_sweep(replace(cfg, scenario="fock"))
-
-
-def run_scenario_twin_fock(cfg: ScenarioConfig) -> SweepTable:
-    return run_sweep(replace(cfg, scenario="twin_fock"))
-
-
-def run_scenario_squeezed(cfg: ScenarioConfig) -> SweepTable:
-    return run_sweep(replace(cfg, scenario="squeezed"))
-
-
-def run_scenario_noon(cfg: ScenarioConfig) -> SweepTable:
-    return run_sweep(replace(cfg, scenario="noon"))
-
-
 def noon_output_distribution(n: int, phi: float):
     """Exact output count distribution of the NOON probe at one phase."""
     st = beam_splitter(phase_shift(noon_state(n), phi, "relative"), BS2_JX)
@@ -455,7 +440,7 @@ class QfiRow:
     note: str = ""
 
 
-def _error_prop_at(harmonics: Harmonics, center: float, step: float = 1e-4) -> float:
+def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
     """Error-propagation delta-phi from a 5-point fine grid around ``center``."""
     mean_c, second_c = harmonics
     phis = center + step * np.arange(-2.0, 3.0)
@@ -463,76 +448,40 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float = 1e-4) -> f
     return delta_phi_error_propagation(curve, 2)
 
 
-def _table_config(beta_mag: float, epsilon_trunc: float, **photon_numbers: int) -> ScenarioConfig:
-    """The coherent probe of qfi-table and metric-check, with their inputs checked."""
-    for name, n in photon_numbers.items():
-        if n < 1:
-            raise ConfigError(f"{name} must be >= 1, got {n}")
-    cfg = ScenarioConfig(scenario="coherent", beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
-    return replace(cfg, alpha_mag=beta_mag)
+def _phase_family(psi: TwoModeState, generator: GeneratorName) -> Callable[[float], TwoModeState]:
+    """phi -> the probe after the arm phase that ``generator`` generates."""
+    conv = "mode_b" if generator == "nb" else "relative"
+    return lambda phi: phase_shift(psi, phi, conv)
 
 
 def run_qfi_table(
     beta_mag: float = 2.0,
     fock_n: int = 9,
     noon_n: int = 4,
-    epsilon_trunc: float = 1e-10,
+    epsilon_trunc: float = EPS_TRUNC_DEFAULT,
     h: float = 1e-4,
 ) -> list[QfiRow]:
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
-    ccfg = _table_config(beta_mag, epsilon_trunc, fock_n=fock_n, noon_n=noon_n)
+    eps = epsilon_trunc
+    coherent = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=eps).validate()
+    fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps).validate()
+    noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate()
+    # (config, label, phi of the numeric derivative, fringe centre, stencil step, note)
+    cases = [
+        (coherent, f"coherent beta={beta_mag:g}", 0.7, math.pi / 2, 1e-4,
+         "number-difference readout sits sqrt(2) above the one-arm bound"),
+        (fock, f"fock n={fock_n}", 0.7, math.pi / 2, 1e-4, ""),
+        (noon, f"noon n={noon_n}", 0.4, math.pi / (2 * noon_n), 1e-5, ""),
+    ]
     rows = []
-
-    # coherent pair with equal magnitudes; phase accumulates on arm b only
-    psi_c = coherent_probe(ccfg)
-    fam_c = lambda p: phase_shift(psi_c, p, "mode_b")
-    f_an = qfi_analytic(psi_c, "nb")
-    f_num = qfi_numeric(fam_c, 0.7, h, generator="nb")
-    dp = _error_prop_at(exchange_harmonics(psi_c), math.pi / 2)
-    rows.append(
-        QfiRow(
-            case=f"coherent beta={beta_mag:g}",
-            f_q=f_an.f_q,
-            f_q_numeric=f_num.f_q,
-            delta_phi_min=f_an.delta_phi_min,
-            delta_phi_error_prop=dp,
-            ratio=dp / f_an.delta_phi_min,
-            note="number-difference readout sits sqrt(2) above the one-arm bound",
-        )
-    )
-
-    psi_f = fock_after_symmetric_bs(fock_n)
-    fam_f = lambda p: phase_shift(psi_f, p, "mode_b")
-    f_an = qfi_analytic(psi_f, "nb")
-    f_num = qfi_numeric(fam_f, 0.7, h, generator="nb")
-    dp = _error_prop_at(exchange_harmonics(psi_f), math.pi / 2)
-    rows.append(
-        QfiRow(
-            case=f"fock n={fock_n}",
-            f_q=f_an.f_q,
-            f_q_numeric=f_num.f_q,
-            delta_phi_min=f_an.delta_phi_min,
-            delta_phi_error_prop=dp,
-            ratio=dp / f_an.delta_phi_min,
-        )
-    )
-
-    psi_n = noon_state(noon_n)
-    fam_n = lambda p: phase_shift(psi_n, p, "relative")
-    f_an = qfi_analytic(psi_n, "jz")
-    f_num = qfi_numeric(fam_n, 0.4, h, generator="jz")
-    dp = _error_prop_at(parity_harmonics(psi_n), math.pi / (2 * noon_n), step=1e-5)
-    rows.append(
-        QfiRow(
-            case=f"noon n={noon_n}",
-            f_q=f_an.f_q,
-            f_q_numeric=f_num.f_q,
-            delta_phi_min=f_an.delta_phi_min,
-            delta_phi_error_prop=dp,
-            ratio=dp / f_an.delta_phi_min,
-        )
-    )
+    for cfg, label, phi, center, step, note in cases:
+        sc = SCENARIOS[cfg.scenario]
+        psi = sc.probe(cfg)
+        f_an = qfi_analytic(psi, sc.generator)
+        f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h, generator=sc.generator)
+        dp = _error_prop_at(sc.readout(psi), center, step)
+        rows.append(QfiRow(label, f_an.f_q, f_num.f_q, f_an.delta_phi_min, dp, dp / f_an.delta_phi_min, note))
     return rows
 
 
@@ -555,24 +504,29 @@ class MetricRow:
     rel_error: float
 
 
-def run_metric_check(beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = 1e-10) -> list[MetricRow]:
+def run_metric_check(
+    beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = EPS_TRUNC_DEFAULT
+) -> list[MetricRow]:
     """Rate of change of the projective distance against F/4 per family."""
-    ccfg = _table_config(beta_mag, epsilon_trunc, noon_n=noon_n)
+    eps = epsilon_trunc
+    cases = [
+        (ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=eps).validate(),
+         f"coherent beta={beta_mag:g}"),
+        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate(), f"noon n={noon_n}"),
+    ]
     if not 0.0 < h < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {h}")
     rows = []
-    psi_c = normalize(coherent_probe(ccfg))
-    fam_c = lambda p: phase_shift(psi_c, p, "mode_b")
-    quarter = qfi_analytic(psi_c, "nb").f_q / 4
-    for phi in (0.3, 1.1, 2.0):
-        rate = (metric_distance(fam_c(phi), fam_c(phi + h)) / h) ** 2
-        rows.append(MetricRow(f"coherent beta={beta_mag:g}", phi, rate, quarter, abs(rate - quarter) / quarter))
-    psi_n = noon_state(noon_n)
-    fam_n = lambda p: phase_shift(psi_n, p, "relative")
-    quarter = qfi_analytic(psi_n, "jz").f_q / 4
-    for phi in (0.3, 1.1, 2.0):
-        rate = (metric_distance(fam_n(phi), fam_n(phi + h)) / h) ** 2
-        rows.append(MetricRow(f"noon n={noon_n}", phi, rate, quarter, abs(rate - quarter) / quarter))
+    for cfg, label in cases:
+        sc = SCENARIOS[cfg.scenario]
+        psi = sc.probe(cfg)
+        if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
+            psi = normalize(psi)
+        fam = _phase_family(psi, sc.generator)
+        quarter = qfi_analytic(psi, sc.generator).f_q / 4
+        for phi in (0.3, 1.1, 2.0):
+            rate = (metric_distance(fam(phi), fam(phi + h)) / h) ** 2
+            rows.append(MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter))
     return rows
 
 
@@ -587,30 +541,19 @@ def write_metric_csv(rows: list[MetricRow], path) -> None:
 # flat key = value config files
 # --------------------------------------------------------------------------
 
-_CONFIG_FIELDS: dict[str, object] = {
-    "scenario": str,
-    "alpha_mag": float,
-    "beta_mag": float,
-    "theta1": float,
-    "theta2": float,
-    "n": int,
-    "r": float,
-    "theta": float,
-    "f": float,
-    "eta_a": float,
-    "eta_b": float,
-    "trials": int,
-    "seed": int,
-    "post_select": None,  # bool, handled explicitly
-    "sample_phi": float,
-    "phi_start": float,
-    "phi_stop": float,
-    "phi_steps": int,
-    "epsilon_trunc": float,
-    "n_cap": int,
-}
-
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+
+# config key -> parser of its value text, one per ScenarioConfig field
+_CONFIG_FIELDS = {fld.name: _PARSERS[fld.type.removesuffix(" | None")] for fld in fields(ScenarioConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -626,14 +569,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key == "post_select":
-            if val.lower() not in _BOOL_WORDS:
-                raise ConfigError(f"{source}:{lineno}: expected a boolean, got {val!r}")
-            values[key] = _BOOL_WORDS[val.lower()]
-            continue
-        conv = _CONFIG_FIELDS[key]
         try:
-            values[key] = conv(val)
+            values[key] = _CONFIG_FIELDS[key](val)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {val!r}") from exc
     return values

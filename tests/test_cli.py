@@ -62,6 +62,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(out2.read_text().splitlines()) == 12
 
 
+def test_config_file_epsilon_trunc_is_not_masked_by_a_flag_default(tmp_path, capsys):
+    # n_cap = 28 leaves a deficit of about 8e-9: inside the file's 1e-7, outside the 1e-10 default
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario = coherent\nn_cap = 28\nepsilon_trunc = 1e-7\nphi_steps = 5\n")
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["sweep", "--config", str(cfgfile), "--epsilon-trunc", "1e-10", "--out", str(tmp_path / "b.csv")]) == 3
+    capsys.readouterr()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("wavelength = 633\n")
@@ -135,6 +144,7 @@ OUT_OF_RANGE_CASES = [
     ["metric-check", "--step", "nan"],
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
+    ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],
 ]
 
 
@@ -143,6 +153,19 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+UNKNOWN_FLAG_CASES = [[cmd, flag, value] for cmd in ("qfi-table", "metric-check")
+                      for flag, value in (("--config", "/nonexistent.cfg"), ("--seed", "5"))]
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_FLAG_CASES, ids=[" ".join(a) for a in UNKNOWN_FLAG_CASES])
+def test_table_commands_reject_config_and_seed(tmp_path, capsys, argv):
+    # the tables read no config file and draw no random numbers, so either flag would be ignored
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
 
 

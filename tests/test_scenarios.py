@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,11 +19,6 @@ from mzlab.scenarios import (
     run_metric_check,
     run_noon_sampling,
     run_qfi_table,
-    run_scenario_coherent,
-    run_scenario_fock,
-    run_scenario_noon,
-    run_scenario_squeezed,
-    run_scenario_twin_fock,
     run_sweep,
     squeezed_probe,
 )
@@ -225,17 +221,17 @@ def direct_sweep(cfg: ScenarioConfig):
 
 
 ORACLE_CASES = [
-    (run_scenario_coherent, ScenarioConfig(scenario="coherent", alpha_mag=1.7, beta_mag=2.3, theta1=0.3, theta2=0.9, n_cap=40)),
-    (run_scenario_fock, ScenarioConfig(scenario="fock", n=16)),
-    (run_scenario_twin_fock, ScenarioConfig(scenario="twin_fock", n=3)),
-    (run_scenario_squeezed, ScenarioConfig(scenario="squeezed", alpha_mag=3.0, r=0.5, phi_steps=61)),
-    (run_scenario_noon, ScenarioConfig(scenario="noon", n=5)),
+    ScenarioConfig(scenario="coherent", alpha_mag=1.7, beta_mag=2.3, theta1=0.3, theta2=0.9, n_cap=40),
+    ScenarioConfig(scenario="fock", n=16),
+    ScenarioConfig(scenario="twin_fock", n=3),
+    ScenarioConfig(scenario="squeezed", alpha_mag=3.0, r=0.5, phi_steps=61),
+    ScenarioConfig(scenario="noon", n=5),
 ]
 
 
-@pytest.mark.parametrize("runner,cfg", ORACLE_CASES, ids=[c.scenario for _, c in ORACLE_CASES])
-def test_harmonic_sweep_matches_direct_evolution(runner, cfg):
-    got, want = runner(cfg), direct_sweep(cfg)
+@pytest.mark.parametrize("cfg", ORACLE_CASES, ids=[c.scenario for c in ORACLE_CASES])
+def test_harmonic_sweep_matches_direct_evolution(cfg):
+    got, want = run_sweep(cfg), direct_sweep(cfg)
     assert got.scenario == want.scenario and len(got.rows) == len(want.rows)
     for g, w in zip(got.rows, want.rows):
         for name in ("phi", "qfi", "crb", "closed_form_delta_phi", "convention"):
@@ -318,6 +314,16 @@ def test_config_text_round_trip():
     text = "\n".join(config_lines(cfg))
     reloaded = config_from_values(parse_config_text(text))
     assert reloaded == cfg
+
+
+def test_config_text_round_trip_with_optional_fields():
+    # every Optional-typed key set, plus an explicit false boolean
+    cfg = ScenarioConfig(scenario="coherent", f=0.25, sample_phi=0.125, n_cap=30, post_select=False, phi_steps=21)
+    text = "\n".join(config_lines(cfg))
+    assert {"f = 0.25", "sample_phi = 0.125", "n_cap = 30", "post_select = false"} <= set(text.splitlines())
+    reloaded = config_from_values(parse_config_text(text))
+    assert reloaded == cfg
+    assert [type(v) for v in astuple(reloaded)] == [type(v) for v in astuple(cfg)]  # 30.0 == 30, so check types too
 
 
 def test_config_round_trip_reproduces_runs(tmp_path):
