@@ -1,8 +1,9 @@
 """Command-line surface: sweep, sample, qfi-table, metric-check.
 
 Exit codes: 0 success, 2 argument/config errors (argparse prints usage),
-3 numerical failures such as an exhausted post-selection filter or a
-truncation deficit above the configured epsilon.
+3 numerical failures such as an exhausted post-selection filter, a
+truncation deficit above the configured epsilon, or a basis too large for
+the memory at hand.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
 
 def _add_common(p: argparse.ArgumentParser, config_file: bool) -> None:
     """Flags of every subcommand.  Those that read a config file (sweep, sample) also take
-    --config and --seed, and leave --epsilon-trunc unset so the file's value stands."""
+    --config, and leave --epsilon-trunc unset so the file's value stands."""
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc", default=None if config_file else EPS_TRUNC_DEFAULT,
                    help=f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})")
     if config_file:
         p.add_argument("--config", help="flat key = value config file; flags override it")
-        p.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sa, config_file=True)
     sa.add_argument("--scenario", choices=("noon",), default="noon")
     sa.add_argument("--n", type=int)
+    sa.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
     sa.add_argument("--eta", type=float, help="transmissivity of both arms")
     sa.add_argument("--eta-a", type=float, dest="eta_a")
     sa.add_argument("--eta-b", type=float, dest="eta_b")
@@ -160,6 +161,9 @@ def main(argv=None) -> int:
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     return 0
 

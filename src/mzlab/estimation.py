@@ -109,8 +109,11 @@ def qfi_analytic(s_tilde: TwoModeState, generator: GeneratorName) -> FisherRepor
     """F = 4 Var(G) on the probe state, G the diagonal phase generator."""
     v = generator_values(s_tilde, generator)
     p = np.abs(s_tilde.amps) ** 2
-    mean = float(math.fsum(p * v))
-    second = float(math.fsum(p * v * v))
+    return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)), generator)
+
+
+def fisher_from_moments(mean: float, second: float, generator: GeneratorName) -> FisherReport:
+    """F = 4 (<G^2> - <G>^2) from the first two moments of the generator on the probe."""
     f_q = 4.0 * (second - mean * mean)
     dmin = 1.0 / math.sqrt(f_q) if f_q > 0 else math.inf
     return FisherReport(f_q=f_q, delta_phi_min=dmin, method="analytic_variance", generator=generator)

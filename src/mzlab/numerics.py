@@ -25,12 +25,6 @@ def log_factorials(n_max: int) -> np.ndarray:
     return _LF_TABLE[: n_max + 1]
 
 
-def log_factorial(n: int) -> float:
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return float(log_factorials(n)[n])
-
-
 def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:
     """Column-stochastic matrix T with T[k, l] = C(l, k) eta^k (1-eta)^(l-k).
 

@@ -53,6 +53,20 @@ polynomial Re(sum_d c_d e^{i d phi}) whose coefficients are sums over the
 probe: ``exchange_harmonics`` (degree 1 and 2) and ``parity_harmonics``
 (degree N) compute them once, and ``eval_harmonics`` evaluates a whole
 grid in one expression.
+
+Product probes skip the two-mode state.  When the probe is U (|a> (x) |b>)
+with single-mode inputs a, b and a passive U, a readout sum <P> equals
+<a, b| U^dag P U |a, b>, and U^dag P U is P with every letter substituted
+(``pull_back``; the Heisenberg-picture splitter map of Campos, Saleh and
+Teich, Phys. Rev. A 40, 1371 (1989)).  Modes a and b commute, so each
+monomial splits into a mode-a word times a mode-b word, and each word acts
+on one amplitude array.  Every monomial conserves the total photon number,
+so on the truncated basis n1 + n2 <= n_cap the monomial's expectation is
+the sum of ga[i] gb[j] over i + j <= n_cap, exactly what the two-mode
+state gives (``product_expectations``).  ``product_exchange_sums`` returns
+the exchange sums A, B, C and the n2 moments this way, in
+O(cutoff_a + cutoff_b) per word, with no block built.  The polynomials are
+built at import, bare and through ``BS1_SYMMETRIC``.
 """
 
 from __future__ import annotations
@@ -302,6 +316,11 @@ def exchange_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     a = np.vdot(psi[:-1], hop[1:] * psi[1:])
     b = np.vdot(psi[:-2], hop2[1:] * psi[2:])
     c = np.dot(np.abs(psi) ** 2, n1 * (n2 + 1.0) + n2 * (n1 + 1.0))
+    return _exchange_coeffs(a, b, c)
+
+
+def _exchange_coeffs(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic coefficients of <Jx> and <Jx^2> from the sums A, B and C."""
     return np.array([0.0, a]), np.array([c / 4, 0.0, b / 2])
 
 
@@ -336,3 +355,114 @@ def parity_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
 def eval_harmonics(coeffs: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Re(sum_d coeffs[d] e^{i d phi}) at every phi of the grid."""
     return (np.exp(1j * np.outer(phis, np.arange(len(coeffs)))) @ coeffs).real
+
+
+# --------------------------------------------------------------------------
+# Product-form readout
+# --------------------------------------------------------------------------
+
+# An operator polynomial: (mode-a word, mode-b word) -> coefficient.  A word
+# lists its letters in operator order (the rightmost acts first), +1 for a
+# creation and -1 for an annihilation operator.
+Word = tuple[int, ...]
+Poly = dict[tuple[Word, Word], complex]
+
+
+def pull_back(poly: Poly, matrix: np.ndarray) -> Poly:
+    """U^dag P U for the element with mode matrix ``matrix``.
+
+    From U (a, b) U^dag = M (a, b), U^dag (a, b) U = M^dag (a, b): the
+    annihilation operator of mode m becomes sum_k conj(M[k, m]) times that
+    of mode k, and the creation operator sum_k M[k, m] times that of mode k.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    out: dict = {}
+    for (wa, wb), coeff in poly.items():
+        terms = {((), ()): coeff}
+        for mode, letter in [(0, x) for x in wa] + [(1, x) for x in wb]:
+            grown: dict = {}
+            for (ta, tb), c in terms.items():
+                for k in (0, 1):
+                    w = m[k, mode] if letter > 0 else m[k, mode].conjugate()
+                    key = (ta + (letter,), tb) if k == 0 else (ta, tb + (letter,))
+                    grown[key] = grown.get(key, 0.0) + c * w
+            terms = grown
+        for key, c in terms.items():
+            out[key] = out.get(key, 0.0) + c
+    return {key: complex(c) for key, c in out.items() if c != 0}
+
+
+def _word_terms(f: np.ndarray, word: Word) -> np.ndarray:
+    """g[n] = conj(f[n + d]) <n + d| word |n> f[n], d the word's photon change.
+
+    The matrix element is the square root of one integer product, so
+    <n| a+ a |n> is exactly n; g is zero where n + d leaves the array.
+    """
+    n = np.arange(f.size)
+    k, weight = n, np.ones(f.size, dtype=np.int64)
+    for letter in reversed(word):
+        if letter > 0:
+            k = k + 1
+            weight = weight * k
+        else:
+            weight = weight * k
+            k = k - 1
+    d = sum(word)
+    g = np.zeros(f.size, dtype=np.complex128)
+    lo, hi = max(0, -d), min(f.size, f.size - d)
+    if lo < hi:
+        g[lo:hi] = f[lo + d : hi + d].conj() * np.sqrt(weight[lo:hi]) * f[lo:hi]
+    return g
+
+
+def _pair_sum(ga: np.ndarray, gb: np.ndarray, n_cap: int) -> complex:
+    """Sum of ga[i] gb[j] over i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum()."""
+    i = np.arange(min(ga.size, n_cap + 1))
+    return np.dot(ga[: i.size], np.cumsum(gb)[np.minimum(n_cap - i, gb.size - 1)])
+
+
+def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> list[complex]:
+    """<P> for each polynomial P on the product fa (x) fb kept on n1 + n2 <= n_cap.
+
+    Each photon-number conserving monomial wa wb contributes the truncated
+    two-mode sum of its word terms; monomials sharing a mode-a word are
+    summed on the mode-b side first, and every word is evaluated once.
+    """
+    words_a: dict = {}
+    words_b: dict = {}
+    out = []
+    for poly in polys:
+        by_a: dict = {}
+        for (wa, wb), c in poly.items():
+            if wb not in words_b:
+                words_b[wb] = _word_terms(fb, wb)
+            by_a[wa] = by_a.get(wa, 0.0) + c * words_b[wb]
+        total = 0j
+        for wa, gb in by_a.items():
+            if wa not in words_a:
+                words_a[wa] = _word_terms(fa, wa)
+            total += _pair_sum(words_a[wa], gb, n_cap)
+        out.append(total)
+    return out
+
+
+# A = <a+ b>, B = <(a+ b)^2>, C = <a+a b b+ + b+b a a+>, <n2>, <n2^2>
+EXCHANGE_SUMS: tuple[Poly, ...] = (
+    {((1,), (-1,)): 1.0},
+    {((1, 1), (-1, -1)): 1.0},
+    {((1, -1), (-1, 1)): 1.0, ((-1, 1), (1, -1)): 1.0},
+    {((), (1, -1)): 1.0},
+    {((), (1, -1, 1, -1)): 1.0},
+)
+EXCHANGE_SUMS_BS1 = tuple(pull_back(p, BS1_SYMMETRIC.matrix) for p in EXCHANGE_SUMS)
+
+
+def product_exchange_sums(fa: np.ndarray, fb: np.ndarray, n_cap: int, bs1: bool) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Exchange harmonics (as :func:`exchange_harmonics`) and <n2>, <n2^2> of a product probe.
+
+    The probe is fa (x) fb on n1 + n2 <= n_cap, sent through ``BS1_SYMMETRIC``
+    first when ``bs1`` is set.
+    """
+    a, b, c, n2, n2_sq = product_expectations(fa, fb, n_cap, EXCHANGE_SUMS_BS1 if bs1 else EXCHANGE_SUMS)
+    mean_c, second_c = _exchange_coeffs(a, b, c.real)
+    return mean_c, second_c, n2.real, n2_sq.real

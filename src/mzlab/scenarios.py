@@ -45,6 +45,16 @@ Monte Carlo sampling.  Each scenario is one ``Scenario`` entry of
 ``SCENARIOS``, run by :func:`run_sweep`; the Fisher-information table and
 the metric cross-check take their probes, readouts and generators from the
 same entries.
+
+The coherent and squeezed probes are products of two single-mode inputs
+(the squeezed one followed by BS1), so their probe is a
+``states.ProductProbe`` and the sweep reads its mean, second moment and
+Fisher information straight off the two amplitude arrays
+(``optics.product_exchange_sums``), with no two-mode state and no BS1
+block (Pezze and Smerzi, Phys. Rev. Lett. 100, 073601 (2008)).  Fock,
+twin-Fock and NOON keep the two-mode path.  So do ``qfi-table`` and
+``metric-check``: they expand every probe with :func:`two_mode`, so the
+metric check stays an independent cross-check of the sweep numbers.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .estimation import (
     ObservableCurve,
     central_difference,
     delta_phi_error_propagation,
+    fisher_from_moments,
     qfi_analytic,
     qfi_numeric,
     metric_distance,
@@ -85,14 +96,17 @@ from .optics import (
     exchange_harmonics,
     parity_harmonics,
     phase_shift,
+    product_exchange_sums,
 )
 from .states import (
     EPS_TRUNC_DEFAULT,
+    ProductProbe,
     SqueezeParams,
     auto_coherent,
     auto_squeezed,
     fock_after_symmetric_bs,
     noon_state,
+    product_probe,
     product_state,
     twin_fock,
 )
@@ -255,17 +269,19 @@ def _assemble_table(
 # probe construction
 # --------------------------------------------------------------------------
 
+Probe = TwoModeState | ProductProbe
 
-def coherent_probe(cfg: ScenarioConfig) -> TwoModeState:
+
+def coherent_probe(cfg: ScenarioConfig) -> ProductProbe:
     """Post-splitter coherent pair |alpha>|beta> on a verified basis."""
     a = auto_coherent(cfg.alpha_mag * np.exp(1j * cfg.theta1), cfg.epsilon_trunc)
     b = auto_coherent(cfg.beta_mag * np.exp(1j * cfg.theta2), cfg.epsilon_trunc)
     n_cap = cfg.n_cap if cfg.n_cap is not None else a.cutoff + b.cutoff
-    return product_state(a, b, n_cap, eps_trunc=cfg.epsilon_trunc)
+    return product_probe(a, b, n_cap, cfg.epsilon_trunc)
 
 
-def squeezed_probe(cfg: ScenarioConfig) -> TwoModeState:
-    """Coherent (x) squeezed-vacuum input pushed through the 50:50 splitter."""
+def squeezed_probe(cfg: ScenarioConfig) -> ProductProbe:
+    """Coherent (x) squeezed-vacuum input, to be pushed through the 50:50 splitter."""
     if cfg.alpha_mag**2 < 8 * math.sinh(cfg.r) ** 2:
         raise ConfigError(
             f"squeezed scenario requires |alpha|^2 >= 8 sinh(r)^2; got {cfg.alpha_mag**2:.3g} vs {8 * math.sinh(cfg.r) ** 2:.3g}"
@@ -273,8 +289,15 @@ def squeezed_probe(cfg: ScenarioConfig) -> TwoModeState:
     a = auto_coherent(cfg.alpha_mag * np.exp(1j * cfg.f_effective()), cfg.epsilon_trunc)
     b = auto_squeezed(SqueezeParams(cfg.r, cfg.theta), cfg.epsilon_trunc)
     n_cap = cfg.n_cap if cfg.n_cap is not None else a.cutoff + b.cutoff
-    psi0 = product_state(a, b, n_cap, eps_trunc=cfg.epsilon_trunc)
-    return beam_splitter(psi0, BS1_SYMMETRIC)
+    return product_probe(a, b, n_cap, cfg.epsilon_trunc, bs1=True)
+
+
+def two_mode(probe: Probe) -> TwoModeState:
+    """The probe as a two-mode state; a product probe is expanded on its basis."""
+    if isinstance(probe, TwoModeState):
+        return probe
+    psi = product_state(probe.a, probe.b, probe.n_cap, eps_trunc=1.0)  # deficit checked by product_probe
+    return beam_splitter(psi, BS1_SYMMETRIC) if probe.bs1 else psi
 
 
 # --------------------------------------------------------------------------
@@ -289,12 +312,13 @@ class Scenario:
     """What one sweep measures; :func:`run_sweep` does the rest.
 
     ``readout`` gives the Fourier coefficients in phi of the observable's
-    mean and second moment on the probe; the reported observable is
-    ``scale`` times it.  ``closed_form`` gives the textbook delta-phi at one
-    grid phase, or None where none applies.
+    mean and second moment on a two-mode probe; the reported observable is
+    ``scale`` times it.  A product probe is always read out through the
+    exchange sums with the ``nb`` generator.  ``closed_form`` gives the
+    textbook delta-phi at one grid phase, or None where none applies.
     """
 
-    probe: Callable[[ScenarioConfig], TwoModeState]
+    probe: Callable[[ScenarioConfig], Probe]
     readout: Callable[[TwoModeState], Harmonics]
     scale: float
     generator: GeneratorName
@@ -346,18 +370,28 @@ SCENARIOS: dict[str, Scenario] = {
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 
+# the NOON-sampling settings, read by run_noon_sampling only
+_SAMPLING_KEYS = ("eta_a", "eta_b", "trials", "seed", "post_select", "sample_phi")
+_DEFAULTS = ScenarioConfig()
+
 
 def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Sweep the scenario named by ``cfg`` over its phi grid."""
     cfg.validate()
+    unread = [name for name in _SAMPLING_KEYS if getattr(cfg, name) != getattr(_DEFAULTS, name)]
+    if unread:
+        raise ConfigError(f"sweep does not read {', '.join(unread)}; those settings are for sample")
     sc = SCENARIOS[cfg.scenario]
-    psi = sc.probe(cfg)
+    probe = sc.probe(cfg)
     phis = cfg.phi_grid()
-    mean_c, second_c = sc.readout(psi)
+    if isinstance(probe, ProductProbe):
+        mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
+        fisher = fisher_from_moments(n2_mean, n2_second, "nb")
+    else:
+        (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.generator)
     mean = sc.scale * eval_harmonics(mean_c, phis)
     second = sc.scale**2 * eval_harmonics(second_c, phis)
     closed = [sc.closed_form(cfg, float(phi)) for phi in phis]
-    fisher = qfi_analytic(psi, sc.generator)
     return _assemble_table(cfg.scenario, phis, mean, second, fisher, closed, sc.convention, sc.annotation)
 
 
@@ -477,7 +511,7 @@ def run_qfi_table(
     rows = []
     for cfg, label, phi, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
-        psi = sc.probe(cfg)
+        psi = two_mode(sc.probe(cfg))
         f_an = qfi_analytic(psi, sc.generator)
         f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h, generator=sc.generator)
         dp = _error_prop_at(sc.readout(psi), center, step)
@@ -519,7 +553,7 @@ def run_metric_check(
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]
-        psi = sc.probe(cfg)
+        psi = two_mode(sc.probe(cfg))
         if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
             psi = normalize(psi)
         fam = _phase_family(psi, sc.generator)

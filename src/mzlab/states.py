@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .fock import TwoModeState, basis_dim, index_pairs, pair_index
+from .fock import AMP_FLUSH, TwoModeState, basis_dim, index_pairs, pair_index
 from .numerics import log_factorials
 
 EPS_TRUNC_DEFAULT = 1e-10
@@ -59,14 +59,35 @@ def _checked(cutoff: int, amps: np.ndarray, eps_trunc: float, what: str) -> Sing
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
-    """amps[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!), Poisson photon statistics."""
+    """amps[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!), Poisson photon statistics.
+
+    The ratio amps[n+1] / amps[n] = alpha / sqrt(n+1) fills the array from one
+    anchor.  The anchor is the vacuum term exp(-|alpha|^2/2) while that is
+    at least ``AMP_FLUSH`` (|alpha| <= 37.1).  Beyond, it underflows, so the
+    anchor moves to the peak n0 = floor(|alpha|^2), whose logarithm is taken
+    in log space with Stirling's series, the large terms cancelled in closed
+    form, and the ratio runs both ways from there.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2)
-    for n in range(cutoff):
+    alpha = complex(alpha)
+    x = abs(alpha) ** 2
+    vacuum = math.exp(-x / 2)
+    n0 = 0 if vacuum >= AMP_FLUSH else math.floor(x)
+    amps = np.zeros(max(cutoff, n0) + 1, dtype=np.complex128)
+    if n0 == 0:
+        amps[0] = vacuum
+    else:
+        # log|amps[n0]| = -x/2 + (n0/2) log x - lgamma(n0 + 1)/2, to ~1e-16
+        log_mag = (n0 - x) / 2 + n0 / 2 * math.log1p((x - n0) / n0) - math.log(2 * math.pi * n0) / 4
+        log_mag -= 1 / (24 * n0) - 1 / (720 * n0**3)
+        phase = n0 * math.atan2(alpha.imag, alpha.real)
+        amps[n0] = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
+        for n in range(n0, 0, -1):
+            amps[n - 1] = amps[n] * math.sqrt(n) / alpha
+    for n in range(n0, cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    return _checked(cutoff, amps, eps_trunc, f"coherent |alpha|={abs(alpha):.3g}")
+    return _checked(cutoff, amps[: cutoff + 1], eps_trunc, f"coherent |alpha|={abs(alpha):.3g}")
 
 
 def squeezed_vacuum_amplitudes(p: SqueezeParams, cutoff: int, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
@@ -137,6 +158,34 @@ def product_state(a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, 
     if deficit > eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return TwoModeState(n_cap, amps, deficit=deficit)
+
+
+@dataclass(frozen=True)
+class ProductProbe:
+    """Single-mode inputs a (x) b on the basis n1 + n2 <= n_cap, then BS1 if ``bs1``.
+
+    The coherent and squeezed sweeps read this out on the two amplitude
+    arrays (``optics.product_exchange_sums``) and never build the two-mode
+    state; ``deficit`` is the truncated mass of a (x) b on that basis.
+    """
+
+    a: SingleModeAmplitudes
+    b: SingleModeAmplitudes
+    n_cap: int
+    bs1: bool
+    deficit: float
+
+
+def product_probe(
+    a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT, bs1: bool = False
+) -> ProductProbe:
+    """a (x) b restricted to n1 + n2 <= n_cap, checked as :func:`product_state` checks it."""
+    if n_cap < 0:
+        raise ValueError("n_cap must be >= 0")
+    deficit = 1.0 - math.fsum(np.convolve(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2)[: n_cap + 1])
+    if deficit > eps_trunc:
+        raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
+    return ProductProbe(a, b, n_cap, bs1, deficit)
 
 
 def fock_after_symmetric_bs(n_photons: int) -> TwoModeState:

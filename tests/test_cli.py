@@ -1,8 +1,11 @@
+import csv
+import math
 import subprocess
 import sys
 
 import pytest
 
+import mzlab.cli
 from mzlab.cli import main
 
 
@@ -180,3 +183,49 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_rejects_seed_flag(tmp_path, capsys):
+    # only sample draws random numbers
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "fock", "--n", "4", "--seed", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed = 5", "trials = 10", "post_select = true", "eta_a = 0.5", "eta_b = 0.5",
+                                  "sample_phi = 0.3"])
+def test_sweep_rejects_sampling_settings(tmp_path, capsys, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scenario = fock\nn = 4\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line.split()[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    def run_sweep(cfg):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (5000250001,)")
+
+    monkeypatch.setattr(mzlab.cli, "run_sweep", run_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "fock", "--n", "100000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_large_coherent_sweep(tmp_path):
+    # exp(-|alpha|^2/2) underflows at |alpha| = 45; a fine grid puts phi = pi/2 in the middle
+    out = tmp_path / "coherent.csv"
+    grid = f"{math.pi / 2 - 2e-4!r}:{math.pi / 2 + 2e-4!r}:5"
+    assert main(["sweep", "--scenario", "coherent", "--alpha", "45", "--beta", "45", "--phi", grid, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    for row in rows:
+        assert float(row["qfi"]) == pytest.approx(4 * 45.0**2, rel=1e-9)
+    mid = rows[2]
+    assert float(mid["phi"]) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert float(mid["delta_phi"]) == pytest.approx(float(mid["closed_form_delta_phi"]), rel=1e-6)

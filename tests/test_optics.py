@@ -10,6 +10,7 @@ from scipy.special import eval_jacobi, gammaln
 
 from mzlab import optics
 
+from mzlab.estimation import qfi_analytic
 from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, normalize, pair_index
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import (
@@ -17,6 +18,7 @@ from mzlab.optics import (
     BS2_JX,
     BS2_JY,
     IDENTITY_BS,
+    EXCHANGE_SUMS,
     BeamSplitterSpec,
     apply_angular,
     beam_splitter,
@@ -27,10 +29,13 @@ from mzlab.optics import (
     mode_matrix_of,
     parity_harmonics,
     phase_shift,
+    product_exchange_sums,
+    product_expectations,
+    pull_back,
     wigner_d_block,
 )
 from mzlab.scenarios import noon_output_distribution
-from mzlab.states import fock_after_symmetric_bs, noon_state
+from mzlab.states import SingleModeAmplitudes, fock_after_symmetric_bs, noon_state, product_state
 
 from conftest import random_fixed_total_state, random_state
 
@@ -388,3 +393,61 @@ def test_parity_harmonics_match_noon_output_distribution():
             d = noon_output_distribution(n, float(phi))
             assert abs(got[i] - parity_expectation(d, "a")) <= 1e-12
             assert abs(norm[i] - d.total()) <= 1e-12
+
+
+# ----- product-form readout against the two-mode state ------------------------------
+
+def unit(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    return v / norm if norm else v
+
+
+def expanded(fa: np.ndarray, fb: np.ndarray, n_cap: int) -> TwoModeState:
+    """fa (x) fb on n1 + n2 <= n_cap as a two-mode state, whatever its deficit."""
+    a, b = SingleModeAmplitudes(fa.size - 1, fa, 0.0), SingleModeAmplitudes(fb.size - 1, fb, 0.0)
+    return product_state(a, b, n_cap, eps_trunc=math.inf)
+
+
+def two_mode_sums(psi: TwoModeState) -> list:
+    """A, B, C from exchange_harmonics, then <n2> and <n2^2>, on a two-mode state."""
+    mean_c, second_c = exchange_harmonics(psi)
+    p = np.abs(psi.amps) ** 2
+    n2 = index_pairs(psi.n_cap)[1]
+    return [mean_c[1], 2 * second_c[2], 4 * second_c[0], math.fsum(p * n2), math.fsum(p * n2 * n2)]
+
+
+@st.composite
+def product_inputs(draw):
+    """Two random complex single-mode arrays of length 1-12 and a cap up to the sum of their cutoffs."""
+    def amps():
+        parts = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=12))
+        return unit(np.array([complex(re, im) for re, im in parts]))
+
+    fa, fb = amps(), amps()
+    return fa, fb, draw(st.integers(0, fa.size + fb.size - 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_inputs(), st.booleans())
+def test_product_exchange_sums_match_two_mode_state(inputs, bs1):
+    fa, fb, n_cap = inputs
+    psi = expanded(fa, fb, n_cap)
+    if bs1:
+        psi = beam_splitter(psi, BS1_SYMMETRIC)
+    mean_c, second_c, n2, n2_sq = product_exchange_sums(fa, fb, n_cap, bs1)
+    got = [mean_c[1], 2 * second_c[2], 4 * second_c[0], n2, n2_sq]
+    for name, g, w in zip(("A", "B", "C", "n2", "n2^2"), got, two_mode_sums(psi)):
+        assert close(g, w), name
+    assert close(4 * (n2_sq - n2 * n2), qfi_analytic(psi, "nb").f_q)
+
+
+def test_pull_back_convention_on_a_random_unitary(rng):
+    # BS1 is real and its own inverse, so only a general unitary tells M from M^T or conj(M)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    fa = unit(rng.normal(size=7) + 1j * rng.normal(size=7))
+    fb = unit(rng.normal(size=9) + 1j * rng.normal(size=9))
+    for n_cap in (5, 14):
+        want = two_mode_sums(beam_splitter(expanded(fa, fb, n_cap), BeamSplitterSpec(q)))
+        got = product_expectations(fa, fb, n_cap, [pull_back(p, q) for p in EXCHANGE_SUMS])
+        for g, w in zip(got, want):
+            assert close(g, w)

@@ -22,7 +22,7 @@ from mzlab.scenarios import (
     run_sweep,
     squeezed_probe,
 )
-from mzlab.states import fock_after_symmetric_bs, noon_state, twin_fock
+from mzlab.states import fock_after_symmetric_bs, noon_state, product_state, twin_fock
 
 SINC_181 = math.sin(math.pi / 180) / (math.pi / 180)  # grid derivative attenuation
 
@@ -134,6 +134,16 @@ def test_squeezed_r_zero_reduces_to_single_coherent():
     assert table.rows[2].delta_phi == pytest.approx(1 / 3.0, abs=1e-7)
 
 
+def test_squeezed_large_probe_signal():
+    # n_cap 386: 75,078 two-mode amplitudes, read off the two single-mode arrays instead
+    cfg = ScenarioConfig(scenario="squeezed", alpha_mag=8.0, r=1.5, phi_steps=41)
+    table = run_sweep(cfg)
+    phis = np.array(table.column("phi"))
+    target = np.cos(phis) * (64.0 - math.sinh(1.5) ** 2)
+    mean = np.array(table.column("mean_o"))
+    assert np.all(np.abs(mean - target) <= 1e-8 * np.maximum(1.0, np.abs(target)))
+
+
 def test_squeezed_regime_guard():
     with pytest.raises(ConfigError):
         run_sweep(ScenarioConfig(scenario="squeezed", alpha_mag=1.0, r=1.0))
@@ -191,11 +201,15 @@ def direct_sweep(cfg: ScenarioConfig):
             mean[i], second[i] = parity_expectation(d, "a"), d.total()
         closed = [1 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None for phi in phis]
         return _assemble_table("noon", phis, mean, second, qfi_analytic(psi, generator), closed, "relative/parity_a")
+
+    def expanded(probe):  # the product probe as a two-mode state on its basis
+        return product_state(probe.a, probe.b, probe.n_cap, cfg.epsilon_trunc)
+
     psi = {
-        "coherent": lambda: coherent_probe(cfg),
+        "coherent": lambda: expanded(coherent_probe(cfg)),
         "fock": lambda: fock_after_symmetric_bs(cfg.n),
         "twin_fock": lambda: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC),
-        "squeezed": lambda: squeezed_probe(cfg),
+        "squeezed": lambda: beam_splitter(expanded(squeezed_probe(cfg)), BS1_SYMMETRIC),
     }[cfg.scenario]()
     scale = 2.0 if cfg.scenario == "squeezed" else 1.0
     for i, phi in enumerate(phis):
@@ -233,9 +247,13 @@ ORACLE_CASES = [
 def test_harmonic_sweep_matches_direct_evolution(cfg):
     got, want = run_sweep(cfg), direct_sweep(cfg)
     assert got.scenario == want.scenario and len(got.rows) == len(want.rows)
+    # product probes sum the Fisher information on the single-mode arrays, in another order
+    fisher_rel = 1e-13 if cfg.scenario in ("coherent", "squeezed") else 0.0
     for g, w in zip(got.rows, want.rows):
-        for name in ("phi", "qfi", "crb", "closed_form_delta_phi", "convention"):
+        for name in ("phi", "closed_form_delta_phi", "convention"):
             assert getattr(g, name) == getattr(w, name), name
+        for name in ("qfi", "crb"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=fisher_rel, abs=0.0), name
         for name in ("mean_o", "second_o"):
             assert abs(getattr(g, name) - getattr(w, name)) <= 1e-12 * max(1.0, abs(getattr(w, name))), name
         assert g.var_o == pytest.approx(w.var_o, rel=1e-9, abs=1e-12 * max(1.0, w.second_o))

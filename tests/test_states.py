@@ -18,6 +18,7 @@ from mzlab.states import (
     fock_after_symmetric_bs,
     noon_state,
     policy_squeezed_cutoff,
+    product_probe,
     product_state,
     squeezed_vacuum_amplitudes,
     twin_fock,
@@ -56,6 +57,48 @@ def test_coherent_recurrence(re, im):
         if abs(sm.amps[n]) < 1e-12:
             continue
         assert sm.amps[n + 1] == pytest.approx(sm.amps[n] * alpha / math.sqrt(n + 1), abs=1e-12)
+
+
+def vacuum_recursion(alpha: complex, cutoff: int) -> np.ndarray:
+    """The amplitudes built up from exp(-|alpha|^2/2), valid while that term is a normal float."""
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[0] = math.exp(-abs(alpha) ** 2 / 2)
+    for n in range(cutoff):
+        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
+    return amps
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0, 2.0 * np.exp(0.7j), 5.0, 5.0 * np.exp(-2.1j)])
+def test_coherent_matches_vacuum_recursion(alpha):
+    got, want = coherent_amplitudes(alpha, 100, eps_trunc=1.0).amps, vacuum_recursion(alpha, 100)
+    nonzero = want != 0
+    assert np.all(got[~nonzero] == 0)
+    assert np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [37.3, 37.3 * np.exp(0.4j)])
+def test_coherent_peak_anchor_continues_the_vacuum_recursion(alpha):
+    # exp(-|alpha|^2/2) ~ 1e-302 is below the flush level but still normal, so both anchors apply
+    cutoff = math.ceil(abs(alpha) ** 2 + 10 * abs(alpha) + 20)
+    got, want = coherent_amplitudes(alpha, cutoff, eps_trunc=1.0).amps, vacuum_recursion(alpha, cutoff)
+    big = np.abs(want) > 1e-250
+    assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [45.0, 60.0 * np.exp(1.3j)])
+def test_coherent_large_alpha_does_not_underflow(alpha):
+    x = abs(alpha) ** 2
+    sm = auto_coherent(alpha)
+    assert sm.deficit <= 2.5e-11
+    n = np.arange(sm.cutoff + 1)
+    p = np.abs(sm.amps) ** 2
+    mean = math.fsum(p * n)
+    assert mean == pytest.approx(x, rel=1e-13)
+    assert math.fsum(p * (n - mean) ** 2) == pytest.approx(x, rel=1e-10)
+    near = np.arange(int(x) - 50, int(x) + 50)
+    log_mag = [-x / 2 + k * math.log(abs(alpha)) - math.lgamma(k + 1) / 2 for k in near]
+    assert np.abs(np.abs(sm.amps[near]) / np.exp(log_mag) - 1).max() <= 1e-9
+    assert np.abs(np.angle(sm.amps[near] / (alpha / abs(alpha)) ** near)).max() <= 1e-9
 
 
 def test_coherent_cutoff_too_small():
@@ -143,6 +186,15 @@ def test_product_norm_and_failure():
     assert s.squared_norm() >= 1 - 1e-10
     with pytest.raises(TruncationError):
         product_state(a, a, 2)
+
+
+def test_product_probe_deficit_matches_product_state():
+    a, b = coherent_amplitudes(1.0, 20), coherent_amplitudes(1.5, 25)
+    for n_cap in (8, 12, 45):
+        probe = product_probe(a, b, n_cap, eps_trunc=1.0)
+        assert probe.deficit == pytest.approx(product_state(a, b, n_cap, eps_trunc=1.0).deficit, abs=1e-15)
+    with pytest.raises(TruncationError):
+        product_probe(a, b, 8)
 
 
 def test_fock_after_symmetric_bs_small():
