@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two mzlab source trees, op by op.
+
+    python scripts/compare_outputs.py OLD_TREE NEW_TREE --seeds 1-3
+
+A tree is a checkout (holding ``src/mzlab``) or a directory holding
+``mzlab``.  The ops are every CLI call of the three benchmark workloads for
+each seed (``perfbench/workloads.generate``, imported without writing
+anything there) plus ``scripts/run_benchmark_cases.py``, the five reference
+sweeps and the two tables.  Each tree runs them in a subprocess of its own,
+one op after another in one interpreter, as the benchmark does; BLAS is
+pinned to one thread so both trees sum in the same order.
+
+For every op it prints whether the exit code, the stdout and the CSV are
+byte-identical, then the worst difference per CSV column over all ops,
+scaled by max(1, |x|), and the cells whose empty/inf/nan pattern changed.
+Exit status: 0 if every op is byte-identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+CASES_SCRIPT = REPO / "scripts" / "run_benchmark_cases.py"
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _src_dir(tree: str) -> Path:
+    root = Path(tree).resolve()
+    for cand in (root / "src", root):
+        if (cand / "mzlab" / "__init__.py").is_file():
+            return cand
+    raise SystemExit(f"no mzlab package under {tree}")
+
+
+def _seeds(text: str) -> list[int]:
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
+    sys.dont_write_bytecode = True  # leave perfbench/ exactly as it is
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+
+    return [(f"{name}:{seed}:{i}", argv)
+            for name in workloads.WORKLOADS for seed in seeds
+            for i, argv in enumerate(workloads.generate(name, seed))]
+
+
+def worker() -> None:
+    """Run the ops of stdin's job under the first entry of sys.path; print one JSON result."""
+    job = json.loads(sys.stdin.read())
+    import mzlab.cli
+
+    results = {}
+    for op_id, argv in job["ops"]:
+        path = os.path.join(job["outdir"], op_id.replace(":", "_") + ".csv")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = mzlab.cli.main(argv + ["--out", path])
+            except Exception as exc:  # a traceback breaks the exit-code contract; report it as a result
+                rc = f"raised {exc!r}"
+        results[op_id] = {"rc": rc, "stdout": out.getvalue().replace(path, "<out>")}
+    sys.stdout.write(json.dumps(results) + "\n")
+
+
+def run_tree(src: Path, ops, workdir: Path) -> dict:
+    """Every op under one tree, plus the benchmark cases script; op id -> result with its CSV text."""
+    outdir = workdir / "ops"
+    outdir.mkdir(parents=True)
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps({"ops": ops, "outdir": str(outdir)}),
+                          capture_output=True, text=True, env=env, check=True)
+    results = json.loads(proc.stdout.splitlines()[-1])
+    for op_id, res in results.items():
+        res["csv"] = _read(outdir / (op_id.replace(":", "_") + ".csv"))
+    cases = subprocess.run([sys.executable, str(CASES_SCRIPT), "--outdir", "cases"], cwd=workdir,
+                           capture_output=True, text=True, env=env)
+    results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "csv": None}
+    for path in sorted((workdir / "cases").glob("*.csv")):
+        results[f"cases:{path.stem}"] = {"rc": cases.returncode, "stdout": "", "csv": _read(path)}
+    return results
+
+
+def _read(path: Path) -> str | None:
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def _cell(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare_csv(old: str, new: str, worst: dict, pattern: dict) -> None:
+    """Fold the scaled differences of two CSV texts into ``worst``/``pattern``, per column name."""
+    old_rows, new_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
+        pattern["<shape or header>"] = pattern.get("<shape or header>", 0) + 1
+        return
+    header = old_rows[0]
+    for orow, nrow in zip(old_rows[1:], new_rows[1:]):
+        for name, a, b in zip(header, orow, nrow):
+            x, y = _cell(a), _cell(b)
+            if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+                if a != b:  # empty, text, inf or nan cells must match exactly
+                    pattern[name] = pattern.get(name, 0) + 1
+                continue
+            worst[name] = max(worst.get(name, 0.0), abs(x - y) / max(1.0, abs(x)))
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--worker"]:
+        worker()
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_tree")
+    ap.add_argument("new_tree")
+    ap.add_argument("--seeds", default="1-3", help="workload seeds, e.g. 1-3 or 1,5,7919 (default 1-3)")
+    args = ap.parse_args()
+    ops = workload_ops(_seeds(args.seeds))
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_tree(_src_dir(args.old_tree), ops, Path(tmp) / "old")
+        new = run_tree(_src_dir(args.new_tree), ops, Path(tmp) / "new")
+    argv_of = dict(ops)
+    worst: dict[str, float] = {}
+    pattern: dict[str, int] = {}
+    identical = 0
+    for op_id in sorted(old.keys() | new.keys(), key=lambda k: [int(p) if p.isdigit() else p for p in k.split(":")]):
+        o, n = old.get(op_id), new.get(op_id)
+        if o is None or n is None:
+            print(f"{op_id:28s} only in the {'new' if o is None else 'old'} tree")
+            continue
+        same = {"exit": o["rc"] == n["rc"], "stdout": o["stdout"] == n["stdout"], "csv": o["csv"] == n["csv"]}
+        identical += all(same.values())
+        if o["csv"] is not None and n["csv"] is not None and o["csv"] != n["csv"]:
+            compare_csv(o["csv"], n["csv"], worst, pattern)
+        marks = "  ".join(f"{k} {'same' if v else 'DIFF'}" for k, v in same.items())
+        rc = o["rc"] if o["rc"] == n["rc"] else f"{o['rc']}->{n['rc']}"
+        print(f"{op_id:28s} rc {rc!s:6s} {marks}  {' '.join(argv_of.get(op_id, []))}")
+    total = len(old.keys() | new.keys())
+    print(f"\n{identical}/{total} ops byte-identical (exit code, stdout and CSV)")
+    if worst or pattern:
+        print("worst scaled difference |new - old| / max(1, |old|) per column, over the differing CSVs:")
+        for name, val in sorted(worst.items()):
+            print(f"  {name:24s} {val:.3g}")
+        for name, count in sorted(pattern.items()):
+            print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
+    return 0 if identical == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ the memory at hand.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, NumericsError
@@ -49,7 +50,9 @@ def _add_common(p: argparse.ArgumentParser, config_file: bool) -> None:
         p.add_argument("--config", help="flat key = value config file; flags override it")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="mzlab", description="Two-mode interferometer phase-estimation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -129,7 +132,7 @@ def main(argv=None) -> int:
             table.write_csv(_require_out(args))
             if table.annotation:
                 print(f"note: {table.annotation}")
-            print(f"wrote {args.out} ({len(table.rows)} rows)")
+            print(f"wrote {args.out} ({table.phi.size} rows)")
         elif args.command == "sample":
             cfg = _assemble_config(args)
             report = run_noon_sampling(cfg)

@@ -4,7 +4,10 @@ Error propagation turns a measured observable curve <O>(phi), <O^2>(phi)
 into delta_phi = Delta O / |d<O>/dphi| with a central-difference derivative.
 Stationary points of the mean curve return the first-class ``SINGULAR``
 marker (serialized as inf) instead of raising: sweeps legitimately cross
-them and the output must record the divergence.
+them and the output must record the divergence.  One rule (``_propagate``)
+decides SINGULAR and evaluates delta_phi; ``error_propagation`` applies it
+to every interior point of a curve at once, and ``central_difference`` and
+``delta_phi_error_propagation`` read it at one grid point.
 
 The quantum side evaluates the pure-state Fisher information, either from
 the variance of the known phase generator (4 Var G) or from a numerical
@@ -68,24 +71,41 @@ class ObservableCurve:
         return float(self.phi[1] - self.phi[0])
 
 
-def central_difference(curve: ObservableCurve, at_index: int) -> float:
+def error_propagation(curve: ObservableCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Central difference d and delta_phi at every interior grid point 1 .. n-2."""
+    m, s = curve.mean, curve.second
+    return _propagate(m[:-2], m[1:-1], m[2:], s[1:-1], curve.step)
+
+
+def _propagate(m_lo, m, m_hi, s, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one error-propagation rule, elementwise over aligned arrays.
+
+    d = (m_hi - m_lo) / (2 step).  The derivative counts as vanishing, and
+    delta_phi is SINGULAR, when |d| < 1e-9 max(1, |m|)/step, i.e. when the
+    two-point difference is at the level of rounding noise; otherwise
+    delta_phi = sqrt(max(0, s - m^2)) / |d|.
+    """
+    d = (m_hi - m_lo) / (2 * step)
+    singular = np.abs(d) < 1e-9 * np.fmax(1.0, np.abs(m)) / step
+    dp = np.full(d.shape, SINGULAR)
+    np.divide(np.sqrt(np.fmax(0.0, s - m * m)), np.abs(d), out=dp, where=~singular)
+    return d, dp
+
+
+def _propagate_at(curve: ObservableCurve, at_index: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= at_index <= curve.phi.size - 2:
         raise IndexError(f"central difference needs interior index, got {at_index}")
-    return float((curve.mean[at_index + 1] - curve.mean[at_index - 1]) / (2 * curve.step))
+    m, i = curve.mean, at_index
+    return _propagate(m[i - 1 : i], m[i : i + 1], m[i + 1 : i + 2], curve.second[i : i + 1], curve.step)
+
+
+def central_difference(curve: ObservableCurve, at_index: int) -> float:
+    return float(_propagate_at(curve, at_index)[0][0])
 
 
 def delta_phi_error_propagation(curve: ObservableCurve, at_index: int) -> float:
-    """Error-propagation uncertainty at one grid point, or SINGULAR.
-
-    The derivative counts as vanishing when |d| < 1e-9 max(1, |mean|)/step,
-    i.e. when the two-point difference is at the level of rounding noise.
-    """
-    d = central_difference(curve, at_index)
-    m = curve.mean[at_index]
-    if abs(d) < 1e-9 * max(1.0, abs(m)) / curve.step:
-        return SINGULAR
-    var = max(0.0, float(curve.second[at_index] - m * m))
-    return math.sqrt(var) / abs(d)
+    """Error-propagation uncertainty at one grid point, or SINGULAR."""
+    return float(_propagate_at(curve, at_index)[1][0])
 
 
 @dataclass(frozen=True)

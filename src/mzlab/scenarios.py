@@ -55,12 +55,19 @@ block (Pezze and Smerzi, Phys. Rev. Lett. 100, 073601 (2008)).  Fock,
 twin-Fock and NOON keep the two-mode path.  So do ``qfi-table`` and
 ``metric-check``: they expand every probe with :func:`two_mode`, so the
 metric check stays an independent cross-check of the sweep numbers.
+
+A sweep's table is columnar: ``SweepTable`` holds numpy columns over the
+grid, with the error-propagation columns from one whole-curve evaluation
+(``estimation.error_propagation``).  Its CSV is formatted column by column
+and written in one piece; the per-point ``rows`` are built only on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -71,8 +78,8 @@ from .estimation import (
     FisherReport,
     GeneratorName,
     ObservableCurve,
-    central_difference,
     delta_phi_error_propagation,
+    error_propagation,
     fisher_from_moments,
     qfi_analytic,
     qfi_numeric,
@@ -110,6 +117,10 @@ from .states import (
     product_state,
     twin_fock,
 )
+
+# scenarios whose basis the photon number n fixes: no cutoff, no truncation
+_FIXED_BASIS = ("fock", "twin_fock", "noon")
+
 
 @dataclass
 class ScenarioConfig:
@@ -155,7 +166,7 @@ class ScenarioConfig:
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"{tag} must lie in [0, 1]")
-        if self.scenario in ("fock", "twin_fock", "noon"):
+        if self.scenario in _FIXED_BASIS:
             if self.n < 1:
                 raise ConfigError(f"scenario {self.scenario} needs n >= 1")
             if self.n_cap is not None:
@@ -193,40 +204,60 @@ class SweepRow:
     convention: str
 
 
-@dataclass(frozen=True)
+SWEEP_COLUMNS = tuple(fld.name for fld in fields(SweepRow))
+
+
+@dataclass(frozen=True, eq=False)
 class SweepTable:
+    """One sweep as columns over its phi grid.
+
+    The array columns cover every grid point except ``d_mean_dphi``, which
+    holds the interior points 1 .. n-2: the derivative is undefined at the
+    grid endpoints.  ``delta_phi`` is SINGULAR (inf) at the endpoints and at
+    stationary points.  ``qfi``, ``crb`` and ``convention`` are the same on
+    every row.  ``column`` and ``rows`` give the per-point view in Python
+    values; ``rows`` is built on first use.
+    """
+
     scenario: str
-    rows: tuple[SweepRow, ...]
+    phi: np.ndarray
+    mean_o: np.ndarray
+    second_o: np.ndarray
+    var_o: np.ndarray
+    d_mean_dphi: np.ndarray
+    delta_phi: np.ndarray
+    closed_form_delta_phi: tuple[float | None, ...]  # None where no closed form applies
+    qfi: float
+    crb: float
+    convention: str
     annotation: str = ""
 
     def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.rows]
+        """One column as floats, with None where it is undefined."""
+        if name not in SWEEP_COLUMNS:
+            raise AttributeError(f"no sweep column {name!r}")
+        val = getattr(self, name)
+        if name in ("qfi", "crb", "convention"):
+            return [val] * self.phi.size
+        if name == "d_mean_dphi":
+            return [None, *val.tolist(), None]
+        return list(val) if isinstance(val, tuple) else val.tolist()
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(map(SweepRow, *(self.column(name) for name in SWEEP_COLUMNS)))
 
     def write_csv(self, path) -> None:
+        """The sweep CSV: each column formatted once, the constant cells repeated, one write."""
+        constant = {"qfi": _fmt(self.qfi), "crb": _fmt(self.crb), "convention": self.convention}
+        cells = [repeat(constant[name]) if name in constant else map(_fmt, self.column(name)) for name in SWEEP_COLUMNS]
+        lines = map(",".join, zip(*cells))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("phi,mean_o,second_o,var_o,d_mean_dphi,delta_phi,qfi,crb,closed_form_delta_phi,convention\n")
-            for r in self.rows:
-                cells = [
-                    _fmt(r.phi),
-                    _fmt(r.mean_o),
-                    _fmt(r.second_o),
-                    _fmt(r.var_o),
-                    _fmt(r.d_mean_dphi),
-                    _fmt(r.delta_phi),
-                    _fmt(r.qfi),
-                    _fmt(r.crb),
-                    _fmt(r.closed_form_delta_phi),
-                    r.convention,
-                ]
-                fh.write(",".join(cells) + "\n")
+            fh.write(",".join(SWEEP_COLUMNS) + "\n" + "\n".join(lines) + "\n")
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
+    return "" if x is None else f"{x:.17g}"
 
 
 def _assemble_table(
@@ -240,29 +271,18 @@ def _assemble_table(
     annotation: str = "",
 ) -> SweepTable:
     curve = ObservableCurve(phis, mean, second)
-    crb = fisher.delta_phi_min
-    rows = []
-    last = phis.size - 1
-    for i, phi in enumerate(phis):
-        interior = 1 <= i <= last - 1
-        d = central_difference(curve, i) if interior else None
-        dp = delta_phi_error_propagation(curve, i) if interior else SINGULAR
-        var = max(0.0, second[i] - mean[i] ** 2)
-        rows.append(
-            SweepRow(
-                phi=float(phi),
-                mean_o=float(mean[i]),
-                second_o=float(second[i]),
-                var_o=float(var),
-                d_mean_dphi=d,
-                delta_phi=dp,
-                qfi=fisher.f_q,
-                crb=crb,
-                closed_form_delta_phi=closed[i],
-                convention=convention,
-            )
-        )
-    return SweepTable(scenario=scenario, rows=tuple(rows), annotation=annotation)
+    d, dp = error_propagation(curve)
+    # Python's ** squares through pow(), numpy's array ** 2 multiplies; they differ in the last bit
+    # for about 1 input in 1,400, and the table has always reported second - pow(mean, 2)
+    squared = np.array([v**2 for v in curve.mean.tolist()])
+    var = np.fmax(0.0, curve.second - squared)
+    delta = np.concatenate(([SINGULAR], dp, [SINGULAR]))
+    for arr in (var, d, delta):
+        arr.flags.writeable = False
+    return SweepTable(
+        scenario, curve.phi, curve.mean, curve.second, var, d, delta, tuple(closed),
+        fisher.f_q, fisher.delta_phi_min, convention, annotation,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +401,8 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     unread = [name for name in _SAMPLING_KEYS if getattr(cfg, name) != getattr(_DEFAULTS, name)]
     if unread:
         raise ConfigError(f"sweep does not read {', '.join(unread)}; those settings are for sample")
+    if cfg.scenario in _FIXED_BASIS and cfg.epsilon_trunc != EPS_TRUNC_DEFAULT:
+        raise ConfigError(f"scenario {cfg.scenario} is exact on its basis; epsilon_trunc applies to coherent and squeezed only")
     sc = SCENARIOS[cfg.scenario]
     probe = sc.probe(cfg)
     phis = cfg.phi_grid()
@@ -438,6 +460,8 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     cfg.validate()
     if cfg.scenario != "noon":
         raise ConfigError("count sampling is defined for the noon scenario")
+    if cfg.epsilon_trunc != EPS_TRUNC_DEFAULT:
+        raise ConfigError("sample does not read epsilon_trunc; the NOON state is exact on its basis")
     phi = cfg.sample_phi if cfg.sample_phi is not None else math.pi / (3 * cfg.n)
     ideal = noon_output_distribution(cfg.n, phi)
     lossy = lossy_distribution(ideal, cfg.eta_a, cfg.eta_b)

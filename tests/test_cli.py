@@ -229,3 +229,62 @@ def test_large_coherent_sweep(tmp_path):
     mid = rows[2]
     assert float(mid["phi"]) == pytest.approx(math.pi / 2, abs=1e-15)
     assert float(mid["delta_phi"]) == pytest.approx(float(mid["closed_form_delta_phi"]), rel=1e-6)
+
+
+EPS_TRUNC_UNREAD_CASES = [
+    ["sweep", "--scenario", "fock", "--n", "4"],
+    ["sweep", "--scenario", "twin_fock", "--n", "2"],
+    ["sweep", "--scenario", "noon", "--n", "4"],
+    ["sample", "--n", "4", "--trials", "10"],
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", EPS_TRUNC_UNREAD_CASES, ids=[" ".join(a[:3]) for a in EPS_TRUNC_UNREAD_CASES])
+def test_epsilon_trunc_rejected_where_no_run_reads_it(tmp_path, capsys, argv, source):
+    # these bases are fixed by n and exact, so a truncation tolerance would be silently ignored
+    if source == "flag":
+        extra = ["--epsilon-trunc", "1e-7"]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("epsilon_trunc = 1e-7\n")
+        extra = ["--config", str(cfgfile)]
+    out = tmp_path / "x.csv"
+    assert main(argv + extra + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "epsilon_trunc" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", EPS_TRUNC_UNREAD_CASES, ids=[" ".join(a[:3]) for a in EPS_TRUNC_UNREAD_CASES])
+def test_default_epsilon_trunc_is_accepted_everywhere(tmp_path, capsys, argv):
+    # the default changes nothing, so naming it explicitly stays valid
+    assert main(argv + ["--epsilon-trunc", "1e-10", "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+
+
+PHI = ["--phi", "0:3:7"]
+# (first call, expected exit code, later call): the later call must not see anything of the first
+PARSER_STATE_CASES = [
+    (["sweep", "--scenario", "coherent", "--alpha", "1", "--beta", "1", "--n-cap", "30", *PHI], 0,
+     ["sweep", "--scenario", "coherent", "--alpha", "1", "--beta", "1", *PHI]),
+    (["sweep", "--scenario", "bogus"], 2, ["sweep", "--scenario", "fock", "--n", "3", *PHI]),
+    (["sample", "--n", "2", "--trials", "1000", "--seed", "3", "--eta", "0.8"], 0,
+     ["sample", "--n", "2", "--trials", "1000", "--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("first,code,later", PARSER_STATE_CASES, ids=["n-cap", "usage-error", "eta"])
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, first, code, later):
+    assert mzlab.cli._build_parser() is mzlab.cli._build_parser()
+    assert main(first + ["--out", str(tmp_path / "first.csv")]) == code
+    capsys.readouterr()
+    here, fresh = tmp_path / "later.csv", tmp_path / "fresh.csv"
+    assert main(later + ["--out", str(here)]) == 0
+    stdout = capsys.readouterr().out.replace(str(here), "<out>")
+    proc = subprocess.run([sys.executable, "-m", "mzlab", *later, "--out", str(fresh)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert stdout == proc.stdout.replace(str(fresh), "<out>")
+    assert here.read_bytes() == fresh.read_bytes()
+    if later[0] == "sample":
+        assert "eta_a = 1  eta_b = 1" in stdout

@@ -7,8 +7,10 @@ from mzlab.errors import BasisMismatchError, NoInformationError
 from mzlab.estimation import (
     SINGULAR,
     ObservableCurve,
+    central_difference,
     cramer_rao,
     delta_phi_error_propagation,
+    error_propagation,
     is_singular,
     metric_distance,
     qfi_analytic,
@@ -48,6 +50,16 @@ def test_delta_phi_singular_at_stationary_point():
     curve = ObservableCurve(phi, np.cos(phi), np.cos(phi) ** 2 + 0.5)
     assert is_singular(delta_phi_error_propagation(curve, 4))
     assert delta_phi_error_propagation(curve, 4) == SINGULAR
+
+
+def test_whole_curve_error_propagation_matches_each_point():
+    phi = (np.arange(21) - 10) * 0.01  # crosses the stationary point of cos at phi = 0
+    curve = ObservableCurve(phi, 3.0 * np.cos(phi), 9.0 * np.cos(phi) ** 2 + 0.7)
+    d, dp = error_propagation(curve)
+    assert d.shape == dp.shape == (19,)
+    assert d.tolist() == [central_difference(curve, i) for i in range(1, 20)]
+    assert dp.tolist() == [delta_phi_error_propagation(curve, i) for i in range(1, 20)]
+    assert is_singular(dp[9]) and not any(is_singular(x) for x in np.delete(dp, 9))
 
 
 def test_delta_phi_index_and_grid_validation():

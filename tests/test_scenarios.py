@@ -1,15 +1,21 @@
 import math
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzlab.errors import ConfigError
-from mzlab.estimation import is_singular, qfi_analytic
+from mzlab.estimation import SINGULAR, FisherReport, is_singular, qfi_analytic
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import BS1_SYMMETRIC, BS2_JY, beam_splitter, expect_j, expect_j2, phase_shift
 from mzlab.scenarios import (
+    SWEEP_COLUMNS,
     ScenarioConfig,
+    SweepRow,
     _assemble_table,
     coherent_probe,
     config_from_values,
@@ -263,6 +269,122 @@ def test_harmonic_sweep_matches_direct_evolution(cfg):
         assert is_singular(g.delta_phi) == is_singular(w.delta_phi)
         if not is_singular(w.delta_phi):
             assert g.delta_phi == pytest.approx(w.delta_phi, rel=1e-8)
+
+
+# ----- columnar table against the row-by-row reference ----------------------------------
+
+def reference_table(phis, mean, second, qfi, crb, closed, convention):
+    """The sweep table built point by point with scalar float operations: (rows, CSV text).
+
+    This is the row-by-row assembly and cell formatting the columnar table
+    replaced; the columnar table must reproduce it to the byte.
+    """
+    step = float(phis[1] - phis[0])
+    rows = []
+    for i, phi in enumerate(phis):
+        d, dp = None, SINGULAR
+        if 1 <= i <= phis.size - 2:
+            d = float((mean[i + 1] - mean[i - 1]) / (2 * step))
+            m = mean[i]
+            if not abs(d) < 1e-9 * max(1.0, abs(m)) / step:
+                dp = math.sqrt(max(0.0, float(second[i] - m * m))) / abs(d)
+        var = max(0.0, second[i] - mean[i] ** 2)  # numpy scalar ** is pow(), not x * x
+        rows.append(SweepRow(float(phi), float(mean[i]), float(second[i]), float(var), d, dp, qfi, crb, closed[i], convention))
+
+    def fmt(x):
+        if x is None:
+            return ""
+        if math.isinf(x):
+            return "inf"
+        return f"{x:.17g}"
+
+    lines = ["phi,mean_o,second_o,var_o,d_mean_dphi,delta_phi,qfi,crb,closed_form_delta_phi,convention"]
+    for r in rows:
+        cells = [fmt(r.phi), fmt(r.mean_o), fmt(r.second_o), fmt(r.var_o), fmt(r.d_mean_dphi), fmt(r.delta_phi),
+                 fmt(r.qfi), fmt(r.crb), fmt(r.closed_form_delta_phi), r.convention]
+        lines.append(",".join(cells))
+    return rows, "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(table, phis, mean, second, closed):
+    rows, text = reference_table(phis, mean, second, table.qfi, table.crb, closed, table.convention)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        table.write_csv(path)
+        assert path.read_bytes() == text.encode("utf-8")
+    assert len(table.rows) == len(rows)
+    for got, want in zip(table.rows, rows):
+        assert astuple(got) == astuple(want)
+        assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
+    for name in SWEEP_COLUMNS:
+        want = [getattr(r, name) for r in rows]
+        assert table.column(name) == want, name
+        assert [type(v) for v in table.column(name)] == [type(v) for v in want], name
+
+
+TAIL_CASES = ORACLE_CASES + [
+    ScenarioConfig(scenario="fock", n=3, phi_steps=3),
+    ScenarioConfig(scenario="twin_fock", n=2, phi_steps=21),  # every delta_phi SINGULAR
+    ScenarioConfig(scenario="coherent", alpha_mag=0.0, beta_mag=2.0, n_cap=30, phi_steps=21),
+]
+
+
+@pytest.mark.parametrize("cfg", TAIL_CASES, ids=[f"{c.scenario}-{c.phi_steps}" for c in TAIL_CASES])
+def test_columnar_table_matches_row_reference(cfg):
+    table = run_sweep(cfg)
+    assert table.phi.size == cfg.phi_steps
+    assert_matches_reference(table, table.phi, table.mean_o, table.second_o, list(table.closed_form_delta_phi))
+
+
+# Python's pow() squares these one bit away from x * x
+POW_DIFFERS = (7.2249061795510094, 5.5843648958137475, -1.9548520872562296)
+
+
+@st.composite
+def random_curves(draw):
+    """A uniform grid with means that mix free values, pow-sensitive values, flat stretches
+    and differences right at the SINGULAR threshold; variances that are free, zero or
+    slightly negative (clipped to 0).  Hypothesis picks the pattern, a seeded generator
+    the values, which keeps each example cheap to draw."""
+    n = draw(st.integers(3, 25))
+    step = draw(st.sampled_from([1e-4, 0.01, math.pi / 180, 0.3]))
+    kinds = draw(st.lists(st.sampled_from(["free", "pow", "flat", "threshold"]), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phis = rng.uniform(-4.0, 4.0) + step * np.arange(n)
+    mean: list[float] = []
+    for i, kind in enumerate(kinds):
+        if kind == "pow":
+            mean.append(float(rng.choice(POW_DIFFERS)))
+        elif kind == "flat" and i >= 1:
+            mean.append(mean[i - 1])
+        elif kind == "threshold" and i >= 2:
+            # |m[i] - m[i-2]| = c * 2e-9 max(1, |m[i-1]|) puts |d| at c times the threshold
+            c = float(rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0]))
+            mean.append(mean[i - 2] + c * 2e-9 * max(1.0, abs(mean[i - 1])))
+        else:
+            mean.append(float(rng.uniform(-10.0, 10.0)))
+    m = np.array(mean)
+    var = np.where(rng.random(n) < 0.3, rng.choice([0.0, -5e-11], n), rng.uniform(0.0, 10.0, n))
+    closed = [[None, math.inf, float(x)][k] for k, x in zip(rng.integers(0, 3, n), rng.uniform(0.0, 5.0, n))]
+    return phis, m, m * m + var, closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_curves())
+@example((np.arange(4) * 0.01, np.array([*POW_DIFFERS, POW_DIFFERS[2]]),
+          np.array(POW_DIFFERS + (POW_DIFFERS[2],)) ** 2 + 0.25, [None, 1.0, math.inf, None]))
+@example((0.5 * np.arange(3), np.array([0.0, 0.5, 2e-9]), np.array([1.0, 1.25, 1.0]), [None] * 3))  # |d| == threshold
+def test_columnar_table_matches_row_reference_on_random_curves(curve):
+    phis, mean, second, closed = curve
+    fisher = FisherReport(f_q=3.0, delta_phi_min=1 / math.sqrt(3.0), method="analytic_variance", generator="nb")
+    table = _assemble_table("fock", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    assert_matches_reference(table, phis, mean, second, closed)
+
+
+def test_sweep_rows_are_built_on_request():
+    table = run_sweep(ScenarioConfig(scenario="fock", n=4, phi_steps=11))
+    assert "rows" not in vars(table)
+    assert table.rows is table.rows
 
 
 # ----- cross-cutting table invariants ------------------------------------------------
