@@ -6,10 +6,11 @@
 A tree is a checkout (holding ``src/mzlab``) or a directory holding
 ``mzlab``.  The ops are every CLI call of the three benchmark workloads for
 each seed (``perfbench/workloads.generate``, imported without writing
-anything there) plus ``scripts/run_benchmark_cases.py``, the five reference
-sweeps and the two tables.  Each tree runs them in a subprocess of its own,
-one op after another in one interpreter, as the benchmark does; BLAS is
-pinned to one thread so both trees sum in the same order.
+anything there), fixed ``sample`` ops on edges the workloads never reach
+(``EDGE_SAMPLE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
+reference sweeps and the two tables.  Each tree runs them in a subprocess
+of its own, one op after another in one interpreter, as the benchmark does;
+BLAS is pinned to one thread so both trees sum in the same order.
 
 For every op it prints whether the exit code, the stdout and the CSV are
 byte-identical, then the worst difference per CSV column over all ops,
@@ -35,6 +36,21 @@ REPO = Path(__file__).resolve().parent.parent
 CASES_SCRIPT = REPO / "scripts" / "run_benchmark_cases.py"
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
+# sample ops off the workloads' path: total loss, unequal arms, N = 1 and 16, no post-selection,
+# 1 and 2**16 + 1 trials, the largest seed, and a phase on a zero of the NOON parity fringe cos(N phi)
+EDGE_SAMPLE_OPS = [
+    ["sample", "--n", "4", "--eta", "0", "--trials", "5000", "--seed", "1"],
+    ["sample", "--n", "4", "--eta", "0", "--trials", "5000", "--seed", "1", "--post-select"],
+    ["sample", "--n", "6", "--eta-a", "0.95", "--eta-b", "0.6", "--trials", "200000", "--seed", "17", "--post-select"],
+    ["sample", "--n", "1", "--eta", "0.8", "--trials", "100000", "--seed", "5", "--post-select"],
+    ["sample", "--n", "16", "--eta", "0.9", "--trials", "300000", "--seed", "99", "--post-select"],
+    ["sample", "--n", "8", "--eta", "0.7", "--trials", "250000", "--seed", "2024"],
+    ["sample", "--n", "4", "--eta", "0.9", "--trials", "1", "--seed", "3"],
+    ["sample", "--n", "4", "--eta", "0.9", "--trials", "65537", "--seed", str(2**64 - 1), "--post-select"],
+    ["sample", "--n", "4", "--phi-at", repr(math.pi / 8), "--eta", "0.85", "--trials", "100000", "--seed", "8",
+     "--post-select"],
+]
+
 
 def _src_dir(tree: str) -> Path:
     root = Path(tree).resolve()
@@ -57,9 +73,10 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
 
-    return [(f"{name}:{seed}:{i}", argv)
-            for name in workloads.WORKLOADS for seed in seeds
-            for i, argv in enumerate(workloads.generate(name, seed))]
+    ops = [(f"{name}:{seed}:{i}", argv)
+           for name in workloads.WORKLOADS for seed in seeds
+           for i, argv in enumerate(workloads.generate(name, seed))]
+    return ops + [(f"edge_sample:{i}", argv) for i, argv in enumerate(EDGE_SAMPLE_OPS)]
 
 
 def worker() -> None:

@@ -7,9 +7,20 @@ counting reads only those diagonals, so for counting observables the model
 is exact while avoiding density matrices entirely.
 
 Monte Carlo sampling draws i.i.d. counts by inverse CDF over the outcomes
-ordered by (total, l1).  Trials are split into fixed-size chunks of 2**16,
-chunk c seeded from (seed, c); the merged histogram is therefore identical
-however the chunks are distributed over workers.
+ordered by (total, l1): a uniform u lands on the first outcome whose CDF
+value exceeds it.  Trials are split into fixed-size chunks of 2**16, chunk c
+seeded from (seed, c); the merged histogram is therefore identical however
+the chunks are distributed over workers.
+
+A histogram needs only the number of uniforms in each CDF interval, so the
+sampler counts buckets instead of searching the CDF once per trial.  [0, 1)
+is cut into 2**12 equal buckets; their edges b / 2**12 are exact doubles,
+and so is u * 2**12, whose integer part is u's bucket.  A bucket that no CDF
+value splits is clean: every uniform in it lands on the same outcome, so
+only its count is kept.  At most one bucket per outcome is dirty, and only
+the uniforms that fall in a dirty bucket are searched.  Each trial still
+resolves to the outcome the per-trial search gives, so the histogram is the
+same, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from .numerics import binomial_thinning_matrix
 OutputMode = Literal["a", "b"]
 
 _SAMPLE_CHUNK = 1 << 16
+_BUCKETS = 1 << 12  # equal buckets of [0, 1) in sample_counts; a constant, the edges stay exact
 
 
 @dataclass(frozen=True)
@@ -101,24 +113,59 @@ def _sampling_order(d: CountDistribution) -> np.ndarray:
     return np.lexsort((n1, n1 + n2))
 
 
+def _bucket_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bucket of [0, 1): the outcome of its lowest uniform, and whether a CDF value splits it.
+
+    The uniforms of bucket b resolve to outcomes lo[b] .. hi[b]: the search
+    is monotone in u, and every u in the bucket satisfies b/M <= u < (b+1)/M
+    with M = _BUCKETS.  Both ends are clamped to K - 1 like the per-trial
+    search; with the normalised CDF (last value exactly 1) neither clamp binds.
+    """
+    last = cdf.size - 1
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    lo = np.minimum(np.searchsorted(cdf, edges[:-1], side="right"), last)
+    hi = np.minimum(np.searchsorted(cdf, edges[1:], side="left"), last)
+    return lo, lo != hi
+
+
 def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogram:
-    """Draw ``trials`` i.i.d. outcomes; reproducible and chunk-parallelizable."""
+    """Draw ``trials`` i.i.d. outcomes; reproducible and chunk-parallelizable.
+
+    Chunk c of 2**16 trials draws its uniforms from ``SeedSequence([seed, c])``,
+    and each uniform u resolves to ``min(searchsorted(cdf, u, "right"), K - 1)``
+    over the K outcomes in sampling order.  The trials are counted per bucket of
+    [0, 1) (see the module docstring): a clean bucket's count goes to its one
+    outcome after the last chunk.  At most K of the 4096 buckets are dirty, and
+    only the uniforms that fall in one, about K / 4096 of them, are searched.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     order = _sampling_order(d)
     cdf = np.cumsum(d.probs[order])
     total = cdf[-1]
     cdf /= total  # distribution may carry a truncation deficit ~1e-12
-    occupancy = np.zeros(d.probs.size, dtype=np.int64)
+    last = cdf.size - 1
+    lo, dirty = _bucket_table(cdf)
+    occupancy = np.zeros(cdf.size, dtype=np.int64)
+    per_bucket = np.zeros(_BUCKETS, dtype=np.int64)
+    size = min(_SAMPLE_CHUNK, trials)
+    # one set of buffers for every chunk: fresh 512 KB arrays would page-fault each time
+    uniforms, buckets, in_dirty = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
     done = 0
     chunk_index = 0
     while done < trials:
         n = min(_SAMPLE_CHUNK, trials - done)
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        hits = np.searchsorted(cdf, rng.random(n), side="right")
-        occupancy += np.bincount(np.minimum(hits, cdf.size - 1), minlength=cdf.size)
+        u = rng.random(out=uniforms[:n])
+        g = buckets[:n]
+        np.multiply(u, _BUCKETS, out=g, casting="unsafe")  # exact product; u >= 0, so the cast is floor
+        per_bucket += np.bincount(g, minlength=_BUCKETS)
+        hits = np.searchsorted(cdf, u[dirty.take(g, out=in_dirty[:n])], side="right")
+        occupancy += np.bincount(np.minimum(hits, last), minlength=cdf.size)
         done += n
         chunk_index += 1
+    clean = ~dirty
+    np.add.at(occupancy, lo[clean], per_bucket[clean])
     n1, n2 = index_pairs(d.n_cap)
     counts = {}
     for pos in np.nonzero(occupancy)[0]:

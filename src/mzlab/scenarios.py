@@ -166,11 +166,8 @@ class ScenarioConfig:
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"{tag} must lie in [0, 1]")
-        if self.scenario in _FIXED_BASIS:
-            if self.n < 1:
-                raise ConfigError(f"scenario {self.scenario} needs n >= 1")
-            if self.n_cap is not None:
-                raise ConfigError(f"scenario {self.scenario} has its basis fixed by n; n_cap applies to coherent and squeezed only")
+        if self.scenario in _FIXED_BASIS and self.n < 1:
+            raise ConfigError(f"scenario {self.scenario} needs n >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -336,6 +333,9 @@ class Scenario:
     ``scale`` times it.  A product probe is always read out through the
     exchange sums with the ``nb`` generator.  ``closed_form`` gives the
     textbook delta-phi at one grid phase, or None where none applies.
+    ``reads`` names the ``ScenarioConfig`` fields that the probe and the
+    closed form read, besides the phi grid; a sweep rejects any other
+    field that differs from its default.
     """
 
     probe: Callable[[ScenarioConfig], Probe]
@@ -344,6 +344,7 @@ class Scenario:
     generator: GeneratorName
     closed_form: Callable[[ScenarioConfig, float], float | None]
     convention: str
+    reads: tuple[str, ...]
     annotation: str = ""
 
 
@@ -369,10 +370,16 @@ def _noon_closed(cfg: ScenarioConfig, phi: float) -> float | None:
     return 1.0 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None
 
 
+# truncated probes read the cutoff settings; the fock, twin_fock and noon bases are fixed by n and exact
+_TRUNCATION = ("epsilon_trunc", "n_cap")
+
 SCENARIOS: dict[str, Scenario] = {
-    "coherent": Scenario(coherent_probe, exchange_harmonics, 1.0, "nb", _coherent_closed, "mode_b/jz_half"),
+    "coherent": Scenario(
+        coherent_probe, exchange_harmonics, 1.0, "nb", _coherent_closed, "mode_b/jz_half",
+        ("alpha_mag", "beta_mag", "theta1", "theta2", *_TRUNCATION),
+    ),
     "fock": Scenario(
-        lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, "nb", _fock_closed, "mode_b/jz_half"
+        lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, "nb", _fock_closed, "mode_b/jz_half", ("n",)
     ),
     "twin_fock": Scenario(
         lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC),
@@ -381,29 +388,41 @@ SCENARIOS: dict[str, Scenario] = {
         "nb",
         lambda cfg, phi: None,
         "mode_b/jx_half",
+        ("n",),
         annotation="number-difference readout carries no first-order signal for a twin-Fock input",
     ),
     # reported observable is the unhalved pair exchange a+ b + b+ a
-    "squeezed": Scenario(squeezed_probe, exchange_harmonics, 2.0, "nb", _squeezed_closed, "mode_b/jx_pair"),
-    "noon": Scenario(lambda cfg: noon_state(cfg.n), parity_harmonics, 1.0, "jz", _noon_closed, "relative/parity_a"),
+    "squeezed": Scenario(
+        squeezed_probe, exchange_harmonics, 2.0, "nb", _squeezed_closed, "mode_b/jx_pair",
+        ("alpha_mag", "r", "theta", "f", *_TRUNCATION),
+    ),
+    "noon": Scenario(
+        lambda cfg: noon_state(cfg.n), parity_harmonics, 1.0, "jz", _noon_closed, "relative/parity_a", ("n",)
+    ),
 }
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 
-# the NOON-sampling settings, read by run_noon_sampling only
-_SAMPLING_KEYS = ("eta_a", "eta_b", "trials", "seed", "post_select", "sample_phi")
+_PHI_GRID = ("phi_start", "phi_stop", "phi_steps")
+# the fields run_noon_sampling reads
+_SAMPLING_READS = ("n", "eta_a", "eta_b", "trials", "seed", "post_select", "sample_phi")
 _DEFAULTS = ScenarioConfig()
+
+
+def _reject_unread(cfg: ScenarioConfig, reads: tuple[str, ...], run: str) -> None:
+    """ConfigError if a field other than ``scenario`` and ``reads`` differs from its default:
+    the run would ignore it and write the output of the run without it."""
+    unread = [fld.name for fld in fields(cfg)
+              if fld.name != "scenario" and fld.name not in reads and getattr(cfg, fld.name) != getattr(_DEFAULTS, fld.name)]
+    if unread:
+        raise ConfigError(f"{run} does not read {', '.join(unread)}; it reads {', '.join(reads)}")
 
 
 def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Sweep the scenario named by ``cfg`` over its phi grid."""
     cfg.validate()
-    unread = [name for name in _SAMPLING_KEYS if getattr(cfg, name) != getattr(_DEFAULTS, name)]
-    if unread:
-        raise ConfigError(f"sweep does not read {', '.join(unread)}; those settings are for sample")
-    if cfg.scenario in _FIXED_BASIS and cfg.epsilon_trunc != EPS_TRUNC_DEFAULT:
-        raise ConfigError(f"scenario {cfg.scenario} is exact on its basis; epsilon_trunc applies to coherent and squeezed only")
     sc = SCENARIOS[cfg.scenario]
+    _reject_unread(cfg, sc.reads + _PHI_GRID, f"a {cfg.scenario} sweep")
     probe = sc.probe(cfg)
     phis = cfg.phi_grid()
     if isinstance(probe, ProductProbe):
@@ -460,8 +479,7 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     cfg.validate()
     if cfg.scenario != "noon":
         raise ConfigError("count sampling is defined for the noon scenario")
-    if cfg.epsilon_trunc != EPS_TRUNC_DEFAULT:
-        raise ConfigError("sample does not read epsilon_trunc; the NOON state is exact on its basis")
+    _reject_unread(cfg, _SAMPLING_READS, "sample")
     phi = cfg.sample_phi if cfg.sample_phi is not None else math.pi / (3 * cfg.n)
     ideal = noon_output_distribution(cfg.n, phi)
     lossy = lossy_distribution(ideal, cfg.eta_a, cfg.eta_b)
@@ -574,6 +592,8 @@ def run_metric_check(
     ]
     if not 0.0 < h < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {h}")
+    if beta_mag == 0:
+        raise ConfigError("metric-check needs beta > 0: the vacuum has zero Fisher information, so the relative error is undefined")
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]

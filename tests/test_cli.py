@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mzlab.cli
 from mzlab.cli import main
@@ -145,6 +151,7 @@ OUT_OF_RANGE_CASES = [
     ["metric-check", "--noon-n", "0"],
     ["metric-check", "--step", "0"],
     ["metric-check", "--step", "nan"],
+    ["metric-check", "--beta", "0"],  # the vacuum has F_Q = 0: no F/4 to compare against
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
     ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],
@@ -288,3 +295,114 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, first, c
     assert here.read_bytes() == fresh.read_bytes()
     if later[0] == "sample":
         assert "eta_a = 1  eta_b = 1" in stdout
+
+
+UNREAD_PARAMETER_FLAGS = [
+    (["sweep", "--scenario", "fock", "--n", "4", "--alpha", "3", "--r", "0.2"], "alpha_mag, r"),
+    (["sweep", "--scenario", "coherent", "--n", "9"], "n"),
+    (["sweep", "--scenario", "noon", "--n", "4", "--theta1", "0.5"], "theta1"),
+    (["sweep", "--scenario", "twin_fock", "--n", "2", "--f", "0.1"], "f"),
+    (["sweep", "--scenario", "squeezed", "--alpha", "4", "--beta", "3"], "beta_mag"),
+    (["sweep", "--scenario", "squeezed", "--alpha", "4", "--theta2", "0.3"], "theta2"),
+]
+
+
+@pytest.mark.parametrize("argv,names", UNREAD_PARAMETER_FLAGS, ids=[" ".join(a[2:]) for a, _ in UNREAD_PARAMETER_FLAGS])
+def test_sweep_rejects_scenario_flags_it_does_not_read(tmp_path, capsys, argv, names):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"does not read {names};" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+UNREAD_CONFIG_KEYS = [
+    (["sample", "--n", "2", "--trials", "100"], line)
+    for line in ("alpha_mag = 3", "r = 0.5", "phi_steps = 7", "theta = 0.1", "n_cap = 5")
+] + [
+    (["sweep", "--scenario", "fock", "--n", "4"], line) for line in ("beta_mag = 1.5", "f = 0.2", "n_cap = 9")
+]
+
+
+@pytest.mark.parametrize("argv,line", UNREAD_CONFIG_KEYS, ids=[f"{a[0]} {line}" for a, line in UNREAD_CONFIG_KEYS])
+def test_runs_reject_config_keys_they_do_not_read(tmp_path, capsys, argv, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"does not read {line.split()[0]};" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_scenario_parameter_at_its_default_is_accepted(tmp_path, capsys):
+    # naming a default changes nothing, so it stays valid, as for epsilon_trunc
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", "--scenario", "fock", "--n", "4", "--alpha", "2", "--out", str(a)]) == 0
+    assert main(["sweep", "--scenario", "fock", "--n", "4", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+# ----- fuzzing the whole flag surface ------------------------------------------------
+
+_MAGNITUDES = ["0", "0.7", "2", "9", "-1", "nan", "inf", "-inf"]
+_ANGLES = ["0", "0.3", "-2", "7", "1e6", "nan", "inf", "-inf"]
+_PHOTONS = ["-1", "0", "1", "2", "6", "x"]
+_EPS = ["0", "1e-12", "1e-10", "1e-6", "1e-5", "-1", "nan", "inf"]
+_ETAS = ["-0.1", "0", "0.5", "1", "1.0000001", "nan", "inf"]
+_PHI = ["0:3.14159:5", "0:1:3", "0:1:2", "1:0:5", "0:0:5", "-3:3:2000", "nan:1:5", "0:inf:5", "0:1:-1", "0-1-5", "0:1:x"]
+_FLAGS = {
+    "sweep": {
+        "--scenario": ["coherent", "fock", "twin_fock", "squeezed", "noon", "bogus"],
+        "--n": _PHOTONS, "--alpha": _MAGNITUDES, "--beta": _MAGNITUDES, "--theta1": _ANGLES, "--theta2": _ANGLES,
+        "--r": ["0", "0.3", "1", "2", "-0.5", "nan", "inf"], "--theta": _ANGLES, "--f": _ANGLES, "--phi": _PHI,
+        "--n-cap": ["-1", "0", "5", "40"], "--epsilon-trunc": _EPS,
+    },
+    "sample": {
+        "--scenario": ["noon", "fock"], "--n": _PHOTONS, "--seed": ["-1", "0", "12345", str(2**64 - 1), str(2**64)],
+        "--eta": _ETAS, "--eta-a": _ETAS, "--eta-b": _ETAS, "--trials": ["-5", "0", "1", "777", "10000"],
+        "--post-select": None, "--phi-at": ["0", "0.3", "-1", "1e6", "nan", "inf"], "--epsilon-trunc": _EPS,
+    },
+    "qfi-table": {"--beta": ["0", "1", "2.5", "-1", "nan", "inf"], "--fock-n": _PHOTONS, "--noon-n": _PHOTONS,
+                  "--epsilon-trunc": _EPS},
+    "metric-check": {"--beta": ["0", "1", "2.5", "-1", "nan", "inf"], "--noon-n": _PHOTONS,
+                     "--step": ["0", "1e-4", "-1e-3", "0.5", "nan", "inf"], "--epsilon-trunc": _EPS},
+}
+# config-file lines for the subcommands that read one: scenario keys and values as the flags draw them
+_CONFIG_LINES = [f"{key} = {val}" for key, vals in (
+    ("n", _PHOTONS), ("alpha_mag", _MAGNITUDES), ("r", ["0", "0.5", "-1"]), ("phi_steps", ["2", "7"]),
+    ("eta_a", _ETAS), ("trials", ["0", "50"]), ("post_select", ["true", "maybe"]), ("epsilon_trunc", _EPS),
+    ("n_cap", ["0", "30"]), ("seed", ["3"]), ("wavelength", ["633"]),
+) for val in vals]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True)):
+        argv += [flag] if flags[flag] is None else [flag, draw(st.sampled_from(flags[flag]))]
+    config = None
+    if command in ("sweep", "sample") and draw(st.booleans()):
+        config = draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=3))
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(case):
+    """Any argv over every flag of every subcommand exits 0, 2 or 3, never with an exception."""
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            cfgfile = Path(tmp) / "run.cfg"
+            cfgfile.write_text("\n".join(config) + "\n")
+            argv = argv + ["--config", str(cfgfile)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "x.csv")])
+        assert code in (0, 2, 3), (argv, config, code)
+        assert "Traceback" not in err.getvalue()
+        assert (Path(tmp) / "x.csv").exists() == (code == 0), (argv, config, code)

@@ -9,6 +9,7 @@ from mzlab.errors import FilterExhaustedError
 from mzlab.fock import TwoModeState, basis_dim, index_pairs, pair_index
 from mzlab.measurement import (
     CountDistribution,
+    _bucket_table,
     CountHistogram,
     histogram_rows,
     jz_moments,
@@ -20,6 +21,7 @@ from mzlab.measurement import (
     write_histogram_csv,
 )
 from mzlab.optics import BS2_JX, BS2_JY, beam_splitter, phase_shift
+from mzlab.scenarios import ScenarioConfig, noon_output_distribution, run_noon_sampling
 from mzlab.states import fock_after_symmetric_bs, noon_state
 
 from conftest import random_state
@@ -135,29 +137,159 @@ def test_sampling_point_mass():
     assert h.counts == {(2, 1): 777}
 
 
-def test_sampling_chunk_merge_invariance():
-    """Histogram must be the sum of the fixed-size chunk substreams."""
-    d = photon_distribution(noon_state(2))
-    trials = (1 << 16) + 12345  # spans two chunks
-    whole = sample_counts(d, trials, seed=31)
-
+def _oracle_counts(d: CountDistribution, trials: int, seed: int) -> dict:
+    """The per-trial sampler: each chunk's uniforms searched in the CDF one by one, then counted."""
     n1, n2 = index_pairs(d.n_cap)
     order = np.lexsort((n1, n1 + n2))
     cdf = np.cumsum(d.probs[order])
     cdf /= cdf[-1]
-    merged: dict = {}
+    occupancy = np.zeros(cdf.size, dtype=np.int64)
     done = 0
     chunk = 0
     while done < trials:
         n = min(1 << 16, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([31, chunk]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
         hits = np.searchsorted(cdf, rng.random(n), side="right")
-        for pos, c in zip(*np.unique(hits, return_counts=True)):
-            key = (int(n1[order[pos]]), int(n2[order[pos]]))
-            merged[key] = merged.get(key, 0) + int(c)
+        occupancy += np.bincount(np.minimum(hits, cdf.size - 1), minlength=cdf.size)
         done += n
         chunk += 1
-    assert whole.counts == merged
+    return {(int(n1[order[pos]]), int(n2[order[pos]])): int(occupancy[pos]) for pos in np.nonzero(occupancy)[0]}
+
+
+def _in_sampling_order(n_cap: int, p_sorted: np.ndarray) -> CountDistribution:
+    """The distribution whose probabilities, in sampling order (total, then l1), are ``p_sorted``."""
+    n1, n2 = index_pairs(n_cap)
+    probs = np.empty(basis_dim(n_cap))
+    probs[np.lexsort((n1, n1 + n2))] = p_sorted
+    return CountDistribution(n_cap, probs)
+
+
+def _drawn_distribution(kind: str, n_cap: int, seed: int) -> CountDistribution:
+    rng = np.random.default_rng(seed)
+    k = basis_dim(n_cap)
+    if kind == "sparse":  # zero-probability outcomes repeat a CDF value
+        p = rng.random(k) ** 3 * (rng.random(k) < 0.6)
+        p[rng.integers(k)] += 0.1
+    elif kind == "dyadic":  # every CDF value lies on an edge j/4096 of the buckets
+        p = rng.multinomial(4096, rng.dirichlet(np.full(k, 0.5))) / 4096
+    elif kind == "deficit":  # cdf[-1] < 1 until sample_counts normalises it
+        p = rng.random(k)
+        p *= (1 - 10.0 ** -rng.integers(1, 13)) / p.sum()
+    elif kind == "point":
+        p = np.zeros(k)
+        p[rng.integers(k)] = 1.0
+    else:  # lossy NOON parity readout
+        n = max(n_cap, 1)
+        psi = beam_splitter(phase_shift(noon_state(n), float(rng.uniform(0, math.pi)), "relative"), BS2_JX)
+        return lossy_distribution(photon_distribution(psi), float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+    return _in_sampling_order(n_cap, p)
+
+
+def test_sampling_chunk_merge_invariance():
+    """Histogram must be the sum of the fixed-size chunk substreams."""
+    d = photon_distribution(noon_state(2))
+    trials = (1 << 16) + 12345  # spans two chunks
+    assert sample_counts(d, trials, seed=31).counts == _oracle_counts(d, trials, 31)
+
+
+@pytest.mark.parametrize("trials", [1, 4097, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["sparse", "dyadic", "deficit", "point", "noon"]),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1),
+)
+def test_sampling_matches_per_trial_oracle(trials, kind, n_cap, dist_seed, seed):
+    d = _drawn_distribution(kind, n_cap, dist_seed)
+    assert sample_counts(d, trials, seed).counts == _oracle_counts(d, trials, seed)
+
+
+@pytest.mark.parametrize("trials", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1_000_000])
+def test_sampling_matches_oracle_across_chunk_edges(trials):
+    d = lossy_distribution(noon_output_distribution(8, math.pi / 24), 0.8, 0.7)
+    assert sample_counts(d, trials, seed=3).counts == _oracle_counts(d, trials, 3)
+
+
+def test_sampling_total_loss_point_mass():
+    d = lossy_distribution(noon_output_distribution(6, 0.2), 0.0, 0.0)
+    h = sample_counts(d, (1 << 16) + 1, seed=12)
+    assert h.counts == {(0, 0): (1 << 16) + 1} == _oracle_counts(d, (1 << 16) + 1, 12)
+
+
+def test_sampling_uniform_on_a_cdf_value_takes_the_next_outcome():
+    """A uniform equal to a CDF value lands past it: outcome k holds [cdf[k-1], cdf[k]).
+
+    The CDF values are uniforms that chunk 0 really draws, all in [0.5, 1), so
+    their differences and the cumulative sum reproduce them exactly.  None lies
+    on a bucket edge, so the dirty-bucket search resolves them.
+    """
+    seed, trials = 5, 1000
+    u = np.random.default_rng(np.random.SeedSequence([seed, 0])).random(trials)
+    edges = np.concatenate(([0.0], np.sort(u[u >= 0.5][:5]), [1.0]))
+    assert np.all(edges[1:-1] * 4096 % 1 != 0)
+    d = _in_sampling_order(2, np.diff(edges))
+    n1, n2 = index_pairs(2)
+    order = np.lexsort((n1, n1 + n2))
+    assert np.array_equal(np.cumsum(d.probs[order]), edges[1:])
+    h = sample_counts(d, trials, seed)
+    in_order = [h.counts.get((int(n1[i]), int(n2[i])), 0) for i in order]
+    assert in_order == np.histogram(u, edges)[0].tolist()  # half-open bins [edges[k], edges[k+1])
+    assert h.counts == _oracle_counts(d, trials, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from(["random", "dyadic", "short"]))
+def test_bucket_table_agrees_with_per_uniform_search(k, seed, kind):
+    """lo[b] is the outcome of the bucket's lowest uniform, and b is dirty exactly
+    when its highest uniform resolves elsewhere; a CDF that stops short of 1
+    (before normalisation) sends the top buckets to the last outcome."""
+    rng = np.random.default_rng(seed)
+    if kind == "dyadic":
+        cdf = np.cumsum(rng.multinomial(4096, np.full(k, 1 / k))) / 4096
+    else:
+        cdf = np.cumsum(rng.random(k) * (rng.random(k) < 0.7))
+        top = rng.uniform(0.3, 0.99) if kind == "short" else 1.0
+        if cdf[-1] > 0:
+            cdf *= top / cdf[-1]
+    lo, dirty = _bucket_table(cdf)
+    m = 4096
+    lowest = np.arange(m) / m
+    highest = np.nextafter(np.arange(1, m + 1) / m, 0.0)
+    resolve = lambda u: np.minimum(np.searchsorted(cdf, u, side="right"), k - 1)
+    assert np.array_equal(lo, resolve(lowest))
+    assert np.array_equal(dirty, resolve(highest) != resolve(lowest))
+    assert np.count_nonzero(dirty) <= k
+    if kind == "dyadic":  # no CDF value falls inside a bucket
+        assert not dirty.any()
+
+
+# histograms of the per-trial sampler, before the bucket counting; the first is the README example
+_PINNED = [
+    (
+        lambda: run_noon_sampling(ScenarioConfig(scenario="noon", n=4, eta_a=0.9, eta_b=0.9, trials=100_000, seed=42,
+                                                 post_select=True)).histogram,
+        {(0, 0): 17, (0, 1): 199, (0, 2): 1191, (0, 3): 3608, (0, 4): 6084, (1, 0): 191, (1, 1): 2410,
+         (1, 2): 10910, (1, 3): 8202, (2, 0): 1178, (2, 1): 10950, (2, 2): 37201, (3, 0): 3591, (3, 1): 8118,
+         (4, 0): 6150},
+    ),
+    (
+        lambda: sample_counts(lossy_distribution(noon_output_distribution(2, 0.3), 0.6, 0.8), 65537, 7),
+        {(0, 0): 6365, (0, 1): 11461, (0, 2): 19096, (1, 0): 15053, (1, 1): 2691, (2, 0): 10871},
+    ),
+    (
+        lambda: sample_counts(lossy_distribution(photon_distribution(random_state(3, seed=11)), 0.75, 0.9),
+                              3 * 65536 + 5, 2**63 + 1),
+        {(0, 0): 48640, (0, 1): 31372, (0, 2): 22313, (0, 3): 43661, (1, 0): 25573, (1, 1): 3907, (1, 2): 5349,
+         (2, 0): 9125, (2, 1): 311, (3, 0): 6362},
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED)))
+def test_sampling_pinned_histograms(case):
+    draw, expected = _PINNED[case]
+    assert draw().counts == expected
 
 
 def test_sampling_frequency_matches_probability():

@@ -1,6 +1,6 @@
 import math
 import tempfile
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzlab.errors import ConfigError
+from mzlab.errors import ConfigError, TruncationError
 from mzlab.estimation import SINGULAR, FisherReport, is_singular, qfi_analytic
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import BS1_SYMMETRIC, BS2_JY, beam_splitter, expect_j, expect_j2, phase_shift
 from mzlab.scenarios import (
+    SCENARIO_NAMES,
+    SCENARIOS,
     SWEEP_COLUMNS,
     ScenarioConfig,
     SweepRow,
@@ -501,3 +503,38 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="noon", eta_a=1.5).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="nope").validate()
+
+
+# each scenario's declared fields, one at a time, moved off a base config
+_READ_BASES = {"coherent": {"alpha_mag": 1.5, "beta_mag": 1.0}, "squeezed": {"alpha_mag": 3.0, "r": 0.5}}
+_READ_ALTERNATIVES = {"alpha_mag": 3.5, "beta_mag": 1.3, "theta1": 0.3, "theta2": 0.7, "n": 3, "r": 0.6, "theta": 0.2,
+                      "f": 1.0, "epsilon_trunc": 1e-6, "n_cap": 20}
+# a cutoff whose deficit (~6e-8) the default tolerance refuses and epsilon_trunc = 1e-6 accepts
+_DEFICIT_CUTOFF = {"coherent": 16, "squeezed": 32}
+
+
+def _sweep_outcome(cfg: ScenarioConfig):
+    try:
+        table = run_sweep(cfg)
+    except TruncationError:
+        return "deficit above epsilon_trunc"
+    return [table.column(c) for c in SWEEP_COLUMNS]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_field_a_scenario_declares_changes_its_sweep(name):
+    """``Scenario.reads`` lists no field the sweep ignores: moving any one of them changes the outcome."""
+    base = ScenarioConfig(scenario=name, phi_steps=11, **_READ_BASES.get(name, {}))
+    for field in SCENARIOS[name].reads:
+        ref = replace(base, n_cap=_DEFICIT_CUTOFF[name]) if field == "epsilon_trunc" else base
+        assert _sweep_outcome(ref) != _sweep_outcome(replace(ref, **{field: _READ_ALTERNATIVES[field]})), field
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_sweep_rejects_every_field_its_scenario_does_not_read(name):
+    base = ScenarioConfig(scenario=name, phi_steps=11, **_READ_BASES.get(name, {}))
+    unread = set(_READ_ALTERNATIVES) - set(SCENARIOS[name].reads)
+    assert unread
+    for field in sorted(unread):
+        with pytest.raises(ConfigError, match=field):
+            run_sweep(replace(base, **{field: _READ_ALTERNATIVES[field]}))
