@@ -28,8 +28,6 @@ from .errors import BasisMismatchError, DegenerateStateError
 # below every tolerance in use and only cause subnormal slowdowns.
 AMP_FLUSH = 1e-300
 
-NORM_TOL = 1e-12
-
 
 def basis_dim(n_cap: int) -> int:
     """Number of kept basis states, (n_cap+1)(n_cap+2)/2."""

@@ -25,10 +25,13 @@ only, divided by sqrt(n1)) is exact in algebra but amplifies rounding by
 about sqrt(C(N, k)), to 1e8 at N = 170, while the two-term form keeps every
 block orthogonal to a few 1e-14 at that size.  And every weight is the
 square root of an integer product, never a product of square roots, so
-sqrt(n^2) = n holds exactly: the identity stays exactly the identity and a
-half turn exactly the signed antidiagonal.  The Wigner d-matrix d^j(theta),
-the block of exp(-i theta Jy), is the same ladder on the real rotation
-[[c, -s], [s, c]], c = cos(theta/2), s = sin(theta/2).
+sqrt(n^2) = n holds exactly.  On a real one-photon block that makes the
+identity exactly the identity and a half turn exactly the signed
+antidiagonal.  A complex block is divided by N+1 in complex arithmetic,
+which numpy does by multiplying with a rounded 1/(N+1), so there the
+identity drifts by about 1e-15 at N = 60.  The Wigner d-matrix
+d^j(theta), the block of exp(-i theta Jy), is the same ladder on the real
+rotation [[c, -s], [s, c]], c = cos(theta/2), s = sin(theta/2).
 
 Convention notes, fixed once here and relied on everywhere else:
 
@@ -71,6 +74,7 @@ built at import, bare and through ``BS1_SYMMETRIC``.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -139,8 +143,7 @@ def mode_matrix_of(spec: BeamSplitterSpec) -> np.ndarray:
 # Fixed-total blocks by the photon ladder
 # --------------------------------------------------------------------------
 
-_ladders: dict[object, list[np.ndarray]] = {}  # blocks 0, 1, ... per splitter or d(theta)
-_d_cache: dict[tuple[int, float], "WignerBlock"] = {}
+_ladders: dict[bytes, list[np.ndarray]] = {}  # blocks 0, 1, ... per splitter matrix
 _cache_lock = threading.Lock()
 
 
@@ -164,18 +167,13 @@ def _ladder_step(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _frozen(out)
 
 
-def _ladder_block(key, g: np.ndarray, total: int) -> np.ndarray:
-    """Block ``total`` of the element with one-photon block ``g``.
-
-    Every block up to ``total`` is built once and cached under ``key``.
-    """
-    blocks = _ladders.get(key)
-    if blocks is None or len(blocks) <= total:
-        with _cache_lock:
-            blocks = _ladders.setdefault(key, [_frozen(np.ones((1, 1), dtype=g.dtype))])
-            while len(blocks) <= total:
-                blocks.append(_ladder_step(blocks[-1], g))
-    return blocks[total]
+def _climb(blocks: list[np.ndarray], g: np.ndarray, total: int) -> list[np.ndarray]:
+    """Extend ``blocks`` (block 0 first) of the element with one-photon block ``g`` through block ``total``."""
+    if not blocks:
+        blocks.append(_frozen(np.ones((1, 1), dtype=g.dtype)))
+    while len(blocks) <= total:
+        blocks.append(_ladder_step(blocks[-1], g))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -184,31 +182,24 @@ class WignerBlock:
 
     twice_j: int
     theta: float
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.array(self.entries, dtype=np.float64, copy=True)
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+    entries: np.ndarray = field(repr=False)  # read-only float64
 
 
 def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
     """d^j(theta) = matrix of exp(-i theta Jy) in the 2j-photon block; memoized."""
     if twice_j < 0:
         raise ValueError("twice_j must be >= 0")
-    theta = float(theta)
-    key = (twice_j, theta)
-    blk = _d_cache.get(key)
-    if blk is None:
-        # cos(pi/2) is 6e-17 in float64, so pin c = 0 at a half turn (and
-        # s = 0 at theta = 0); the ladder then gives both cases exactly.
-        c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
-        s = 0.0 if theta == 0.0 else math.sin(theta / 2)
-        rotation = np.array([[c, -s], [s, c]])
-        blk = WignerBlock(twice_j, theta, _ladder_block(("d", theta), rotation, twice_j))
-        with _cache_lock:
-            blk = _d_cache.setdefault(key, blk)
-    return blk
+    return _wigner_d(twice_j, float(theta))
+
+
+@functools.cache
+def _wigner_d(twice_j: int, theta: float) -> WignerBlock:
+    # cos(pi/2) is 6e-17 in float64, so pin c = 0 at a half turn; the
+    # ladder then gives the signed antidiagonal exactly.
+    c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    blocks = _climb([], np.array([[c, -s], [s, c]]), twice_j)
+    return WignerBlock(twice_j, theta, blocks[twice_j])
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +267,12 @@ def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeSt
 
 
 def _bs_block(spec: BeamSplitterSpec, twice_j: int) -> np.ndarray:
-    return _ladder_block(spec.cache_key, spec.matrix.conj().T, twice_j)
+    """Block ``twice_j`` of the splitter; every block up to it is built once and kept."""
+    blocks = _ladders.get(spec.cache_key)
+    if blocks is None or len(blocks) <= twice_j:
+        with _cache_lock:
+            blocks = _climb(_ladders.setdefault(spec.cache_key, []), spec.matrix.conj().T, twice_j)
+    return blocks[twice_j]
 
 
 def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:

@@ -530,6 +530,14 @@ def _phase_family(psi: TwoModeState, generator: GeneratorName) -> Callable[[floa
     return lambda phi: phase_shift(psi, phi, conv)
 
 
+def _coherent_case(beta_mag: float, epsilon_trunc: float, command: str) -> tuple[ScenarioConfig, str]:
+    """The validated |beta>|beta> row of a table and its label; the vacuum is refused."""
+    cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
+    if beta_mag == 0:
+        raise ConfigError(f"{command} needs beta > 0: the vacuum has zero Fisher information, so the relative error is undefined")
+    return cfg, f"coherent beta={beta_mag:g}"
+
+
 def run_qfi_table(
     beta_mag: float = 2.0,
     fock_n: int = 9,
@@ -540,12 +548,12 @@ def run_qfi_table(
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
     eps = epsilon_trunc
-    coherent = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=eps).validate()
+    coherent, coherent_label = _coherent_case(beta_mag, eps, "qfi-table")
     fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps).validate()
     noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate()
     # (config, label, phi of the numeric derivative, fringe centre, stencil step, note)
     cases = [
-        (coherent, f"coherent beta={beta_mag:g}", 0.7, math.pi / 2, 1e-4,
+        (coherent, coherent_label, 0.7, math.pi / 2, 1e-4,
          "number-difference readout sits sqrt(2) above the one-arm bound"),
         (fock, f"fock n={fock_n}", 0.7, math.pi / 2, 1e-4, ""),
         (noon, f"noon n={noon_n}", 0.4, math.pi / (2 * noon_n), 1e-5, ""),
@@ -586,14 +594,11 @@ def run_metric_check(
     """Rate of change of the projective distance against F/4 per family."""
     eps = epsilon_trunc
     cases = [
-        (ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=eps).validate(),
-         f"coherent beta={beta_mag:g}"),
+        _coherent_case(beta_mag, eps, "metric-check"),
         (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate(), f"noon n={noon_n}"),
     ]
     if not 0.0 < h < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {h}")
-    if beta_mag == 0:
-        raise ConfigError("metric-check needs beta > 0: the vacuum has zero Fisher information, so the relative error is undefined")
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,18 +122,18 @@ def policy_squeezed_cutoff(r: float) -> int:
     return c + (c % 2)
 
 
-def auto_coherent(alpha: complex, eps_trunc: float = EPS_TRUNC_DEFAULT, tail_target: float | None = None) -> SingleModeAmplitudes:
+def auto_coherent(alpha: complex, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
     """Coherent amplitudes with the cutoff grown until the tail is verified small."""
-    return _auto(lambda cut: coherent_amplitudes(alpha, cut, eps_trunc=1.0), policy_coherent_cutoff(abs(alpha)), eps_trunc, tail_target)
+    return _auto(lambda cut: coherent_amplitudes(alpha, cut, eps_trunc=1.0), policy_coherent_cutoff(abs(alpha)), eps_trunc)
 
 
-def auto_squeezed(p: SqueezeParams, eps_trunc: float = EPS_TRUNC_DEFAULT, tail_target: float | None = None) -> SingleModeAmplitudes:
+def auto_squeezed(p: SqueezeParams, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
     """Squeezed-vacuum amplitudes with the cutoff grown until the tail is verified small."""
-    return _auto(lambda cut: squeezed_vacuum_amplitudes(p, cut, eps_trunc=1.0), policy_squeezed_cutoff(p.r), eps_trunc, tail_target)
+    return _auto(lambda cut: squeezed_vacuum_amplitudes(p, cut, eps_trunc=1.0), policy_squeezed_cutoff(p.r), eps_trunc)
 
 
-def _auto(make, floor: int, eps_trunc: float, tail_target: float | None) -> SingleModeAmplitudes:
-    target = eps_trunc / 4 if tail_target is None else tail_target
+def _auto(make, floor: int, eps_trunc: float) -> SingleModeAmplitudes:
+    target = eps_trunc / 4
     cutoff = floor
     for _ in range(12):
         sm = make(cutoff)
@@ -198,8 +197,8 @@ def fock_after_symmetric_bs(n_photons: int) -> TwoModeState:
         raise ValueError("photon number must be >= 0")
     amps = np.zeros(basis_dim(n_photons), dtype=np.complex128)
     for k in range(n_photons + 1):
-        # Fraction keeps C(N,k)/2^N exact before the single rounding in sqrt.
-        amps[pair_index(n_photons - k, k)] = math.sqrt(Fraction(math.comb(n_photons, k), 2**n_photons))
+        # C(N,k)/2^N is rounded once by the int / int division, then once by sqrt.
+        amps[pair_index(n_photons - k, k)] = math.sqrt(math.comb(n_photons, k) / 2**n_photons)
     return TwoModeState(n_photons, amps, deficit=0.0)
 
 

@@ -147,6 +147,7 @@ OUT_OF_RANGE_CASES = [
     ["qfi-table", "--noon-n", "0"],
     ["qfi-table", "--epsilon-trunc", "0.5"],
     ["qfi-table", "--epsilon-trunc", "0"],
+    ["qfi-table", "--beta", "0"],  # the vacuum has F_Q = 0: no bound to take the ratio against
     ["metric-check", "--beta", "inf"],
     ["metric-check", "--noon-n", "0"],
     ["metric-check", "--step", "0"],
@@ -185,8 +186,10 @@ def test_largest_u64_seed_is_accepted(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing the CLI must not pull it in
-    code = "import sys, mzlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy is a test-only dependency, and fractions/decimal cost import time
+    # no run needs; importing the CLI must pull in none of them
+    code = ("import sys, mzlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -406,3 +409,6 @@ def test_cli_fuzz_keeps_the_exit_code_contract(case):
         assert code in (0, 2, 3), (argv, config, code)
         assert "Traceback" not in err.getvalue()
         assert (Path(tmp) / "x.csv").exists() == (code == 0), (argv, config, code)
+        if code == 0:
+            with open(Path(tmp) / "x.csv", newline="") as fh:
+                assert not any(cell == "nan" for row in csv.reader(fh) for cell in row), (argv, config)

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.special import eval_jacobi, gammaln
 
 from mzlab import optics
-
+from mzlab.cli import main
 from mzlab.estimation import qfi_analytic
 from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, normalize, pair_index
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
@@ -194,8 +194,8 @@ def test_phase_shift_mode_b_on_fock_family():
 # ----- Wigner blocks ------------------------------------------------------------
 
 def test_wigner_identity_at_zero():
-    for tj in (0, 1, 2, 7):
-        assert np.array_equal(wigner_d_block(tj, 0.0).entries, np.eye(tj + 1))
+    for tj in range(171):
+        assert np.array_equal(wigner_d_block(tj, 0.0).entries, np.eye(tj + 1)), tj
 
 
 def test_wigner_half_rotation():
@@ -215,13 +215,12 @@ def test_wigner_matches_exponentiated_generator(tj, theta):
 
 
 def test_wigner_exact_antidiagonal_at_minus_pi():
-    # d(-pi)[i, dim-1-i] = (-1)^i exactly, zero elsewhere
-    for tj in (1, 2, 5, 8, 11):
-        d = wigner_d_block(tj, -math.pi).entries
+    # d(-pi)[i, dim-1-i] = (-1)^i exactly, zero elsewhere, and d(+pi) is its transpose
+    for tj in range(171):
         expected = np.zeros((tj + 1, tj + 1))
-        for i in range(tj + 1):
-            expected[i, tj - i] = (-1.0) ** i
-        assert np.array_equal(d, expected)
+        expected[np.arange(tj + 1), np.arange(tj, -1, -1)] = (-1.0) ** np.arange(tj + 1)
+        assert np.array_equal(wigner_d_block(tj, -math.pi).entries, expected), tj
+        assert np.array_equal(wigner_d_block(tj, math.pi).entries, expected.T), tj
 
 
 def test_wigner_orthogonality_to_twice_j_100():
@@ -235,6 +234,18 @@ def test_wigner_cache_returns_same_block():
     a = wigner_d_block(6, 0.321)
     b = wigner_d_block(6, 0.321)
     assert a is b
+
+
+def test_ladder_cache_holds_only_the_splitters_the_subcommands_use(tmp_path, monkeypatch):
+    monkeypatch.setattr(optics, "_ladders", {})
+    out = str(tmp_path / "x.csv")
+    for argv in (["sweep", "--scenario", "twin_fock", "--n", "3"], ["sweep", "--scenario", "noon", "--n", "4"],
+                 ["sample", "--n", "4", "--trials", "100"], ["qfi-table"], ["metric-check"]):
+        assert main(argv + ["--out", out]) == 0, argv
+    used = set(optics._ladders)
+    assert used <= {BS1_SYMMETRIC.cache_key, BS2_JX.cache_key}
+    wigner_d_block(9, 0.77)
+    assert set(optics._ladders) == used  # d-blocks keep no ladder
 
 
 # ----- beam splitters ------------------------------------------------------------

@@ -213,6 +213,14 @@ def test_fock_after_symmetric_bs_exact_binomial_norm():
     assert s.squared_norm() == pytest.approx(1.0, abs=1e-14)
 
 
+def test_fock_after_symmetric_bs_matches_fraction_oracle():
+    # oracle: C(N,k)/2^N held exactly as a Fraction, rounded to float, then sqrt
+    for n in range(201):
+        s = fock_after_symmetric_bs(n)
+        for k in range(n + 1):
+            assert s.amplitude(n - k, k) == math.sqrt(Fraction(math.comb(n, k), 2**n)), (n, k)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
 def test_fock_after_symmetric_bs_equals_beam_splitter(n):
     from mzlab.fock import TwoModeState
