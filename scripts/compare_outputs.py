@@ -7,10 +7,21 @@ A tree is a checkout (holding ``src/mzlab``) or a directory holding
 ``mzlab``.  The ops are every CLI call of the three benchmark workloads for
 each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
-(``EDGE_SAMPLE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
-reference sweeps and the two tables.  Each tree runs them in a subprocess
-of its own, one op after another in one interpreter, as the benchmark does;
-BLAS is pinned to one thread so both trees sum in the same order.
+(``EDGE_SAMPLE_OPS``), one squeezed sweep right after them
+(``AFTER_EDGE_OP``), and ``scripts/run_benchmark_cases.py``, the five
+reference sweeps and the two tables.  Each tree runs the workload and edge
+ops in a subprocess of its own, one op after another in one interpreter, as
+the benchmark does; BLAS is pinned to one thread so both trees sum in the
+same order.
+
+The squeezed sweep is there to catch state that one op leaves behind for
+the next.  It runs as ``after_edge:0`` in a second interpreter, right after
+the edge ops run there again, and as ``fresh:0`` alone in a third.  Its
+amplitudes read log-factorials; a table of those grown across calls would
+give it other last bits after the small sample ops than in a fresh process.
+So a number that depends on what ran earlier shows up as a difference
+between the two trees, and the script says for each tree whether the two
+runs of the op wrote the same CSV.
 
 For every op it prints whether the exit code, the stdout and the CSV are
 byte-identical, then the worst difference per CSV column over all ops,
@@ -52,6 +63,9 @@ EDGE_SAMPLE_OPS = [
 ]
 
 
+AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
+
+
 def _src_dir(tree: str) -> Path:
     root = Path(tree).resolve()
     for cand in (root / "src", root):
@@ -80,10 +94,13 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
 
 
 def worker() -> None:
-    """Run the ops of stdin's job under the first entry of sys.path; print one JSON result."""
+    """Run the prelude, then the ops, of stdin's job under the first entry of sys.path; print one JSON result."""
     job = json.loads(sys.stdin.read())
     import mzlab.cli
 
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in job["prelude"]:
+            mzlab.cli.main(argv + ["--out", os.path.join(job["outdir"], "prelude.csv")])
     results = {}
     for op_id, argv in job["ops"]:
         path = os.path.join(job["outdir"], op_id.replace(":", "_") + ".csv")
@@ -97,16 +114,25 @@ def worker() -> None:
     sys.stdout.write(json.dumps(results) + "\n")
 
 
+def _run_worker(env: dict, ops, outdir: Path, prelude=()) -> dict:
+    """``ops`` in one fresh interpreter after ``prelude``; op id -> result with its CSV text."""
+    job = {"ops": ops, "prelude": list(prelude), "outdir": str(outdir)}
+    proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(job),
+                          capture_output=True, text=True, env=env, check=True)
+    results = json.loads(proc.stdout.splitlines()[-1])
+    for op_id, res in results.items():
+        res["csv"] = _read(outdir / (op_id.replace(":", "_") + ".csv"))
+    return results
+
+
 def run_tree(src: Path, ops, workdir: Path) -> dict:
     """Every op under one tree, plus the benchmark cases script; op id -> result with its CSV text."""
     outdir = workdir / "ops"
     outdir.mkdir(parents=True)
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps({"ops": ops, "outdir": str(outdir)}),
-                          capture_output=True, text=True, env=env, check=True)
-    results = json.loads(proc.stdout.splitlines()[-1])
-    for op_id, res in results.items():
-        res["csv"] = _read(outdir / (op_id.replace(":", "_") + ".csv"))
+    results = _run_worker(env, ops, outdir)
+    results.update(_run_worker(env, [("after_edge:0", AFTER_EDGE_OP)], outdir, prelude=EDGE_SAMPLE_OPS))
+    results.update(_run_worker(env, [("fresh:0", AFTER_EDGE_OP)], outdir))
     cases = subprocess.run([sys.executable, str(CASES_SCRIPT), "--outdir", "cases"], cwd=workdir,
                            capture_output=True, text=True, env=env)
     results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "csv": None}
@@ -156,7 +182,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_tree(_src_dir(args.old_tree), ops, Path(tmp) / "old")
         new = run_tree(_src_dir(args.new_tree), ops, Path(tmp) / "new")
-    argv_of = dict(ops)
+    argv_of = {**dict(ops), "after_edge:0": AFTER_EDGE_OP, "fresh:0": AFTER_EDGE_OP}
     worst: dict[str, float] = {}
     pattern: dict[str, int] = {}
     identical = 0
@@ -174,6 +200,9 @@ def main() -> int:
         print(f"{op_id:28s} rc {rc!s:6s} {marks}  {' '.join(argv_of.get(op_id, []))}")
     total = len(old.keys() | new.keys())
     print(f"\n{identical}/{total} ops byte-identical (exit code, stdout and CSV)")
+    same = {side: "same" if res["after_edge:0"]["csv"] == res["fresh:0"]["csv"] else "DIFF"
+            for side, res in (("old", old), ("new", new))}
+    print(f"after_edge:0 against fresh:0, the same sweep in a fresh interpreter: old {same['old']}, new {same['new']}")
     if worst or pattern:
         print("worst scaled difference |new - old| / max(1, |old|) per column, over the differing CSVs:")
         for name, val in sorted(worst.items()):

@@ -16,15 +16,11 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    JmIndex,
     TwoModeState,
     basis_dim,
-    counts_from_jm,
     inner,
-    jm_from_counts,
     normalize,
     pair_index,
-    total_photon_moments,
 )
 from .states import (
     SingleModeAmplitudes,
@@ -42,14 +38,12 @@ from .optics import (
     BS1_SYMMETRIC,
     BS2_JX,
     BS2_JY,
-    IDENTITY_BS,
     BeamSplitterSpec,
     WignerBlock,
     apply_angular,
     beam_splitter,
     expect_j,
     expect_j2,
-    mode_matrix_of,
     phase_shift,
     wigner_d_block,
 )
@@ -75,7 +69,6 @@ from .estimation import (
     metric_distance,
     qfi_analytic,
     qfi_numeric,
-    reference_limits,
     uncertainty_product,
 )
 from .scenarios import (

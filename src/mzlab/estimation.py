@@ -39,6 +39,15 @@ def is_singular(x: float) -> bool:
     return math.isinf(x)
 
 
+def check_phi_grid(phi: np.ndarray) -> None:
+    """ValueError unless ``phi`` ascends strictly in steps that agree to 1e-9 max(1, step)."""
+    steps = np.diff(phi)
+    if steps.min() <= 0:
+        raise ValueError("phi grid must be strictly ascending")
+    if (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1.0):
+        raise ValueError("phi grid must be uniform")
+
+
 @dataclass(frozen=True)
 class ObservableCurve:
     """Mean and second moment of one observable on a uniform phi grid."""
@@ -53,11 +62,7 @@ class ObservableCurve:
         second = np.array(self.second, dtype=np.float64, copy=True)
         if not (phi.shape == mean.shape == second.shape) or phi.ndim != 1 or phi.size < 3:
             raise ValueError("curve needs three aligned samples at least")
-        steps = np.diff(phi)
-        if steps.min() <= 0:
-            raise ValueError("phi grid must be strictly ascending")
-        if (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1.0):
-            raise ValueError("phi grid must be uniform")
+        check_phi_grid(phi)
         if np.any(second < mean**2 - 1e-10):
             raise ValueError("second moment below squared mean")
         for arr in (phi, mean, second):
@@ -112,8 +117,6 @@ def delta_phi_error_propagation(curve: ObservableCurve, at_index: int) -> float:
 class FisherReport:
     f_q: float
     delta_phi_min: float
-    method: Literal["analytic_variance", "numeric_derivative"]
-    generator: GeneratorName
 
 
 def generator_values(s: TwoModeState, generator: GeneratorName) -> np.ndarray:
@@ -129,26 +132,24 @@ def qfi_analytic(s_tilde: TwoModeState, generator: GeneratorName) -> FisherRepor
     """F = 4 Var(G) on the probe state, G the diagonal phase generator."""
     v = generator_values(s_tilde, generator)
     p = np.abs(s_tilde.amps) ** 2
-    return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)), generator)
+    return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)))
 
 
-def fisher_from_moments(mean: float, second: float, generator: GeneratorName) -> FisherReport:
+def fisher_from_moments(mean: float, second: float) -> FisherReport:
     """F = 4 (<G^2> - <G>^2) from the first two moments of the generator on the probe."""
     f_q = 4.0 * (second - mean * mean)
     dmin = 1.0 / math.sqrt(f_q) if f_q > 0 else math.inf
-    return FisherReport(f_q=f_q, delta_phi_min=dmin, method="analytic_variance", generator=generator)
+    return FisherReport(f_q=f_q, delta_phi_min=dmin)
 
 
 def qfi_numeric(
     family: Callable[[float], TwoModeState],
     phi: float,
     h: float = DERIVATIVE_STEP_DEFAULT,
-    generator: GeneratorName = "jz",
 ) -> FisherReport:
     """Fisher information from a central-difference state derivative.
 
-    Agrees with ``qfi_analytic`` to O(h^2); ``generator`` only labels which
-    convention the family follows.
+    Agrees with ``qfi_analytic`` to O(h^2).
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -160,7 +161,7 @@ def qfi_numeric(
     overlap = complex(np.vdot(dpsi, center.amps))
     f_q = 4.0 * (norm2 - abs(overlap) ** 2)
     dmin = 1.0 / math.sqrt(f_q) if f_q > 0 else math.inf
-    return FisherReport(f_q=f_q, delta_phi_min=dmin, method="numeric_derivative", generator=generator)
+    return FisherReport(f_q=f_q, delta_phi_min=dmin)
 
 
 def cramer_rao(f_q: float) -> float:
@@ -173,13 +174,6 @@ def metric_distance(a: TwoModeState, b: TwoModeState) -> float:
     """Projective distance sqrt(1 - |<a|b>|^2) between normalized states."""
     ov = abs(inner(a, b)) ** 2
     return math.sqrt(max(0.0, 1.0 - ov))
-
-
-def reference_limits(n_total: float) -> tuple[float, float]:
-    """(shot-noise 1/sqrt(N), Heisenberg 1/N) reference uncertainties."""
-    if n_total <= 0:
-        raise ValueError("photon resource must be positive")
-    return 1.0 / math.sqrt(n_total), 1.0 / n_total
 
 
 def uncertainty_product(s_tilde: TwoModeState) -> float:

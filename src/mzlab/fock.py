@@ -8,10 +8,6 @@ total photon number, so they act block-diagonally on this layout and the
 only truncation error in the whole pipeline is the one introduced at state
 preparation; it is recorded in ``TwoModeState.deficit`` and never silently
 dropped.
-
-The (j, m) relabeling n1 = j+m, n2 = j-m (stored as doubled integers so
-half-integer spins stay exact) connects the photon-pair picture to the
-SU(2) rotation algebra used by the optics module.
 """
 
 from __future__ import annotations
@@ -60,34 +56,6 @@ def index_pairs(n_cap: int) -> tuple[np.ndarray, np.ndarray]:
     n1.flags.writeable = False
     n2.flags.writeable = False
     return n1, n2
-
-
-@dataclass(frozen=True)
-class JmIndex:
-    """(j, m) labels of a two-mode number state, stored doubled."""
-
-    twice_j: int
-    twice_m: int
-
-    def __post_init__(self):
-        if self.twice_j < 0:
-            raise ValueError("twice_j must be nonnegative")
-        if abs(self.twice_m) > self.twice_j:
-            raise ValueError(f"|m| > j: {self}")
-        if (self.twice_j - self.twice_m) % 2:
-            raise ValueError(f"twice_j and twice_m must share parity: {self}")
-
-
-def jm_from_counts(n1: int, n2: int) -> JmIndex:
-    """j = (n1+n2)/2, m = (n1-n2)/2."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon counts must be nonnegative")
-    return JmIndex(twice_j=n1 + n2, twice_m=n1 - n2)
-
-
-def counts_from_jm(idx: JmIndex) -> tuple[int, int]:
-    """Inverse of :func:`jm_from_counts`; parity violations never construct."""
-    return (idx.twice_j + idx.twice_m) // 2, (idx.twice_j - idx.twice_m) // 2
 
 
 @dataclass(frozen=True)
@@ -153,11 +121,3 @@ def normalize(s: TwoModeState) -> TwoModeState:
     if sq <= 1e-15:
         raise DegenerateStateError(f"cannot normalize state with squared norm {sq:.3e}")
     return s.with_amps(s.amps / math.sqrt(sq))
-
-
-def total_photon_moments(s: TwoModeState) -> tuple[float, float]:
-    """(mean, second moment) of n1 + n2; used as a cutoff diagnostic."""
-    n1, n2 = index_pairs(s.n_cap)
-    tot = (n1 + n2).astype(np.float64)
-    p = np.abs(s.amps) ** 2
-    return float(math.fsum(p * tot)), float(math.fsum(p * tot**2))

@@ -71,7 +71,6 @@ class CountHistogram:
     counts: dict[tuple[int, int], int]
     trials: int
     seed: int
-    loss: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", dict(self.counts))

@@ -1,8 +1,8 @@
 """Shared numeric helpers: log-factorials and binomial weights.
 
 Factorials overflow float64 at 171!, so every combinatorial factor in the
-package goes through a precomputed log-factorial table and is exponentiated
-only after the additions/cancellations are done in log space.
+package goes through log-factorials and is exponentiated only after the
+additions/cancellations are done in log space.
 """
 
 from __future__ import annotations
@@ -11,18 +11,13 @@ import math
 
 import numpy as np
 
-_LF_TABLE = np.zeros(1)  # log(0!) = 0
-
 
 def log_factorials(n_max: int) -> np.ndarray:
-    """Read-only view of [log(0!), ..., log(n_max!)], grown on demand."""
-    global _LF_TABLE
-    if n_max >= _LF_TABLE.size:
-        hi = max(n_max + 1, 2 * _LF_TABLE.size)
-        t = np.concatenate([_LF_TABLE, np.cumsum(np.log(np.arange(_LF_TABLE.size, hi))) + _LF_TABLE[-1]])
-        t.flags.writeable = False
-        _LF_TABLE = t
-    return _LF_TABLE[: n_max + 1]
+    """[log(0!), ..., log(n_max!)] as one running sum, computed afresh on every call.
+
+    The sum runs in order, so every prefix equals the shorter sum bit for bit.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
 
 
 def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:

@@ -74,7 +74,6 @@ built at import, bare and through ``BS1_SYMMETRIC``.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -131,13 +130,6 @@ _C_JX = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)]) @ (
 )
 BS2_JX = _preset(_C_JX.conj(), "bs2_jx")
 
-IDENTITY_BS = _preset(np.eye(2), "identity")
-
-
-def mode_matrix_of(spec: BeamSplitterSpec) -> np.ndarray:
-    """Writable copy of the (verified unitary) mode matrix."""
-    return spec.matrix.copy()
-
 
 # --------------------------------------------------------------------------
 # Fixed-total blocks by the photon ladder
@@ -186,14 +178,10 @@ class WignerBlock:
 
 
 def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
-    """d^j(theta) = matrix of exp(-i theta Jy) in the 2j-photon block; memoized."""
+    """d^j(theta) = matrix of exp(-i theta Jy) in the 2j-photon block, climbed afresh on each call."""
     if twice_j < 0:
         raise ValueError("twice_j must be >= 0")
-    return _wigner_d(twice_j, float(theta))
-
-
-@functools.cache
-def _wigner_d(twice_j: int, theta: float) -> WignerBlock:
+    theta = float(theta)
     # cos(pi/2) is 6e-17 in float64, so pin c = 0 at a half turn; the
     # ladder then gives the signed antidiagonal exactly.
     c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
@@ -413,6 +401,7 @@ def _word_terms(f: np.ndarray, word: Word) -> np.ndarray:
 
 def _pair_sum(ga: np.ndarray, gb: np.ndarray, n_cap: int) -> complex:
     """Sum of ga[i] gb[j] over i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum()."""
+    n_cap = min(n_cap, ga.size + gb.size)  # every pair lies below this, and n_cap - i stays an int64
     i = np.arange(min(ga.size, n_cap + 1))
     return np.dot(ga[: i.size], np.cumsum(gb)[np.minimum(n_cap - i, gb.size - 1)])
 

@@ -65,7 +65,7 @@ and written in one piece; the per-point ``rows`` are built only on request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from typing import Callable
@@ -78,6 +78,7 @@ from .estimation import (
     FisherReport,
     GeneratorName,
     ObservableCurve,
+    check_phi_grid,
     delta_phi_error_propagation,
     error_propagation,
     fisher_from_moments,
@@ -161,6 +162,10 @@ class ScenarioConfig:
             raise ConfigError("phi grid needs at least 3 steps")
         if not self.phi_stop > self.phi_start:
             raise ConfigError("phi_stop must exceed phi_start")
+        try:  # numpy refuses a grid too long to address; check_phi_grid one whose float64 steps differ
+            check_phi_grid(self.phi_grid())
+        except ValueError as exc:
+            raise ConfigError(f"phi grid {self.phi_start!r}:{self.phi_stop!r}:{self.phi_steps} refused: {exc}") from None
         if not 0.0 < self.epsilon_trunc <= 1e-6:
             raise ConfigError("epsilon_trunc must lie in (0, 1e-6]")
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
@@ -299,10 +304,8 @@ def coherent_probe(cfg: ScenarioConfig) -> ProductProbe:
 
 def squeezed_probe(cfg: ScenarioConfig) -> ProductProbe:
     """Coherent (x) squeezed-vacuum input, to be pushed through the 50:50 splitter."""
-    if cfg.alpha_mag**2 < 8 * math.sinh(cfg.r) ** 2:
-        raise ConfigError(
-            f"squeezed scenario requires |alpha|^2 >= 8 sinh(r)^2; got {cfg.alpha_mag**2:.3g} vs {8 * math.sinh(cfg.r) ** 2:.3g}"
-        )
+    if math.asinh(cfg.alpha_mag / math.sqrt(8)) < cfg.r:  # |alpha|^2 < 8 sinh(r)^2, with no square to overflow
+        raise ConfigError(f"squeezed scenario requires |alpha|^2 >= 8 sinh(r)^2; got |alpha| = {cfg.alpha_mag:.3g}, r = {cfg.r:.3g}")
     a = auto_coherent(cfg.alpha_mag * np.exp(1j * cfg.f_effective()), cfg.epsilon_trunc)
     b = auto_squeezed(SqueezeParams(cfg.r, cfg.theta), cfg.epsilon_trunc)
     n_cap = cfg.n_cap if cfg.n_cap is not None else a.cutoff + b.cutoff
@@ -427,7 +430,7 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     phis = cfg.phi_grid()
     if isinstance(probe, ProductProbe):
         mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
-        fisher = fisher_from_moments(n2_mean, n2_second, "nb")
+        fisher = fisher_from_moments(n2_mean, n2_second)
     else:
         (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.generator)
     mean = sc.scale * eval_harmonics(mean_c, phis)
@@ -483,7 +486,7 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     phi = cfg.sample_phi if cfg.sample_phi is not None else math.pi / (3 * cfg.n)
     ideal = noon_output_distribution(cfg.n, phi)
     lossy = lossy_distribution(ideal, cfg.eta_a, cfg.eta_b)
-    hist = replace(sample_counts(lossy, cfg.trials, cfg.seed), loss=(cfg.eta_a, cfg.eta_b))
+    hist = sample_counts(lossy, cfg.trials, cfg.seed)
     filtered = parity_from_histogram(hist, post_select_total=cfg.n) if cfg.post_select else None
     return NoonSamplingReport(
         n=cfg.n,
@@ -563,7 +566,7 @@ def run_qfi_table(
         sc = SCENARIOS[cfg.scenario]
         psi = two_mode(sc.probe(cfg))
         f_an = qfi_analytic(psi, sc.generator)
-        f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h, generator=sc.generator)
+        f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h)
         dp = _error_prop_at(sc.readout(psi), center, step)
         rows.append(QfiRow(label, f_an.f_q, f_num.f_q, f_an.delta_phi_min, dp, dp / f_an.delta_phi_min, note))
     return rows

@@ -11,6 +11,7 @@ still holds ~2e-6 of its mass above photon number 40.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,9 @@ def squeezed_vacuum_amplitudes(p: SqueezeParams, cutoff: int, eps_trunc: float =
 
 def policy_coherent_cutoff(alpha_mag: float) -> int:
     """Cheap conservative floor: mean + 10 sigma + slack."""
+    # |alpha|^2 amplitudes of 16 bytes would fill a quarter of the address space: refuse before squaring
+    if not alpha_mag <= math.sqrt(sys.maxsize) / 8:
+        raise MemoryError(f"coherent |alpha|={alpha_mag:.3g} needs about |alpha|^2 amplitudes, more than an address space holds")
     n = alpha_mag**2
     return math.ceil(n + 10 * math.sqrt(n) + 20)
 

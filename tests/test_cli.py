@@ -156,6 +156,10 @@ OUT_OF_RANGE_CASES = [
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
     ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1000"],  # sinh(r) overflows
+    ["sweep", "--scenario", "squeezed", "--alpha", "1e200", "--r", "1000"],  # and so does |alpha|^2
+    ["sweep", "--scenario", "fock", "--n", "3", "--phi", "1e8:100000000.000001:5"],  # steps round unequal
+    ["sweep", "--scenario", "fock", "--phi", f"0:1:{10**20}"],  # more points than numpy can address
 ]
 
 
@@ -165,6 +169,48 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+TOO_LARGE_CASES = [
+    ["sweep", "--scenario", "squeezed", "--alpha", "1e200", "--r", "0.5"],
+    ["sweep", "--scenario", "coherent", "--alpha", "1e200", "--beta", "1"],
+    ["metric-check", "--beta", "1e200"],
+    ["sweep", "--scenario", "coherent", "--alpha", "1e10", "--beta", "1"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "1e10", "--r", "0.5"],
+    ["qfi-table", "--beta", "1e10"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE_CASES, ids=[" ".join(a) for a in TOO_LARGE_CASES])
+def test_probe_too_large_to_address_exits_three(tmp_path, capsys, argv):
+    # |alpha|^2 photons of cutoff: refused before |alpha|^2 overflows or any array is allocated
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_n_cap_beyond_every_pair_writes_the_default_cap_table(tmp_path, capsys):
+    # no pair of the two inputs lies above the sum of their cutoffs, so a larger cap changes nothing
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    head = ["sweep", "--scenario", "coherent", "--alpha", "2", "--beta", "2"]
+    assert main(head + ["--n-cap", str(10**20), "--out", str(a)]) == 0
+    assert main(head + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+def test_sweep_after_sample_matches_a_fresh_process(tmp_path):
+    # a sweep's numbers must not depend on what ran earlier in the process; each side gets a
+    # fresh interpreter, so what this test session ran before cannot hide a difference
+    sweep = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
+    sample = ["sample", "--n", "2", "--eta", "0.9", "--trials", "10", "--out", str(tmp_path / "h.csv")]
+    after = sweep + ["--out", str(tmp_path / "after_sample.csv")]
+    code = f"from mzlab.cli import main; assert main({sample!r}) == 0; assert main({after!r}) == 0"
+    for argv in (["-c", code], ["-m", "mzlab", *sweep, "--out", str(tmp_path / "fresh.csv")]):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "after_sample.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 UNKNOWN_FLAG_CASES = [[cmd, flag, value] for cmd in ("qfi-table", "metric-check")
@@ -349,27 +395,28 @@ def test_scenario_parameter_at_its_default_is_accepted(tmp_path, capsys):
 
 # ----- fuzzing the whole flag surface ------------------------------------------------
 
-_MAGNITUDES = ["0", "0.7", "2", "9", "-1", "nan", "inf", "-inf"]
+_MAGNITUDES = ["0", "0.7", "2", "9", "1e10", "1e200", "-1", "nan", "inf", "-inf"]
 _ANGLES = ["0", "0.3", "-2", "7", "1e6", "nan", "inf", "-inf"]
 _PHOTONS = ["-1", "0", "1", "2", "6", "x"]
 _EPS = ["0", "1e-12", "1e-10", "1e-6", "1e-5", "-1", "nan", "inf"]
 _ETAS = ["-0.1", "0", "0.5", "1", "1.0000001", "nan", "inf"]
-_PHI = ["0:3.14159:5", "0:1:3", "0:1:2", "1:0:5", "0:0:5", "-3:3:2000", "nan:1:5", "0:inf:5", "0:1:-1", "0-1-5", "0:1:x"]
+_PHI = ["0:3.14159:5", "0:1:3", "0:1:2", "1:0:5", "0:0:5", "-3:3:2000", "nan:1:5", "0:inf:5", "0:1:-1", "0-1-5", "0:1:x",
+        "1e8:100000000.000001:5"]
 _FLAGS = {
     "sweep": {
         "--scenario": ["coherent", "fock", "twin_fock", "squeezed", "noon", "bogus"],
         "--n": _PHOTONS, "--alpha": _MAGNITUDES, "--beta": _MAGNITUDES, "--theta1": _ANGLES, "--theta2": _ANGLES,
-        "--r": ["0", "0.3", "1", "2", "-0.5", "nan", "inf"], "--theta": _ANGLES, "--f": _ANGLES, "--phi": _PHI,
-        "--n-cap": ["-1", "0", "5", "40"], "--epsilon-trunc": _EPS,
+        "--r": ["0", "0.3", "1", "2", "1000", "-0.5", "nan", "inf"], "--theta": _ANGLES, "--f": _ANGLES, "--phi": _PHI,
+        "--n-cap": ["-1", "0", "5", "40", str(10**20)], "--epsilon-trunc": _EPS,
     },
     "sample": {
         "--scenario": ["noon", "fock"], "--n": _PHOTONS, "--seed": ["-1", "0", "12345", str(2**64 - 1), str(2**64)],
         "--eta": _ETAS, "--eta-a": _ETAS, "--eta-b": _ETAS, "--trials": ["-5", "0", "1", "777", "10000"],
         "--post-select": None, "--phi-at": ["0", "0.3", "-1", "1e6", "nan", "inf"], "--epsilon-trunc": _EPS,
     },
-    "qfi-table": {"--beta": ["0", "1", "2.5", "-1", "nan", "inf"], "--fock-n": _PHOTONS, "--noon-n": _PHOTONS,
+    "qfi-table": {"--beta": ["0", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--fock-n": _PHOTONS, "--noon-n": _PHOTONS,
                   "--epsilon-trunc": _EPS},
-    "metric-check": {"--beta": ["0", "1", "2.5", "-1", "nan", "inf"], "--noon-n": _PHOTONS,
+    "metric-check": {"--beta": ["0", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--noon-n": _PHOTONS,
                      "--step": ["0", "1e-4", "-1e-3", "0.5", "nan", "inf"], "--epsilon-trunc": _EPS},
 }
 # config-file lines for the subcommands that read one: scenario keys and values as the flags draw them

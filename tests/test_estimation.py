@@ -15,7 +15,6 @@ from mzlab.estimation import (
     metric_distance,
     qfi_analytic,
     qfi_numeric,
-    reference_limits,
     uncertainty_product,
 )
 from mzlab.fock import TwoModeState, basis_dim, normalize
@@ -103,7 +102,7 @@ def test_qfi_generators_agree_on_definite_total():
 
 def test_qfi_numeric_noon():
     fam = lambda p: phase_shift(noon_state(4), p, "relative")
-    rep = qfi_numeric(fam, 0.3, h=1e-4, generator="jz")
+    rep = qfi_numeric(fam, 0.3, h=1e-4)
     assert rep.f_q == pytest.approx(16.0, abs=1e-6)
 
 
@@ -118,7 +117,7 @@ def test_qfi_numeric_coherent_unit_amplitude():
     vac = coherent_amplitudes(0.0, 0)
     s = product_state(vac, b, 30)
     fam = lambda p: phase_shift(s, p, "mode_b")
-    rep = qfi_numeric(fam, 0.9, h=1e-4, generator="nb")
+    rep = qfi_numeric(fam, 0.9, h=1e-4)
     assert rep.f_q == pytest.approx(4.0, abs=1e-6)
 
 
@@ -170,14 +169,7 @@ def test_metric_rate_equals_quarter_fisher():
     assert rate == pytest.approx(4.0**2 / 4, rel=1e-6)  # j^2 = F/4
 
 
-# ----- reference limits and the uncertainty product ----------------------------------
-
-def test_reference_limits():
-    assert reference_limits(16.0) == (0.25, 0.0625)
-    assert reference_limits(1.0) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        reference_limits(0.0)
-
+# ----- the uncertainty product -------------------------------------------------------
 
 def test_uncertainty_product_cases():
     assert uncertainty_product(noon_state(4)) == pytest.approx(1.0, abs=1e-12)

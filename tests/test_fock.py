@@ -7,49 +7,17 @@ from hypothesis import strategies as st
 
 from mzlab.errors import BasisMismatchError, DegenerateStateError
 from mzlab.fock import (
-    JmIndex,
     TwoModeState,
     basis_dim,
-    counts_from_jm,
     index_pairs,
     inner,
-    jm_from_counts,
     normalize,
     pair_index,
-    total_photon_moments,
 )
 from mzlab.optics import phase_shift
-from mzlab.states import coherent_amplitudes, noon_state, product_state
+from mzlab.states import noon_state
 
 from conftest import random_state
-
-
-# ----- (j, m) relabeling -----------------------------------------------------
-
-def test_jm_examples():
-    assert jm_from_counts(2, 0) == JmIndex(twice_j=2, twice_m=2)
-    assert jm_from_counts(0, 0) == JmIndex(0, 0)
-    assert jm_from_counts(3, 1) == JmIndex(twice_j=4, twice_m=2)
-
-
-def test_counts_examples():
-    assert counts_from_jm(JmIndex(2, -2)) == (0, 2)
-    assert counts_from_jm(JmIndex(0, 0)) == (0, 0)
-    assert counts_from_jm(JmIndex(3, 1)) == (2, 1)  # half-integer j
-
-
-@given(st.integers(0, 50), st.integers(0, 50))
-def test_jm_round_trip(n1, n2):
-    assert counts_from_jm(jm_from_counts(n1, n2)) == (n1, n2)
-
-
-def test_jm_validation():
-    with pytest.raises(ValueError):
-        JmIndex(twice_j=2, twice_m=3)  # parity violation
-    with pytest.raises(ValueError):
-        JmIndex(twice_j=2, twice_m=-4)  # |m| > j
-    with pytest.raises(ValueError):
-        jm_from_counts(-1, 0)
 
 
 # ----- basis layout ----------------------------------------------------------
@@ -143,27 +111,3 @@ def test_nonfinite_amplitudes_rejected():
     with pytest.raises(ValueError):
         TwoModeState(1, amps)
 
-
-# ----- photon-number diagnostics ----------------------------------------------
-
-def test_total_photon_moments_eigenstate():
-    s = TwoModeState.basis_state(6, 6, 0)
-    mean, second = total_photon_moments(s)
-    assert mean == pytest.approx(6.0, abs=1e-12)
-    assert second == pytest.approx(36.0, abs=1e-12)
-
-
-def test_total_photon_moments_two_mode_coherent():
-    # independent oracle: Poisson means add; direct series sum
-    a = coherent_amplitudes(1.0, 25)
-    s = product_state(a, a, 30)
-    mean, _ = total_photon_moments(s)
-    oracle = 2 * math.fsum(n * math.exp(-1.0) / math.factorial(n) for n in range(26))
-    assert mean == pytest.approx(oracle, abs=1e-10)
-    assert mean == pytest.approx(2.0, abs=1e-9)
-
-
-def test_total_photon_moments_noon():
-    mean, second = total_photon_moments(noon_state(4))
-    assert mean == pytest.approx(4.0, abs=1e-12)
-    assert second == pytest.approx(16.0, abs=1e-12)

@@ -378,7 +378,7 @@ def random_curves(draw):
 @example((0.5 * np.arange(3), np.array([0.0, 0.5, 2e-9]), np.array([1.0, 1.25, 1.0]), [None] * 3))  # |d| == threshold
 def test_columnar_table_matches_row_reference_on_random_curves(curve):
     phis, mean, second, closed = curve
-    fisher = FisherReport(f_q=3.0, delta_phi_min=1 / math.sqrt(3.0), method="analytic_variance", generator="nb")
+    fisher = FisherReport(f_q=3.0, delta_phi_min=1 / math.sqrt(3.0))
     table = _assemble_table("fock", phis, mean, second, fisher, closed, "mode_b/jz_half")
     assert_matches_reference(table, phis, mean, second, closed)
 

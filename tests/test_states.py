@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from mzlab.errors import TruncationError
-from mzlab.fock import inner, jm_from_counts, index_pairs
+from mzlab.fock import inner, index_pairs
+from mzlab.numerics import log_factorials
 from mzlab.optics import BS1_SYMMETRIC, beam_splitter
 from mzlab.states import (
     SqueezeParams,
@@ -121,6 +122,14 @@ def _squeezed_oracle(r, theta, cutoff, pad=140):
     vac = np.zeros(dim)
     vac[0] = 1.0
     return (expm(gen) @ vac)[: cutoff + 1]
+
+
+def test_log_factorials_prefix_is_the_shorter_sum():
+    # a squeezed expansion reads log(k!) up to its cutoff: the same k must give the same bits whatever cutoff asked
+    longest = log_factorials(400)
+    for n in (0, 1, 2, 40, 86, 399):
+        assert np.array_equal(log_factorials(n), longest[: n + 1]), n
+    assert longest[170] == pytest.approx(math.lgamma(171), rel=1e-14)
 
 
 def test_squeezed_identity_limit():
@@ -251,8 +260,6 @@ def test_twin_fock():
     assert s.amplitude(1, 1) == 1.0
     s3 = twin_fock(3)
     assert s3.amplitude(3, 3) == 1.0
-    assert jm_from_counts(3, 3).twice_j == 6
-    assert jm_from_counts(3, 3).twice_m == 0
     assert s3.n_cap == 6
 
 
