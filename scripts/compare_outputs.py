@@ -7,12 +7,13 @@ A tree is a checkout (holding ``src/mzlab``) or a directory holding
 ``mzlab``.  The ops are every CLI call of the three benchmark workloads for
 each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
-(``EDGE_SAMPLE_OPS``), one squeezed sweep right after them
+(``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
+(``LARGE_N_OPS``), one squeezed sweep right after the edge ops
 (``AFTER_EDGE_OP``), and ``scripts/run_benchmark_cases.py``, the five
-reference sweeps and the two tables.  Each tree runs the workload and edge
-ops in a subprocess of its own, one op after another in one interpreter, as
-the benchmark does; BLAS is pinned to one thread so both trees sum in the
-same order.
+reference sweeps and the two tables.  Each tree runs the workload, edge and
+large-N ops in a subprocess of its own, one op after another in one
+interpreter, as the benchmark does; BLAS is pinned to one thread so both
+trees sum in the same order.
 
 The squeezed sweep is there to catch state that one op leaves behind for
 the next.  It runs as ``after_edge:0`` in a second interpreter, right after
@@ -62,6 +63,17 @@ EDGE_SAMPLE_OPS = [
      "--post-select"],
 ]
 
+# fixed-N ops above the workloads' N <= 16: their splitter blocks (BS1_SYMMETRIC to 2N = 80, BS2_JX to
+# N = 150) are ones no workload op builds, so byte identity covers the ladder and the splitter memo there too
+LARGE_N_OPS = [
+    ["sweep", "--scenario", "noon", "--n", "60"],
+    ["sweep", "--scenario", "noon", "--n", "150"],
+    ["sweep", "--scenario", "twin_fock", "--n", "40"],
+    ["sample", "--n", "40", "--eta", "0.9", "--trials", "20000", "--seed", "3", "--post-select"],
+    ["qfi-table", "--noon-n", "30", "--fock-n", "40"],
+    ["metric-check", "--noon-n", "30"],
+]
+
 
 AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
 
@@ -90,7 +102,8 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
     ops = [(f"{name}:{seed}:{i}", argv)
            for name in workloads.WORKLOADS for seed in seeds
            for i, argv in enumerate(workloads.generate(name, seed))]
-    return ops + [(f"edge_sample:{i}", argv) for i, argv in enumerate(EDGE_SAMPLE_OPS)]
+    return (ops + [(f"edge_sample:{i}", argv) for i, argv in enumerate(EDGE_SAMPLE_OPS)]
+            + [(f"large_n:{i}", argv) for i, argv in enumerate(LARGE_N_OPS)])
 
 
 def worker() -> None:

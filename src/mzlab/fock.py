@@ -42,17 +42,12 @@ def block_slice(total: int) -> slice:
     return slice(lo, lo + total + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def index_pairs(n_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (n1[i], n2[i]) for every flat index i; cached per n_cap."""
-    n1 = np.empty(basis_dim(n_cap), dtype=np.int64)
-    n2 = np.empty_like(n1)
-    pos = 0
-    for total in range(n_cap + 1):
-        k = np.arange(total + 1)
-        n2[pos : pos + total + 1] = k
-        n1[pos : pos + total + 1] = total - k
-        pos += total + 1
+    """Arrays (n1[i], n2[i]) for every flat index i; the last 32 n_cap are memoized."""
+    total = np.repeat(np.arange(n_cap + 1, dtype=np.int64), np.arange(1, n_cap + 2))
+    n2 = np.arange(total.size, dtype=np.int64) - total * (total + 1) // 2
+    n1 = total - n2
     n1.flags.writeable = False
     n2.flags.writeable = False
     return n1, n2

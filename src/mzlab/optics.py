@@ -18,7 +18,9 @@ in new column k with weight sqrt(n1 n1'), the b+ term of old column k in
 new column k+1 with weight sqrt(n2 n2'), where the primed number belongs to
 the new column and the unprimed one to the new row (g00/g01 keep the row,
 g10/g11 move it down one), and the sum is divided by N+1.  Vacuum maps to
-+vacuum, so block N is the N-th symmetric power of G and unique.
++vacuum, so block N is the N-th symmetric power of G and unique.  A climb
+keeps only its current block, and ``_bs_block`` memoizes at most 64 single
+blocks, so a probe on one block of total N needs O(N^2) memory.
 
 Two numerical points.  Both ladder terms are kept: the one-sided form (a+
 only, divided by sqrt(n1)) is exact in algebra but amplifies rounding by
@@ -74,8 +76,8 @@ built at import, bare and through ``BS1_SYMMETRIC``.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -108,10 +110,6 @@ class BeamSplitterSpec:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def cache_key(self) -> bytes:
-        return self.matrix.tobytes()
-
 
 def _preset(matrix, label):
     return BeamSplitterSpec(matrix=np.asarray(matrix, dtype=np.complex128), label=label)
@@ -135,9 +133,6 @@ BS2_JX = _preset(_C_JX.conj(), "bs2_jx")
 # Fixed-total blocks by the photon ladder
 # --------------------------------------------------------------------------
 
-_ladders: dict[bytes, list[np.ndarray]] = {}  # blocks 0, 1, ... per splitter matrix
-_cache_lock = threading.Lock()
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -159,13 +154,12 @@ def _ladder_step(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _frozen(out)
 
 
-def _climb(blocks: list[np.ndarray], g: np.ndarray, total: int) -> list[np.ndarray]:
-    """Extend ``blocks`` (block 0 first) of the element with one-photon block ``g`` through block ``total``."""
-    if not blocks:
-        blocks.append(_frozen(np.ones((1, 1), dtype=g.dtype)))
-    while len(blocks) <= total:
-        blocks.append(_ladder_step(blocks[-1], g))
-    return blocks
+def _climb(g: np.ndarray, total: int) -> np.ndarray:
+    """Block ``total`` of the element with one-photon block ``g``, keeping only the current block of the climb."""
+    u = _frozen(np.ones((1, 1), dtype=g.dtype))
+    for _ in range(total):
+        u = _ladder_step(u, g)
+    return u
 
 
 @dataclass(frozen=True)
@@ -186,8 +180,7 @@ def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
     # ladder then gives the signed antidiagonal exactly.
     c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
     s = math.sin(theta / 2)
-    blocks = _climb([], np.array([[c, -s], [s, c]]), twice_j)
-    return WignerBlock(twice_j, theta, blocks[twice_j])
+    return WignerBlock(twice_j, theta, _climb(np.array([[c, -s], [s, c]]), twice_j))
 
 
 # --------------------------------------------------------------------------
@@ -254,21 +247,36 @@ def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeSt
 # --------------------------------------------------------------------------
 
 
-def _bs_block(spec: BeamSplitterSpec, twice_j: int) -> np.ndarray:
-    """Block ``twice_j`` of the splitter; every block up to it is built once and kept."""
-    blocks = _ladders.get(spec.cache_key)
-    if blocks is None or len(blocks) <= twice_j:
-        with _cache_lock:
-            blocks = _climb(_ladders.setdefault(spec.cache_key, []), spec.matrix.conj().T, twice_j)
-    return blocks[twice_j]
+@functools.lru_cache(maxsize=64)
+def _bs_block(matrix: bytes, total: int) -> np.ndarray:
+    """Block ``total`` of the splitter whose mode matrix has the bytes ``matrix``, memoized.
+
+    Only single blocks are kept, never the ladder below them.  The bound is a
+    count: a small-probe benchmark pass asks for at most 10 (splitter, total)
+    pairs, and 64 blocks of totals up to N hold at most 64 x 16 (N+1)^2 bytes.
+    """
+    return _climb(np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2).conj().T, total)
+
+
+def _walk(s: TwoModeState, spec: BeamSplitterSpec):
+    """(total, splitter block) for each occupied block of ``s``.
+
+    The lowest comes from the memo and each later block is one ladder step
+    up, so every block equals the one climbed from block 0.
+    """
+    occupied = {total for total in range(s.n_cap + 1) if s.amps[block_slice(total)].any()}
+    u = None
+    for total in range(min(occupied, default=0), max(occupied, default=-1) + 1):
+        u = _bs_block(spec.matrix.tobytes(), total) if u is None else _ladder_step(u, spec.matrix.conj().T)
+        if total in occupied:
+            yield total, u
 
 
 def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:
     """Apply the element block-diagonally; exactly photon-number conserving."""
-    out = np.empty_like(s.amps)
-    for total in range(s.n_cap + 1):
-        sl = block_slice(total)
-        out[sl] = _bs_block(spec, total) @ s.amps[sl]
+    out = np.zeros_like(s.amps)
+    for total, u in _walk(s, spec):
+        out[block_slice(total)] = u @ s.amps[block_slice(total)]
     return s.with_amps(out)
 
 
@@ -323,11 +331,8 @@ def parity_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     second moment is the squared norm at every phi.
     """
     coeffs = np.zeros(s.n_cap + 1, dtype=np.complex128)
-    for total in range(s.n_cap + 1):
+    for total, u in _walk(s, BS2_JX):
         v = s.amps[block_slice(total)]
-        if not v.any():
-            continue
-        u = _bs_block(BS2_JX, total)
         parity = np.where(np.arange(total, -1, -1) % 2 == 0, 1.0, -1.0)  # (-1)^n1 down the block
         g = v.conj()[:, None] * (u.conj().T @ (parity[:, None] * u)) * v[None, :]
         coeffs[0] += np.trace(g)

@@ -693,4 +693,4 @@ def config_from_values(values: dict) -> ScenarioConfig:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, val)
-    return cfg.validate()
+    return cfg

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mzlab.cli
 from mzlab.cli import main
+from mzlab.scenarios import SCENARIOS
 
 
 def test_sweep_writes_csv_and_exits_zero(tmp_path, capsys):
@@ -440,11 +441,8 @@ def _argv(draw):
     return argv, config
 
 
-@settings(max_examples=150, deadline=None)
-@given(_argv())
-def test_cli_fuzz_keeps_the_exit_code_contract(case):
-    """Any argv over every flag of every subcommand exits 0, 2 or 3, never with an exception."""
-    argv, config = case
+def _assert_exit_code_contract(argv, config):
+    """Run one argv (with an optional config file) and check the exit-code contract on it."""
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             cfgfile = Path(tmp) / "run.cfg"
@@ -459,3 +457,36 @@ def test_cli_fuzz_keeps_the_exit_code_contract(case):
         if code == 0:
             with open(Path(tmp) / "x.csv", newline="") as fh:
                 assert not any(cell == "nan" for row in csv.reader(fh) for cell in row), (argv, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(case):
+    """Any argv over every flag of every subcommand exits 0, 2 or 3, never with an exception."""
+    _assert_exit_code_contract(*case)
+
+
+# the ScenarioConfig field each sweep flag sets, where it differs from the flag's name
+_SWEEP_FIELD = {"--alpha": "alpha_mag", "--beta": "beta_mag"}
+
+
+def _one_flag_cases():
+    """Every listed value of every flag of each subcommand; a sweep flag under each scenario that reads it."""
+    cases = []
+    for command, flags in _FLAGS.items():
+        for flag, values in flags.items():
+            heads = [[command]]
+            if command == "sweep" and flag != "--scenario":
+                field = _SWEEP_FIELD.get(flag, flag[2:].replace("-", "_"))
+                heads = [["sweep", "--scenario", name] for name, sc in SCENARIOS.items()
+                         if flag == "--phi" or field in sc.reads]
+                assert heads, flag
+            args = [[flag]] if values is None else [[flag, value] for value in values]
+            cases += [head + arg for head in heads for arg in args]
+    return cases
+
+
+def test_every_listed_flag_value_keeps_the_exit_code_contract():
+    """The fuzz test's contract on each listed value of each flag, so no value depends on a random draw."""
+    for argv in _one_flag_cases():
+        _assert_exit_code_contract(argv, None)

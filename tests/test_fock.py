@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzlab.cli import main
 from mzlab.errors import BasisMismatchError, DegenerateStateError
 from mzlab.fock import (
     TwoModeState,
@@ -36,6 +37,29 @@ def test_index_layout_block_then_m_descending():
     for a, b in [(0, 0), (2, 1), (0, 3)]:
         i = pair_index(a, b)
         assert (n1[i], n2[i]) == (a, b)
+    for n_cap in (0, 1, 7, 40):
+        n1, n2 = index_pairs(n_cap)
+        assert [pair_index(a, b) for a, b in zip(n1.tolist(), n2.tolist())] == list(range(basis_dim(n_cap)))
+        assert n1.dtype == n2.dtype == np.int64 and not (n1.flags.writeable or n2.flags.writeable)
+
+
+def test_index_pairs_eviction_leaves_sweeps_byte_identical(tmp_path):
+    argvs = [["sweep", "--scenario", "twin_fock", "--n", "5"], ["sweep", "--scenario", "fock", "--n", "16"],
+             ["sweep", "--scenario", "coherent", "--alpha", "2", "--beta", "1.5"],
+             ["sample", "--n", "6", "--trials", "500"]]
+    first = []
+    for i, argv in enumerate(argvs):
+        assert main(argv + ["--out", str(tmp_path / f"a{i}.csv")]) == 0
+        first.append((tmp_path / f"a{i}.csv").read_bytes())
+    bound = index_pairs.cache_info().maxsize
+    for n_cap in range(200, 200 + bound + 8):  # more sizes than the bound: every earlier entry is evicted
+        index_pairs(n_cap)
+    assert index_pairs.cache_info().currsize == bound
+    misses = index_pairs.cache_info().misses
+    for i, argv in enumerate(argvs):
+        assert main(argv + ["--out", str(tmp_path / f"b{i}.csv")]) == 0
+        assert (tmp_path / f"b{i}.csv").read_bytes() == first[i], argv
+    assert index_pairs.cache_info().misses > misses  # the reruns rebuilt what was evicted
 
 
 # ----- inner / normalize -----------------------------------------------------

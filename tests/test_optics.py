@@ -1,5 +1,7 @@
 import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,16 +230,38 @@ def test_wigner_orthogonality_to_twice_j_100():
         assert err <= 1e-12, f"2j={tj}: {err}"
 
 
-def test_ladder_cache_holds_only_the_splitters_the_subcommands_use(tmp_path, monkeypatch):
-    monkeypatch.setattr(optics, "_ladders", {})
+def test_ladder_cache_holds_only_the_splitters_the_subcommands_use(tmp_path):
+    memo = optics._bs_block
+    memo.cache_clear()
     out = str(tmp_path / "x.csv")
     for argv in (["sweep", "--scenario", "twin_fock", "--n", "3"], ["sweep", "--scenario", "noon", "--n", "4"],
                  ["sample", "--n", "4", "--trials", "100"], ["qfi-table"], ["metric-check"]):
         assert main(argv + ["--out", out]) == 0, argv
-    used = set(optics._ladders)
-    assert used <= {BS1_SYMMETRIC.cache_key, BS2_JX.cache_key}
+    # the twin_fock probe reads BS1_SYMMETRIC block 2N; the noon parity, sample and qfi-table BS2_JX block N
+    used = [(BS1_SYMMETRIC.matrix.tobytes(), 6), (BS2_JX.matrix.tobytes(), 4)]
+    assert memo.cache_info().currsize == len(used)
+    misses = memo.cache_info().misses
+    for key in used:
+        memo(*key)
+    assert memo.cache_info().misses == misses  # these are the blocks held
     wigner_d_block(9, 0.77)
-    assert set(optics._ladders) == used  # d-blocks keep no ladder
+    assert memo.cache_info().currsize == len(used)  # d-blocks keep nothing in it
+    bound = memo.cache_info().maxsize
+    for total in range(bound + 5):
+        memo(BS2_JY.matrix.tobytes(), total)
+    assert memo.cache_info().currsize == bound
+
+
+def test_fixed_n_sweeps_keep_no_ladder():
+    # a fresh interpreter, so that no earlier test has grown a store the sweep could reuse
+    code = ("import sys, tracemalloc; from mzlab.scenarios import ScenarioConfig, run_sweep; "
+            "tracemalloc.start(); run_sweep(ScenarioConfig(scenario=sys.argv[1], n=int(sys.argv[2]))); "
+            "print(tracemalloc.get_traced_memory()[1])")
+    for scenario, n in (("noon", 150), ("twin_fock", 75)):
+        proc = subprocess.run([sys.executable, "-c", code, scenario, str(n)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        peak = int(proc.stdout)
+        assert peak < 4 * 2**20, f"{scenario} n={n}: traced peak {peak / 2**20:.1f} MiB"
 
 
 # ----- beam splitters ------------------------------------------------------------
@@ -335,28 +359,51 @@ def test_parity_squared_is_total_probability():
         assert d.total() == pytest.approx(1.0, abs=1e-12)
 
 
+def ladder(spec: BeamSplitterSpec):
+    """Blocks 0, 1, 2, ... of the splitter, one ladder step each."""
+    g = spec.matrix.conj().T
+    u = optics._climb(g, 0)
+    while True:
+        yield u
+        u = optics._ladder_step(u, g)
+
+
 def test_ladder_blocks_match_euler_jacobi_oracle():
     specs = [BS1_SYMMETRIC, BS2_JX, BS2_JY] + [random_spec(1200 + i) for i in range(4)]
+    ladders = [ladder(spec) for spec in specs]
     for tj in range(171):
-        for spec in specs:
-            blk = optics._bs_block(spec, tj)
+        for spec, blocks in zip(specs, ladders):
+            blk = next(blocks)
             err = np.abs(blk - euler_jacobi_block(spec, tj)).max()
             assert err <= 1e-12, f"{spec.label} 2j={tj}: entries off by {err}"
             err = np.abs(blk @ blk.conj().T - np.eye(tj + 1)).max()
             assert err <= 1e-12, f"{spec.label} 2j={tj}: unitarity off by {err}"
 
 
-def test_ladder_cache_extension_matches_direct_build(monkeypatch):
+def test_walk_from_the_memo_matches_fresh_climbs():
+    # blocks 5..12 occupied except 8: the walk starts at the memo's block 5 and steps through the empty one
     spec = random_spec(1300)
-    monkeypatch.setattr(optics, "_ladders", {})
-    optics._bs_block(spec, 40)
-    assert len(optics._ladders[spec.cache_key]) == 41  # built only as far as asked
-    extended = [optics._bs_block(spec, tj) for tj in range(81)]
-    monkeypatch.setattr(optics, "_ladders", {})
-    direct = optics._bs_block(spec, 80)
-    assert np.array_equal(extended[80], direct)
-    for tj in range(81):
-        assert np.array_equal(extended[tj], optics._bs_block(spec, tj))
+    g = np.random.default_rng(1301)
+    amps = np.zeros(basis_dim(14), dtype=complex)
+    for total in (5, 6, 7, 9, 10, 11, 12):
+        amps[block_slice(total)] = g.normal(size=total + 1) + 1j * g.normal(size=total + 1)
+    s = TwoModeState(14, amps)
+    want = np.concatenate([optics._climb(spec.matrix.conj().T, t) @ s.amps[block_slice(t)] for t in range(15)])
+    optics._bs_block.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        assert beam_splitter(s, spec).amps.tobytes() == s.with_amps(want).amps.tobytes()
+    assert optics._bs_block.cache_info()[:2] == (1, 1)  # one miss, for the lowest occupied block, then one hit
+    # the parity readout walks the same way
+    coeffs, _ = parity_harmonics(s)
+    fresh = np.zeros(15, dtype=complex)
+    for total in (5, 6, 7, 9, 10, 11, 12):
+        v, u = s.amps[block_slice(total)], optics._climb(BS2_JX.matrix.conj().T, total)
+        parity = np.where(np.arange(total, -1, -1) % 2 == 0, 1.0, -1.0)
+        m = v.conj()[:, None] * (u.conj().T @ (parity[:, None] * u)) * v[None, :]
+        fresh[0] += np.trace(m)
+        for d in range(1, total + 1):
+            fresh[d] += 2.0 * np.trace(m, offset=d)
+    assert coeffs.tobytes() == fresh.tobytes()
 
 
 # ----- harmonic sweep kernels against direct evolution ------------------------------
