@@ -9,11 +9,15 @@ each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
 (``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
 (``LARGE_N_OPS``), one squeezed sweep right after the edge ops
-(``AFTER_EDGE_OP``), and ``scripts/run_benchmark_cases.py``, the five
-reference sweeps and the two tables.  Each tree runs the workload, edge and
-large-N ops in a subprocess of its own, one op after another in one
-interpreter, as the benchmark does; BLAS is pinned to one thread so both
-trees sum in the same order.
+(``AFTER_EDGE_OP``), shorter outputs written over longer ones at one path
+(``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
+reference sweeps and the two tables.  Each tree runs the workload, edge,
+large-N and overwrite ops in a subprocess of its own, one op after another
+in one interpreter, as the benchmark does; BLAS is pinned to one thread so
+both trees sum in the same order.  Like the benchmark's warm passes, that
+subprocess then runs the workload ops a second time over their own
+first-pass CSVs, and the script says for each tree whether every second
+pass wrote the bytes of the first.
 
 The squeezed sweep is there to catch state that one op leaves behind for
 the next.  It runs as ``after_edge:0`` in a second interpreter, right after
@@ -27,7 +31,8 @@ runs of the op wrote the same CSV.
 For every op it prints whether the exit code, the stdout and the CSV are
 byte-identical, then the worst difference per CSV column over all ops,
 scaled by max(1, |x|), and the cells whose empty/inf/nan pattern changed.
-Exit status: 0 if every op is byte-identical, 1 otherwise.
+Exit status: 0 if every op is byte-identical and every second pass of the
+new tree wrote the bytes of its first, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -77,6 +82,14 @@ LARGE_N_OPS = [
 
 AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
 
+# a long output, then a shorter one written over it at the same path: the CSV left must hold no tail of the first
+OVERWRITE_OPS = [
+    [["sweep", "--scenario", "coherent"], ["sweep", "--scenario", "coherent", "--phi", "0:1:3"]],
+    [["sweep", "--scenario", "noon", "--n", "8"], ["sweep", "--scenario", "fock", "--n", "3", "--phi", "0:1:3"]],
+    [["sweep", "--scenario", "fock", "--n", "16"], ["sample", "--n", "2", "--eta", "0.9", "--trials", "1000", "--seed", "4"]],
+    [["qfi-table"], ["metric-check"]],
+]
+
 
 def _src_dir(tree: str) -> Path:
     root = Path(tree).resolve()
@@ -106,36 +119,43 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
             + [(f"large_n:{i}", argv) for i, argv in enumerate(LARGE_N_OPS)])
 
 
+def _run_op(main, argvs: list[list[str]], path: str) -> dict:
+    """Each argv of one op in turn, written to one path; the exit code, stdout and CSV the last one left."""
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv + ["--out", path])
+            except Exception as exc:  # a traceback breaks the exit-code contract; report it as a result
+                rc = f"raised {exc!r}"
+    return {"rc": rc, "stdout": out.getvalue().replace(path, "<out>"), "csv": _read(Path(path))}
+
+
 def worker() -> None:
-    """Run the prelude, then the ops, of stdin's job under the first entry of sys.path; print one JSON result."""
+    """Run the prelude, then the ops, of stdin's job under the first entry of sys.path; print one JSON result.
+
+    With ``rerun`` set, the ops run a second time over their own first-pass CSVs, and each result
+    records whether that pass left the same exit code, stdout and CSV."""
     job = json.loads(sys.stdin.read())
     import mzlab.cli
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in job["prelude"]:
             mzlab.cli.main(argv + ["--out", os.path.join(job["outdir"], "prelude.csv")])
-    results = {}
-    for op_id, argv in job["ops"]:
-        path = os.path.join(job["outdir"], op_id.replace(":", "_") + ".csv")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                rc = mzlab.cli.main(argv + ["--out", path])
-            except Exception as exc:  # a traceback breaks the exit-code contract; report it as a result
-                rc = f"raised {exc!r}"
-        results[op_id] = {"rc": rc, "stdout": out.getvalue().replace(path, "<out>")}
+    paths = {op_id: os.path.join(job["outdir"], op_id.replace(":", "_") + ".csv") for op_id, _ in job["ops"]}
+    results = {op_id: _run_op(mzlab.cli.main, argvs, paths[op_id]) for op_id, argvs in job["ops"]}
+    for op_id, argvs in job["ops"] if job["rerun"] else ():
+        results[op_id]["rerun_same"] = _run_op(mzlab.cli.main, argvs, paths[op_id]) == results[op_id]
     sys.stdout.write(json.dumps(results) + "\n")
 
 
-def _run_worker(env: dict, ops, outdir: Path, prelude=()) -> dict:
-    """``ops`` in one fresh interpreter after ``prelude``; op id -> result with its CSV text."""
-    job = {"ops": ops, "prelude": list(prelude), "outdir": str(outdir)}
+def _run_worker(env: dict, ops, outdir: Path, prelude=(), rerun=False) -> dict:
+    """``ops``, each a list of argvs written to one path, in one fresh interpreter after ``prelude``;
+    op id -> result with its CSV text."""
+    job = {"ops": ops, "prelude": list(prelude), "outdir": str(outdir), "rerun": rerun}
     proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(job),
                           capture_output=True, text=True, env=env, check=True)
-    results = json.loads(proc.stdout.splitlines()[-1])
-    for op_id, res in results.items():
-        res["csv"] = _read(outdir / (op_id.replace(":", "_") + ".csv"))
-    return results
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def run_tree(src: Path, ops, workdir: Path) -> dict:
@@ -143,9 +163,10 @@ def run_tree(src: Path, ops, workdir: Path) -> dict:
     outdir = workdir / "ops"
     outdir.mkdir(parents=True)
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    results = _run_worker(env, ops, outdir)
-    results.update(_run_worker(env, [("after_edge:0", AFTER_EDGE_OP)], outdir, prelude=EDGE_SAMPLE_OPS))
-    results.update(_run_worker(env, [("fresh:0", AFTER_EDGE_OP)], outdir))
+    results = _run_worker(env, [(op_id, [argv]) for op_id, argv in ops], outdir, rerun=True)
+    results.update(_run_worker(env, [(f"overwrite:{i}", argvs) for i, argvs in enumerate(OVERWRITE_OPS)], outdir))
+    results.update(_run_worker(env, [("after_edge:0", [AFTER_EDGE_OP])], outdir, prelude=EDGE_SAMPLE_OPS))
+    results.update(_run_worker(env, [("fresh:0", [AFTER_EDGE_OP])], outdir))
     cases = subprocess.run([sys.executable, str(CASES_SCRIPT), "--outdir", "cases"], cwd=workdir,
                            capture_output=True, text=True, env=env)
     results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "csv": None}
@@ -195,7 +216,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_tree(_src_dir(args.old_tree), ops, Path(tmp) / "old")
         new = run_tree(_src_dir(args.new_tree), ops, Path(tmp) / "new")
-    argv_of = {**dict(ops), "after_edge:0": AFTER_EDGE_OP, "fresh:0": AFTER_EDGE_OP}
+    argv_of = {**dict(ops), "after_edge:0": AFTER_EDGE_OP, "fresh:0": AFTER_EDGE_OP,
+               **{f"overwrite:{i}": [*argvs[0], "then", *argvs[1]] for i, argvs in enumerate(OVERWRITE_OPS)}}
     worst: dict[str, float] = {}
     pattern: dict[str, int] = {}
     identical = 0
@@ -216,13 +238,17 @@ def main() -> int:
     same = {side: "same" if res["after_edge:0"]["csv"] == res["fresh:0"]["csv"] else "DIFF"
             for side, res in (("old", old), ("new", new))}
     print(f"after_edge:0 against fresh:0, the same sweep in a fresh interpreter: old {same['old']}, new {same['new']}")
+    stale = {side: sorted(op_id for op_id, r in res.items() if r.get("rerun_same") is False)
+             for side, res in (("old", old), ("new", new))}
+    print("second pass of the workload ops over their first-pass CSVs: "
+          + ", ".join(f"{side} {'same' if not ids else 'DIFF in ' + ' '.join(ids)}" for side, ids in stale.items()))
     if worst or pattern:
         print("worst scaled difference |new - old| / max(1, |old|) per column, over the differing CSVs:")
         for name, val in sorted(worst.items()):
             print(f"  {name:24s} {val:.3g}")
         for name, count in sorted(pattern.items()):
             print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
-    return 0 if identical == total else 1
+    return 0 if identical == total and not stale["new"] else 1
 
 
 if __name__ == "__main__":

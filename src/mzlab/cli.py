@@ -1,9 +1,9 @@
 """Command-line surface: sweep, sample, qfi-table, metric-check.
 
-Exit codes: 0 success, 2 argument/config errors (argparse prints usage),
-3 numerical failures such as an exhausted post-selection filter, a
-truncation deficit above the configured epsilon, or a basis too large for
-the memory at hand.
+Exit codes: 0 success, 2 argument/config errors (argparse prints usage) or
+an unwritable --out, 3 numerical failures such as an exhausted
+post-selection filter, a truncation deficit above the configured epsilon,
+or a basis too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
+        return 2
+    except OSError as exc:  # only the CSV writes open files: a config file's OSError is a ConfigError
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -58,16 +58,16 @@ metric check stays an independent cross-check of the sweep numbers.
 
 A sweep's table is columnar: ``SweepTable`` holds numpy columns over the
 grid, with the error-propagation columns from one whole-curve evaluation
-(``estimation.error_propagation``).  Its CSV is formatted column by column
-and written in one piece; the per-point ``rows`` are built only on request.
+(``estimation.error_propagation``).  Its CSV is formatted with one template
+per row and written in place in one piece (``measurement.write_text``, the
+output path of every CSV); the per-point ``rows`` are built only on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -95,6 +95,7 @@ from .measurement import (
     photon_distribution,
     parity_from_histogram,
     sample_counts,
+    write_text,
 )
 from .optics import (
     BS1_SYMMETRIC,
@@ -162,10 +163,6 @@ class ScenarioConfig:
             raise ConfigError("phi grid needs at least 3 steps")
         if not self.phi_stop > self.phi_start:
             raise ConfigError("phi_stop must exceed phi_start")
-        try:  # numpy refuses a grid too long to address; check_phi_grid one whose float64 steps differ
-            check_phi_grid(self.phi_grid())
-        except ValueError as exc:
-            raise ConfigError(f"phi grid {self.phi_start!r}:{self.phi_stop!r}:{self.phi_steps} refused: {exc}") from None
         if not 0.0 < self.epsilon_trunc <= 1e-6:
             raise ConfigError("epsilon_trunc must lie in (0, 1e-6]")
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
@@ -186,7 +183,13 @@ class ScenarioConfig:
         return self
 
     def phi_grid(self) -> np.ndarray:
-        return np.linspace(self.phi_start, self.phi_stop, self.phi_steps)
+        """The sweep's grid, built and checked once per sweep; only a sweep reads it."""
+        try:  # numpy refuses a grid too long to address; check_phi_grid one whose float64 steps differ
+            grid = np.linspace(self.phi_start, self.phi_stop, self.phi_steps)
+            check_phi_grid(grid)
+        except ValueError as exc:
+            raise ConfigError(f"phi grid {self.phi_start!r}:{self.phi_stop!r}:{self.phi_steps} refused: {exc}") from None
+        return grid
 
     def f_effective(self) -> float:
         return (math.pi - self.theta) / 2 if self.f is None else self.f
@@ -250,16 +253,27 @@ class SweepTable:
         return tuple(map(SweepRow, *(self.column(name) for name in SWEEP_COLUMNS)))
 
     def write_csv(self, path) -> None:
-        """The sweep CSV: each column formatted once, the constant cells repeated, one write."""
-        constant = {"qfi": _fmt(self.qfi), "crb": _fmt(self.crb), "convention": self.convention}
-        cells = [repeat(constant[name]) if name in constant else map(_fmt, self.column(name)) for name in SWEEP_COLUMNS]
-        lines = map(",".join, zip(*cells))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(SWEEP_COLUMNS) + "\n" + "\n".join(lines) + "\n")
+        """The sweep CSV, one % template per row ('%.17g' % x is f"{x:.17g}" for every double): the qfi,
+        crb and phi cells and each distinct closed form are formatted once."""
+        closed = self.closed_form_delta_phi
+        memo = {v: _fmt(v) for v in set(closed) if v}  # 0.0 and -0.0 share a key, so zeros go to _fmt
+        cols = [_phi_text(self.phi.tobytes()), *(c.tolist() for c in (self.mean_o, self.second_o, self.var_o)),
+                self.delta_phi.tolist(), [memo[v] if v else _fmt(v) for v in closed]]
+        head, tail = "%s,%.17g,%.17g,%.17g,", f",%.17g,{_fmt(self.qfi)},{_fmt(self.crb)},%s,{self.convention}"
+        edge, row = head + tail, head + "%.17g" + tail  # d_mean_dphi is empty on the endpoint rows
+        inner = zip(*(c[1:-1] for c in cols[:4]), self.d_mean_dphi.tolist(), *(c[1:-1] for c in cols[4:]))
+        lines = [edge % tuple(c[0] for c in cols), *map(row.__mod__, inner), edge % tuple(c[-1] for c in cols)]
+        write_text(path, ",".join(SWEEP_COLUMNS) + "\n" + "\n".join(lines) + "\n")
 
 
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.17g}"
+
+
+@lru_cache(maxsize=8)
+def _phi_text(grid: bytes) -> tuple[str, ...]:
+    """The phi cells of a grid, keyed by its float64 bytes; a benchmark pass repeats a few grids."""
+    return tuple(map(_fmt, np.frombuffer(grid).tolist()))
 
 
 def _assemble_table(
@@ -423,11 +437,10 @@ def _reject_unread(cfg: ScenarioConfig, reads: tuple[str, ...], run: str) -> Non
 
 def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Sweep the scenario named by ``cfg`` over its phi grid."""
-    cfg.validate()
+    phis = cfg.validate().phi_grid()
     sc = SCENARIOS[cfg.scenario]
     _reject_unread(cfg, sc.reads + _PHI_GRID, f"a {cfg.scenario} sweep")
     probe = sc.probe(cfg)
-    phis = cfg.phi_grid()
     if isinstance(probe, ProductProbe):
         mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
         fisher = fisher_from_moments(n2_mean, n2_second)
@@ -573,13 +586,9 @@ def run_qfi_table(
 
 
 def write_qfi_table_csv(rows: list[QfiRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("case,f_q,f_q_numeric,delta_phi_min,delta_phi_error_prop,ratio,note\n")
-        for r in rows:
-            fh.write(
-                f"{r.case},{_fmt(r.f_q)},{_fmt(r.f_q_numeric)},{_fmt(r.delta_phi_min)},"
-                f"{_fmt(r.delta_phi_error_prop)},{_fmt(r.ratio)},{r.note}\n"
-            )
+    write_text(path, "case,f_q,f_q_numeric,delta_phi_min,delta_phi_error_prop,ratio,note\n" + "".join(
+        f"{r.case},{_fmt(r.f_q)},{_fmt(r.f_q_numeric)},{_fmt(r.delta_phi_min)},"
+        f"{_fmt(r.delta_phi_error_prop)},{_fmt(r.ratio)},{r.note}\n" for r in rows))
 
 
 @dataclass(frozen=True)
@@ -617,10 +626,8 @@ def run_metric_check(
 
 
 def write_metric_csv(rows: list[MetricRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("family,phi,dl_dphi_squared,quarter_f_q,rel_error\n")
-        for r in rows:
-            fh.write(f"{r.family},{_fmt(r.phi)},{_fmt(r.dl_dphi_squared)},{_fmt(r.quarter_f_q)},{_fmt(r.rel_error)}\n")
+    write_text(path, "family,phi,dl_dphi_squared,quarter_f_q,rel_error\n" + "".join(
+        f"{r.family},{_fmt(r.phi)},{_fmt(r.dl_dphi_squared)},{_fmt(r.quarter_f_q)},{_fmt(r.rel_error)}\n" for r in rows))
 
 
 # --------------------------------------------------------------------------

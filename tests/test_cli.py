@@ -172,6 +172,20 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+COMMANDS = [["sweep", "--scenario", "fock", "--n", "3"], ["sample", "--n", "2", "--trials", "100"], ["qfi-table"],
+            ["metric-check"]]
+
+
+@pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "a-directory"])
+@pytest.mark.parametrize("argv", COMMANDS, ids=[a[0] for a in COMMANDS])
+def test_unwritable_out_exits_two(tmp_path, capsys, argv, missing_dir):
+    out = tmp_path / "no" / "x.csv" if missing_dir else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ") and "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 TOO_LARGE_CASES = [
     ["sweep", "--scenario", "squeezed", "--alpha", "1e200", "--r", "0.5"],
     ["sweep", "--scenario", "coherent", "--alpha", "1e200", "--beta", "1"],

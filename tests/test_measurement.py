@@ -1,10 +1,13 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzlab.cli import main
 from mzlab.errors import FilterExhaustedError
 from mzlab.fock import TwoModeState, basis_dim, index_pairs, pair_index
 from mzlab.measurement import (
@@ -403,3 +406,33 @@ def test_histogram_csv_layout(tmp_path):
     assert text.splitlines()[1] == "0,0,1"
     write_histogram_csv(h, tmp_path / "h2.csv")
     assert (tmp_path / "h2.csv").read_bytes() == path.read_bytes()
+
+
+def test_shorter_histogram_over_a_longer_one_leaves_no_tail(tmp_path):
+    long = run_noon_sampling(ScenarioConfig(scenario="noon", n=8, eta_a=0.7, eta_b=0.7, trials=20_000, seed=3)).histogram
+    short = CountHistogram(counts={(1, 0): 2}, trials=2, seed=0)
+    write_histogram_csv(long, tmp_path / "reused.csv")
+    write_histogram_csv(short, tmp_path / "reused.csv")
+    write_histogram_csv(short, tmp_path / "fresh.csv")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes() == b"l1,l2,count\n1,0,2\n"
+
+
+def test_histogram_csv_through_links_and_to_devnull(tmp_path, capsys):
+    target, link, hard = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+    target.write_text("x" * 10_000)
+    link.symlink_to(target)
+    os.link(target, hard)
+    h = CountHistogram(counts={(0, 1): 4}, trials=4, seed=0)
+    write_histogram_csv(h, link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == hard.read_text() == "l1,l2,count\n0,1,4\n"
+    assert main(["sample", "--n", "2", "--trials", "100", "--out", os.devnull]) == 0
+
+
+def test_new_histogram_csv_gets_the_mode_the_umask_leaves(tmp_path):
+    old = os.umask(0o002)
+    try:
+        write_histogram_csv(CountHistogram(counts={(0, 0): 1}, trials=1, seed=0), tmp_path / "new.csv")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~0o002

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
 from mzlab.estimation import SINGULAR, FisherReport, is_singular, qfi_analytic
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
@@ -19,6 +22,7 @@ from mzlab.scenarios import (
     ScenarioConfig,
     SweepRow,
     _assemble_table,
+    _phi_text,
     coherent_probe,
     config_from_values,
     config_lines,
@@ -29,6 +33,8 @@ from mzlab.scenarios import (
     run_qfi_table,
     run_sweep,
     squeezed_probe,
+    write_metric_csv,
+    write_qfi_table_csv,
 )
 from mzlab.states import fock_after_symmetric_bs, noon_state, product_state, twin_fock
 
@@ -424,6 +430,84 @@ def test_sweep_csv_singular_and_na_serialization(tmp_path):
     assert cells[5] == "inf"  # SINGULAR
     assert cells[8] == ""  # no closed form
     assert cells[9] == "mode_b/jx_half"
+
+
+# ----- the in-place CSV writes -----------------------------------------------------
+
+def _row_by_row_csv(table) -> str:
+    """The sweep CSV formatted cell by cell, with no template and no memo."""
+    cells = zip(*([f"{x:.17g}" if x is not None else "" for x in table.column(name)]
+                  if name != "convention" else table.column(name) for name in SWEEP_COLUMNS))
+    return ",".join(SWEEP_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in cells)
+
+
+def _sweep_csv(steps: int):
+    return lambda path: run_sweep(ScenarioConfig(scenario="coherent", phi_steps=steps)).write_csv(path)
+
+
+# (long write, short write) per CSV writer; the short one goes over the long one
+OVERWRITES = {
+    "sweep": (_sweep_csv(181), _sweep_csv(3)),
+    "qfi-table": (lambda path: write_qfi_table_csv(run_qfi_table(), path),
+                  lambda path: write_qfi_table_csv(run_qfi_table()[:1], path)),
+    "metric-check": (lambda path: write_metric_csv(run_metric_check(), path),
+                     lambda path: write_metric_csv(run_metric_check()[:2], path)),
+}
+
+
+@pytest.mark.parametrize("name", OVERWRITES)
+def test_a_shorter_csv_over_a_longer_one_leaves_no_tail(tmp_path, name):
+    long, short = OVERWRITES[name]
+    long(tmp_path / "reused.csv")
+    long_size = (tmp_path / "reused.csv").stat().st_size
+    short(tmp_path / "reused.csv")
+    short(tmp_path / "fresh.csv")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "fresh.csv").stat().st_size < long_size
+
+
+def test_sweep_csv_to_devnull_exits_zero(capsys):
+    assert cli_main(["sweep", "--scenario", "fock", "--n", "3", "--out", os.devnull]) == 0
+    assert cli_main(["qfi-table", "--out", os.devnull]) == 0
+
+
+def test_csv_written_through_links_keeps_them(tmp_path):
+    target, link, hard = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    os.link(target, hard)
+    table = run_sweep(ScenarioConfig(scenario="fock", n=3, phi_steps=5))
+    table.write_csv(link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == hard.read_text() == _row_by_row_csv(table)
+
+
+def test_new_csv_gets_the_mode_the_umask_leaves(tmp_path):
+    old = os.umask(0o027)
+    try:
+        run_sweep(ScenarioConfig(scenario="fock", n=3, phi_steps=5)).write_csv(tmp_path / "new.csv")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~0o027
+
+
+def test_phi_text_memo_stays_bounded_and_csvs_stay_exact(tmp_path):
+    bound = _phi_text.cache_info().maxsize
+    assert bound == 8
+    texts = {}
+    for steps in [*range(3, 3 + bound + 4), 3, 4]:  # more distinct grids than the bound, then the evicted first ones
+        table = run_sweep(ScenarioConfig(scenario="coherent", phi_steps=steps))
+        table.write_csv(tmp_path / "s.csv")
+        text = (tmp_path / "s.csv").read_text()
+        assert text == _row_by_row_csv(table) == texts.setdefault(steps, text)
+        assert _phi_text.cache_info().currsize <= bound
+
+
+def test_template_formats_every_double_as_fmt():
+    rng = np.random.default_rng(5)
+    specials = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for x in [*specials, *rng.standard_normal(2000).tolist(), *rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64).tolist()]:
+        assert "%.17g" % x == f"{x:.17g}"
 
 
 # ----- qfi table and metric check -----------------------------------------------------
