@@ -69,7 +69,9 @@ EDGE_SAMPLE_OPS = [
 ]
 
 # fixed-N ops above the workloads' N <= 16: their splitter blocks (BS1_SYMMETRIC to 2N = 80, BS2_JX to
-# N = 150) are ones no workload op builds, so byte identity covers the ladder and the splitter memo there too
+# N = 150) are ones no workload op builds, so byte identity covers the ladder and the splitter memo there too;
+# and a product probe of ~40,000 amplitudes a mode, far above the workloads' and still below the ~55,100 where
+# an int64 product of four ladder factors would overflow, so both trees must agree there byte for byte
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -77,6 +79,7 @@ LARGE_N_OPS = [
     ["sample", "--n", "40", "--eta", "0.9", "--trials", "20000", "--seed", "3", "--post-select"],
     ["qfi-table", "--noon-n", "30", "--fock-n", "40"],
     ["metric-check", "--noon-n", "30"],
+    ["sweep", "--scenario", "coherent", "--alpha", "200", "--beta", "200"],
 ]
 
 

@@ -26,7 +26,7 @@ from mzlab.scenarios import (
 
 
 def best_delta_phi(table):
-    finite = [r.delta_phi for r in table.rows if not is_singular(r.delta_phi)]
+    finite = [x for x in table.delta_phi.tolist() if not is_singular(x)]
     return min(finite) if finite else math.inf
 
 
@@ -49,7 +49,7 @@ def main():
         path = outdir / f"{name}.csv"
         table.write_csv(path)
         note = f"  [{table.annotation}]" if table.annotation else ""
-        print(f"{name:10s} best delta-phi {best_delta_phi(table):.6g}   bound {table.rows[0].crb:.6g}   -> {path}{note}")
+        print(f"{name:10s} best delta-phi {best_delta_phi(table):.6g}   bound {table.crb:.6g}   -> {path}{note}")
 
     rows = run_qfi_table(beta_mag=2.0, fock_n=9, noon_n=4)
     write_qfi_table_csv(rows, outdir / "qfi_table.csv")

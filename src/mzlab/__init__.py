@@ -62,9 +62,7 @@ from .measurement import (
 from .estimation import (
     SINGULAR,
     FisherReport,
-    ObservableCurve,
     cramer_rao,
-    delta_phi_error_propagation,
     is_singular,
     metric_distance,
     qfi_analytic,
@@ -75,7 +73,6 @@ from .scenarios import (
     NoonSamplingReport,
     QfiRow,
     ScenarioConfig,
-    SweepRow,
     SweepTable,
     run_metric_check,
     run_noon_sampling,

@@ -4,10 +4,10 @@ Error propagation turns a measured observable curve <O>(phi), <O^2>(phi)
 into delta_phi = Delta O / |d<O>/dphi| with a central-difference derivative.
 Stationary points of the mean curve return the first-class ``SINGULAR``
 marker (serialized as inf) instead of raising: sweeps legitimately cross
-them and the output must record the divergence.  One rule (``_propagate``)
-decides SINGULAR and evaluates delta_phi; ``error_propagation`` applies it
-to every interior point of a curve at once, and ``central_difference`` and
-``delta_phi_error_propagation`` read it at one grid point.
+them and the output must record the divergence.  ``error_propagation`` is
+the one entry point: it takes the grid, mean and second moment as plain
+arrays and applies the rule to every interior point at once.  It does not
+check the moments: a variance that rounds below zero is clamped to zero.
 
 The quantum side evaluates the pure-state Fisher information, either from
 the variance of the known phase generator (4 Var G) or from a numerical
@@ -48,69 +48,21 @@ def check_phi_grid(phi: np.ndarray) -> None:
         raise ValueError("phi grid must be uniform")
 
 
-@dataclass(frozen=True)
-class ObservableCurve:
-    """Mean and second moment of one observable on a uniform phi grid."""
+def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central difference d and delta_phi at every interior point 1 .. n-2 of a uniform grid.
 
-    phi: np.ndarray
-    mean: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64, copy=True)
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        second = np.array(self.second, dtype=np.float64, copy=True)
-        if not (phi.shape == mean.shape == second.shape) or phi.ndim != 1 or phi.size < 3:
-            raise ValueError("curve needs three aligned samples at least")
-        check_phi_grid(phi)
-        if np.any(second < mean**2 - 1e-10):
-            raise ValueError("second moment below squared mean")
-        for arr in (phi, mean, second):
-            arr.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second", second)
-
-    @property
-    def step(self) -> float:
-        return float(self.phi[1] - self.phi[0])
-
-
-def error_propagation(curve: ObservableCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Central difference d and delta_phi at every interior grid point 1 .. n-2."""
-    m, s = curve.mean, curve.second
-    return _propagate(m[:-2], m[1:-1], m[2:], s[1:-1], curve.step)
-
-
-def _propagate(m_lo, m, m_hi, s, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one error-propagation rule, elementwise over aligned arrays.
-
-    d = (m_hi - m_lo) / (2 step).  The derivative counts as vanishing, and
-    delta_phi is SINGULAR, when |d| < 1e-9 max(1, |m|)/step, i.e. when the
-    two-point difference is at the level of rounding noise; otherwise
-    delta_phi = sqrt(max(0, s - m^2)) / |d|.
+    With step = phi[1] - phi[0], d = (mean[i+1] - mean[i-1]) / (2 step).  The
+    derivative counts as vanishing, and delta_phi is SINGULAR, when
+    |d| < 1e-9 max(1, |m|)/step, i.e. when the two-point difference is at the
+    level of rounding noise; otherwise delta_phi = sqrt(max(0, s - m^2)) / |d|.
     """
-    d = (m_hi - m_lo) / (2 * step)
+    step = float(phi[1] - phi[0])
+    m, s = mean[1:-1], second[1:-1]
+    d = (mean[2:] - mean[:-2]) / (2 * step)
     singular = np.abs(d) < 1e-9 * np.fmax(1.0, np.abs(m)) / step
     dp = np.full(d.shape, SINGULAR)
     np.divide(np.sqrt(np.fmax(0.0, s - m * m)), np.abs(d), out=dp, where=~singular)
     return d, dp
-
-
-def _propagate_at(curve: ObservableCurve, at_index: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 1 <= at_index <= curve.phi.size - 2:
-        raise IndexError(f"central difference needs interior index, got {at_index}")
-    m, i = curve.mean, at_index
-    return _propagate(m[i - 1 : i], m[i : i + 1], m[i + 1 : i + 2], curve.second[i : i + 1], curve.step)
-
-
-def central_difference(curve: ObservableCurve, at_index: int) -> float:
-    return float(_propagate_at(curve, at_index)[0][0])
-
-
-def delta_phi_error_propagation(curve: ObservableCurve, at_index: int) -> float:
-    """Error-propagation uncertainty at one grid point, or SINGULAR."""
-    return float(_propagate_at(curve, at_index)[1][0])
 
 
 @dataclass(frozen=True)

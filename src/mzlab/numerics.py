@@ -1,4 +1,4 @@
-"""Shared numeric helpers: log-factorials and binomial weights.
+"""Shared numeric helpers: log-factorials, binomial weights and truncated pair sums.
 
 Factorials overflow float64 at 171!, so every combinatorial factor in the
 package goes through log-factorials and is exponentiated only after the
@@ -42,3 +42,15 @@ def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:
         kk = k[: l + 1]
         out[: l + 1, l] = np.exp(lf[l] - lf[kk] - lf[l - kk] + kk * log_eta + (l - kk) * log_bar)
     return out
+
+
+def pair_operands(ga: np.ndarray, gb: np.ndarray, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """ga[i] and the partial sum of gb[j] over j <= n_cap - i, for every i that has a partner.
+
+    The sum of their products is the truncated pair sum of ga[i] gb[j] over
+    i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum(), in time
+    linear in the two lengths instead of their product.
+    """
+    n_cap = min(n_cap, ga.size + gb.size)  # every pair lies below this, and n_cap - i stays an int64
+    i = np.arange(min(ga.size, n_cap + 1))
+    return ga[: i.size], np.cumsum(gb)[np.minimum(n_cap - i, gb.size - 1)]

@@ -84,6 +84,7 @@ from typing import Literal
 import numpy as np
 
 from .fock import TwoModeState, block_slice, index_pairs
+from .numerics import pair_operands
 
 AngularAxis = Literal["x", "y", "z"]
 PhaseConvention = Literal["relative", "mode_b"]
@@ -384,31 +385,30 @@ def pull_back(poly: Poly, matrix: np.ndarray) -> Poly:
 def _word_terms(f: np.ndarray, word: Word) -> np.ndarray:
     """g[n] = conj(f[n + d]) <n + d| word |n> f[n], d the word's photon change.
 
-    The matrix element is the square root of one integer product, so
-    <n| a+ a |n> is exactly n; g is zero where n + d leaves the array.
+    The matrix element is the square root of one integer product rounded
+    once, so <n| a+ a |n> is exactly n; g is zero where n + d leaves the
+    array.  A running int64 product of four letters overflows once f passes
+    ~55,100 entries, so each two letters' product (exact in float64 below
+    2^53) is taken apart, and for words of up to four letters the float
+    product of the two halves is that one rounding.
     """
     n = np.arange(f.size)
-    k, weight = n, np.ones(f.size, dtype=np.int64)
-    for letter in reversed(word):
+    k, weight, half = n, np.ones(f.size), 1
+    for i, letter in enumerate(reversed(word), 1):
         if letter > 0:
             k = k + 1
-            weight = weight * k
+            half = half * k
         else:
-            weight = weight * k
+            half = half * k
             k = k - 1
+        if i % 2 == 0 or i == len(word):
+            weight, half = weight * half, 1
     d = sum(word)
     g = np.zeros(f.size, dtype=np.complex128)
     lo, hi = max(0, -d), min(f.size, f.size - d)
     if lo < hi:
         g[lo:hi] = f[lo + d : hi + d].conj() * np.sqrt(weight[lo:hi]) * f[lo:hi]
     return g
-
-
-def _pair_sum(ga: np.ndarray, gb: np.ndarray, n_cap: int) -> complex:
-    """Sum of ga[i] gb[j] over i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum()."""
-    n_cap = min(n_cap, ga.size + gb.size)  # every pair lies below this, and n_cap - i stays an int64
-    i = np.arange(min(ga.size, n_cap + 1))
-    return np.dot(ga[: i.size], np.cumsum(gb)[np.minimum(n_cap - i, gb.size - 1)])
 
 
 def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> list[complex]:
@@ -431,7 +431,7 @@ def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> l
         for wa, gb in by_a.items():
             if wa not in words_a:
                 words_a[wa] = _word_terms(fa, wa)
-            total += _pair_sum(words_a[wa], gb, n_cap)
+            total += np.dot(*pair_operands(words_a[wa], gb, n_cap))
         out.append(total)
     return out
 

@@ -56,18 +56,17 @@ twin-Fock and NOON keep the two-mode path.  So do ``qfi-table`` and
 ``metric-check``: they expand every probe with :func:`two_mode`, so the
 metric check stays an independent cross-check of the sweep numbers.
 
-A sweep's table is columnar: ``SweepTable`` holds numpy columns over the
-grid, with the error-propagation columns from one whole-curve evaluation
-(``estimation.error_propagation``).  Its CSV is formatted with one template
-per row and written in place in one piece (``measurement.write_text``, the
-output path of every CSV); the per-point ``rows`` are built only on request.
+A sweep's table, ``SweepTable``, is its numpy columns over the grid, with
+the error-propagation columns from one whole-curve evaluation on the plain
+arrays (``estimation.error_propagation``).  Its CSV is formatted with one
+template per row and written in place in one piece (``measurement.write_text``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,9 +76,7 @@ from .estimation import (
     SINGULAR,
     FisherReport,
     GeneratorName,
-    ObservableCurve,
     check_phi_grid,
-    delta_phi_error_propagation,
     error_propagation,
     fisher_from_moments,
     qfi_analytic,
@@ -195,21 +192,8 @@ class ScenarioConfig:
         return (math.pi - self.theta) / 2 if self.f is None else self.f
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    phi: float
-    mean_o: float
-    second_o: float
-    var_o: float
-    d_mean_dphi: float | None  # None at the grid endpoints
-    delta_phi: float  # SINGULAR (inf) marks stationary points
-    qfi: float
-    crb: float
-    closed_form_delta_phi: float | None  # None where no closed form applies
-    convention: str
-
-
-SWEEP_COLUMNS = tuple(fld.name for fld in fields(SweepRow))
+SWEEP_COLUMNS = ("phi", "mean_o", "second_o", "var_o", "d_mean_dphi", "delta_phi", "qfi", "crb",
+                 "closed_form_delta_phi", "convention")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +204,7 @@ class SweepTable:
     holds the interior points 1 .. n-2: the derivative is undefined at the
     grid endpoints.  ``delta_phi`` is SINGULAR (inf) at the endpoints and at
     stationary points.  ``qfi``, ``crb`` and ``convention`` are the same on
-    every row.  ``column`` and ``rows`` give the per-point view in Python
-    values; ``rows`` is built on first use.
+    every row.
     """
 
     scenario: str
@@ -236,21 +219,6 @@ class SweepTable:
     crb: float
     convention: str
     annotation: str = ""
-
-    def column(self, name: str) -> list:
-        """One column as floats, with None where it is undefined."""
-        if name not in SWEEP_COLUMNS:
-            raise AttributeError(f"no sweep column {name!r}")
-        val = getattr(self, name)
-        if name in ("qfi", "crb", "convention"):
-            return [val] * self.phi.size
-        if name == "d_mean_dphi":
-            return [None, *val.tolist(), None]
-        return list(val) if isinstance(val, tuple) else val.tolist()
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        return tuple(map(SweepRow, *(self.column(name) for name in SWEEP_COLUMNS)))
 
     def write_csv(self, path) -> None:
         """The sweep CSV, one % template per row ('%.17g' % x is f"{x:.17g}" for every double): the qfi,
@@ -286,17 +254,16 @@ def _assemble_table(
     convention: str,
     annotation: str = "",
 ) -> SweepTable:
-    curve = ObservableCurve(phis, mean, second)
-    d, dp = error_propagation(curve)
+    d, dp = error_propagation(phis, mean, second)
     # Python's ** squares through pow(), numpy's array ** 2 multiplies; they differ in the last bit
     # for about 1 input in 1,400, and the table has always reported second - pow(mean, 2)
-    squared = np.array([v**2 for v in curve.mean.tolist()])
-    var = np.fmax(0.0, curve.second - squared)
+    squared = np.array([v**2 for v in mean.tolist()])
+    var = np.fmax(0.0, second - squared)
     delta = np.concatenate(([SINGULAR], dp, [SINGULAR]))
-    for arr in (var, d, delta):
+    for arr in (phis, mean, second, var, d, delta):
         arr.flags.writeable = False
     return SweepTable(
-        scenario, curve.phi, curve.mean, curve.second, var, d, delta, tuple(closed),
+        scenario, phis, mean, second, var, d, delta, tuple(closed),
         fisher.f_q, fisher.delta_phi_min, convention, annotation,
     )
 
@@ -536,8 +503,7 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
     """Error-propagation delta-phi from a 5-point fine grid around ``center``."""
     mean_c, second_c = harmonics
     phis = center + step * np.arange(-2.0, 3.0)
-    curve = ObservableCurve(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))
-    return delta_phi_error_propagation(curve, 2)
+    return float(error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))[1][1])
 
 
 def _phase_family(psi: TwoModeState, generator: GeneratorName) -> Callable[[float], TwoModeState]:
@@ -546,12 +512,19 @@ def _phase_family(psi: TwoModeState, generator: GeneratorName) -> Callable[[floa
     return lambda phi: phase_shift(psi, phi, conv)
 
 
-def _coherent_case(beta_mag: float, epsilon_trunc: float, command: str) -> tuple[ScenarioConfig, str]:
-    """The validated |beta>|beta> row of a table and its label; the vacuum is refused."""
+def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfig, str]:
+    """The validated |beta>|beta> row of a table and its label."""
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
-    if beta_mag == 0:
-        raise ConfigError(f"{command} needs beta > 0: the vacuum has zero Fisher information, so the relative error is undefined")
     return cfg, f"coherent beta={beta_mag:g}"
+
+
+def _positive_fisher(psi: TwoModeState, generator: GeneratorName, label: str, command: str) -> FisherReport:
+    """The probe's Fisher information, refused where it is not positive: the tables divide by it."""
+    fisher = qfi_analytic(psi, generator)
+    if not fisher.f_q > 0:
+        raise ConfigError(f"{command} needs Fisher information > 0, and {label} has F_Q = {fisher.f_q:g}, "
+                          "so the relative error is undefined")
+    return fisher
 
 
 def run_qfi_table(
@@ -564,7 +537,7 @@ def run_qfi_table(
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
     eps = epsilon_trunc
-    coherent, coherent_label = _coherent_case(beta_mag, eps, "qfi-table")
+    coherent, coherent_label = _coherent_case(beta_mag, eps)
     fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps).validate()
     noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate()
     # (config, label, phi of the numeric derivative, fringe centre, stencil step, note)
@@ -578,7 +551,7 @@ def run_qfi_table(
     for cfg, label, phi, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
         psi = two_mode(sc.probe(cfg))
-        f_an = qfi_analytic(psi, sc.generator)
+        f_an = _positive_fisher(psi, sc.generator, label, "qfi-table")
         f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h)
         dp = _error_prop_at(sc.readout(psi), center, step)
         rows.append(QfiRow(label, f_an.f_q, f_num.f_q, f_an.delta_phi_min, dp, dp / f_an.delta_phi_min, note))
@@ -600,17 +573,22 @@ class MetricRow:
     rel_error: float
 
 
+_METRIC_PHIS = (0.3, 1.1, 2.0)  # the phases at which run_metric_check samples the rate
+
+
 def run_metric_check(
     beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = EPS_TRUNC_DEFAULT
 ) -> list[MetricRow]:
     """Rate of change of the projective distance against F/4 per family."""
     eps = epsilon_trunc
     cases = [
-        _coherent_case(beta_mag, eps, "metric-check"),
+        _coherent_case(beta_mag, eps),
         (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate(), f"noon n={noon_n}"),
     ]
     if not 0.0 < h < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {h}")
+    if any(phi + h == phi for phi in _METRIC_PHIS):  # no step to take; every step whose rate overflows is one
+        raise ConfigError(f"step must move every sampled phase {_METRIC_PHIS} (phi + step != phi), got {h!r}")
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]
@@ -618,8 +596,8 @@ def run_metric_check(
         if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
             psi = normalize(psi)
         fam = _phase_family(psi, sc.generator)
-        quarter = qfi_analytic(psi, sc.generator).f_q / 4
-        for phi in (0.3, 1.1, 2.0):
+        quarter = _positive_fisher(psi, sc.generator, label, "metric-check").f_q / 4
+        for phi in _METRIC_PHIS:
             rate = (metric_distance(fam(phi), fam(phi + h)) / h) ** 2
             rows.append(MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter))
     return rows

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import AMP_FLUSH, TwoModeState, basis_dim, index_pairs, pair_index
-from .numerics import log_factorials
+from .numerics import log_factorials, pair_operands
 
 EPS_TRUNC_DEFAULT = 1e-10
 
@@ -182,10 +182,11 @@ class ProductProbe:
 def product_probe(
     a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT, bs1: bool = False
 ) -> ProductProbe:
-    """a (x) b restricted to n1 + n2 <= n_cap, checked as :func:`product_state` checks it."""
+    """a (x) b restricted to n1 + n2 <= n_cap, checked as :func:`product_state` checks it;
+    the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs."""
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
-    deficit = 1.0 - math.fsum(np.convolve(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2)[: n_cap + 1])
+    deficit = 1.0 - math.fsum(np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap)))
     if deficit > eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return ProductProbe(a, b, n_cap, bs1, deficit)

@@ -56,18 +56,18 @@ def test_criterion_1_coherent_shot_noise_limit():
     t0 = time.monotonic()
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=2.0, beta_mag=2.0, n_cap=40, phi_steps=181)
     table = run_sweep(cfg)
-    finite = [r.delta_phi for r in table.rows if not is_singular(r.delta_phi)]
+    finite = [x for x in table.delta_phi if not is_singular(x)]
     minimum = min(finite)
     assert abs(minimum - 1 / SQRT8) <= 1e-4, f"grid minimum {minimum} vs {1 / SQRT8}"
     # full curve against the closed form, allowing the documented grid error:
     # a sampled cosine mean makes the central difference low by exactly sinc(h)
-    h = table.rows[1].phi - table.rows[0].phi
+    h = table.phi[1] - table.phi[0]
     sinc = math.sin(h) / h
-    for r in table.rows:
-        if is_singular(r.delta_phi) or r.closed_form_delta_phi is None:
+    for phi, dp, closed in zip(table.phi, table.delta_phi, table.closed_form_delta_phi):
+        if is_singular(dp) or closed is None:
             continue
-        tol = 1e-6 + r.closed_form_delta_phi * ((1 / sinc - 1) * 1.000001 + 1e-9)
-        assert abs(r.delta_phi - r.closed_form_delta_phi) <= tol, f"phi={r.phi}"
+        tol = 1e-6 + closed * ((1 / sinc - 1) * 1.000001 + 1e-9)
+        assert abs(dp - closed) <= tol, f"phi={phi}"
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     report(1, "coherent-SQL", True, f"min delta-phi {minimum:.6f}, runtime {elapsed:.2f}s")
@@ -77,15 +77,13 @@ def test_criterion_2_fock_shot_noise_limit():
     t0 = time.monotonic()
     for n in (1, 4, 9, 16):
         table = run_sweep(ScenarioConfig(scenario="fock", n=n, phi_steps=181))
-        phis = np.array(table.column("phi"))
-        mean = np.array(table.column("mean_o"))
-        var = np.array(table.column("var_o"))
+        phis, mean, var = table.phi, table.mean_o, table.var_o
         assert np.abs(mean - n * np.cos(phis) / 2).max() <= 1e-10
         assert np.abs(var - n * np.sin(phis) ** 2 / 4).max() <= 1e-10
         fine = run_sweep(
             ScenarioConfig(scenario="fock", n=n, phi_start=math.pi / 2 - 2e-4, phi_stop=math.pi / 2 + 2e-4, phi_steps=5)
         )
-        assert abs(fine.rows[2].delta_phi - 1 / math.sqrt(n)) <= 1e-6
+        assert abs(fine.delta_phi[2] - 1 / math.sqrt(n)) <= 1e-6
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     report(2, "fock-SQL", True, f"runtime {elapsed:.2f}s")
@@ -98,7 +96,7 @@ def test_criterion_3_twin_fock_null_signal():
 
     for n in (1, 2, 3, 4):
         table = run_sweep(ScenarioConfig(scenario="twin_fock", n=n, phi_steps=181))
-        assert max(abs(m) for m in table.column("mean_o")) <= 1e-12
+        assert max(abs(m) for m in table.mean_o) <= 1e-12
         st = beam_splitter(twin_fock(n), BS1_SYMMETRIC)
         n1, n2 = index_pairs(st.n_cap)
         occupied = np.abs(st.amps) > 1e-14
@@ -112,20 +110,19 @@ def test_criterion_4_squeezed_sub_shot_noise():
     t0 = time.monotonic()
     cfg = ScenarioConfig(scenario="squeezed", alpha_mag=4.0, r=1.0, theta=0.0, phi_steps=181)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
-    mean = np.array(table.column("mean_o"))
+    phis, mean = table.phi, table.mean_o
     target_mean = np.cos(phis) * (16.0 - math.sinh(1.0) ** 2)
     worst_mean = np.abs(mean - target_mean).max()
     assert worst_mean <= 1e-8, f"signal curve off by {worst_mean:.3e}"
 
     mid = 90  # phi = pi/2, the only grid point with cos(phi) = 0
-    dp = table.rows[mid].delta_phi
+    dp = float(table.delta_phi[mid])
     assert not is_singular(dp)
     sql = 0.25
     assert dp < sql, f"delta-phi {dp} is not below the shot-noise value {sql}"
 
     target = math.exp(-1.0) / 4.0
-    crb = table.rows[mid].crb
+    crb = table.crb
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     detail = (
@@ -147,14 +144,13 @@ def test_criterion_5_noon_heisenberg_scaling():
     t0 = time.monotonic()
     for n in (1, 2, 4, 6, 8):
         table = run_sweep(ScenarioConfig(scenario="noon", n=n, phi_steps=181))
-        phis = np.array(table.column("phi"))
-        mean = np.array(table.column("mean_o"))
+        phis, mean = table.phi, table.mean_o
         assert np.abs(mean - np.cos(n * phis)).max() <= 1e-12
         center = math.pi / (2 * n)
         fine = run_sweep(
             ScenarioConfig(scenario="noon", n=n, phi_start=center - 2e-5, phi_stop=center + 2e-5, phi_steps=5)
         )
-        assert abs(fine.rows[2].delta_phi - 1.0 / n) <= 1e-9
+        assert abs(fine.delta_phi[2] - 1.0 / n) <= 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     report(5, "noon-heisenberg", True, f"runtime {elapsed:.2f}s")

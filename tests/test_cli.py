@@ -154,6 +154,9 @@ OUT_OF_RANGE_CASES = [
     ["metric-check", "--step", "0"],
     ["metric-check", "--step", "nan"],
     ["metric-check", "--beta", "0"],  # the vacuum has F_Q = 0: no F/4 to compare against
+    ["qfi-table", "--beta", "1e-200"],  # F_Q = 4 beta^2 underflows to 0
+    ["metric-check", "--beta", "1e-200"],
+    ["metric-check", "--step", "1e-300"],  # phi + step == phi: no step is taken, and (dist / step)^2 overflows
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
     ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],
@@ -302,6 +305,36 @@ def test_large_coherent_sweep(tmp_path):
     assert float(mid["delta_phi"]) == pytest.approx(float(mid["closed_form_delta_phi"]), rel=1e-6)
 
 
+def _sweep_rows(tmp_path, capsys, argv) -> list[dict]:
+    """The rows of a sweep that must exit 0 without a traceback."""
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    return list(csv.DictReader(out.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("n", ["1362", "1991"])
+def test_large_fock_sweep_exits_zero_with_no_negative_variance(tmp_path, capsys, n):
+    # second_o rounds below mean_o^2 by more than 1e-10 at the endpoints, where (N/2)^2 is ~5e5
+    rows = _sweep_rows(tmp_path, capsys, ["sweep", "--scenario", "fock", "--n", n])
+    assert len(rows) == 181 and all(float(row["var_o"]) >= 0 for row in rows)
+
+
+def test_coherent_sweep_past_the_int64_word_weights_keeps_its_fisher_information(tmp_path, capsys):
+    # the |beta| = 240 array holds ~61,000 entries; an int64 product of four ladder factors overflows past ~55,100
+    rows = _sweep_rows(tmp_path, capsys, ["sweep", "--scenario", "coherent", "--alpha", "0.5", "--beta", "240"])
+    for row in rows:
+        assert float(row["qfi"]) == pytest.approx(4 * 240.0**2, rel=1e-8)
+
+
+def test_squeezed_sweep_past_the_int64_word_weights_has_no_nan(tmp_path, capsys):
+    rows = _sweep_rows(tmp_path, capsys, ["sweep", "--scenario", "squeezed", "--alpha", "240", "--r", "1"])
+    assert not any(cell == "nan" for row in rows for cell in row.values())
+    for row in rows:
+        target = math.cos(float(row["phi"])) * (240.0**2 - math.sinh(1.0) ** 2)
+        assert abs(float(row["mean_o"]) - target) <= 1e-11 * max(1.0, abs(target))  # 5.03e-12 at phi = 0
+
+
 EPS_TRUNC_UNREAD_CASES = [
     ["sweep", "--scenario", "fock", "--n", "4"],
     ["sweep", "--scenario", "twin_fock", "--n", "2"],
@@ -420,7 +453,7 @@ _PHI = ["0:3.14159:5", "0:1:3", "0:1:2", "1:0:5", "0:0:5", "-3:3:2000", "nan:1:5
 _FLAGS = {
     "sweep": {
         "--scenario": ["coherent", "fock", "twin_fock", "squeezed", "noon", "bogus"],
-        "--n": _PHOTONS, "--alpha": _MAGNITUDES, "--beta": _MAGNITUDES, "--theta1": _ANGLES, "--theta2": _ANGLES,
+        "--n": _PHOTONS, "--alpha": _MAGNITUDES, "--beta": [*_MAGNITUDES, "1e-200"], "--theta1": _ANGLES, "--theta2": _ANGLES,
         "--r": ["0", "0.3", "1", "2", "1000", "-0.5", "nan", "inf"], "--theta": _ANGLES, "--f": _ANGLES, "--phi": _PHI,
         "--n-cap": ["-1", "0", "5", "40", str(10**20)], "--epsilon-trunc": _EPS,
     },
@@ -429,10 +462,10 @@ _FLAGS = {
         "--eta": _ETAS, "--eta-a": _ETAS, "--eta-b": _ETAS, "--trials": ["-5", "0", "1", "777", "10000"],
         "--post-select": None, "--phi-at": ["0", "0.3", "-1", "1e6", "nan", "inf"], "--epsilon-trunc": _EPS,
     },
-    "qfi-table": {"--beta": ["0", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--fock-n": _PHOTONS, "--noon-n": _PHOTONS,
-                  "--epsilon-trunc": _EPS},
-    "metric-check": {"--beta": ["0", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--noon-n": _PHOTONS,
-                     "--step": ["0", "1e-4", "-1e-3", "0.5", "nan", "inf"], "--epsilon-trunc": _EPS},
+    "qfi-table": {"--beta": ["0", "1e-200", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--fock-n": _PHOTONS,
+                  "--noon-n": _PHOTONS, "--epsilon-trunc": _EPS},
+    "metric-check": {"--beta": ["0", "1e-200", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--noon-n": _PHOTONS,
+                     "--step": ["0", "1e-300", "1e-4", "-1e-3", "0.5", "nan", "inf"], "--epsilon-trunc": _EPS},
 }
 # config-file lines for the subcommands that read one: scenario keys and values as the flags draw them
 _CONFIG_LINES = [f"{key} = {val}" for key, vals in (

@@ -6,10 +6,8 @@ import pytest
 from mzlab.errors import BasisMismatchError, NoInformationError
 from mzlab.estimation import (
     SINGULAR,
-    ObservableCurve,
-    central_difference,
+    check_phi_grid,
     cramer_rao,
-    delta_phi_error_propagation,
     error_propagation,
     is_singular,
     metric_distance,
@@ -28,7 +26,12 @@ def cosine_curve(amplitude, var, step=0.01, n=101):
     phi = np.arange(n) * step
     mean = amplitude * np.cos(phi)
     second = mean**2 + var
-    return ObservableCurve(phi, mean, second)
+    return phi, mean, second
+
+
+def delta_phi_at(curve, i):
+    """delta_phi at interior grid point i, read off the whole-curve evaluation."""
+    return float(error_propagation(*curve)[1][i - 1])
 
 
 # ----- error propagation ----------------------------------------------------------
@@ -36,41 +39,50 @@ def cosine_curve(amplitude, var, step=0.01, n=101):
 def test_delta_phi_against_hand_derivative():
     curve = cosine_curve(amplitude=4.0, var=2.0)
     i = 50
-    phi = curve.phi[i]
+    phi = curve[0][i]
+    step = float(curve[0][1] - curve[0][0])
     # central difference of a sampled cosine is the exact derivative times sinc(step)
-    expected = math.sqrt(2.0) / (4.0 * math.sin(phi) * (math.sin(curve.step) / curve.step))
-    assert delta_phi_error_propagation(curve, i) == pytest.approx(expected, rel=1e-12)
+    expected = math.sqrt(2.0) / (4.0 * math.sin(phi) * (math.sin(step) / step))
+    assert delta_phi_at(curve, i) == pytest.approx(expected, rel=1e-12)
 
 
 def test_delta_phi_singular_at_stationary_point():
-    curve = cosine_curve(amplitude=1.0, var=0.5, step=0.01, n=9)
-    # cos is stationary at phi = 0; index 1 keeps the symmetric difference tiny
+    # cos is stationary at phi = 0; index 4 sits on it and keeps the symmetric difference tiny
     phi = (np.arange(9) - 4) * 0.01
-    curve = ObservableCurve(phi, np.cos(phi), np.cos(phi) ** 2 + 0.5)
-    assert is_singular(delta_phi_error_propagation(curve, 4))
-    assert delta_phi_error_propagation(curve, 4) == SINGULAR
+    curve = (phi, np.cos(phi), np.cos(phi) ** 2 + 0.5)
+    assert is_singular(delta_phi_at(curve, 4))
+    assert delta_phi_at(curve, 4) == SINGULAR
 
 
 def test_whole_curve_error_propagation_matches_each_point():
     phi = (np.arange(21) - 10) * 0.01  # crosses the stationary point of cos at phi = 0
-    curve = ObservableCurve(phi, 3.0 * np.cos(phi), 9.0 * np.cos(phi) ** 2 + 0.7)
-    d, dp = error_propagation(curve)
+    mean, second = 3.0 * np.cos(phi), 9.0 * np.cos(phi) ** 2 + 0.7
+    d, dp = error_propagation(phi, mean, second)
     assert d.shape == dp.shape == (19,)
-    assert d.tolist() == [central_difference(curve, i) for i in range(1, 20)]
-    assert dp.tolist() == [delta_phi_error_propagation(curve, i) for i in range(1, 20)]
+    # the rule point by point, in Python floats, on the step phi[1] - phi[0]
+    step = float(phi[1] - phi[0])
+    want_d = [float((mean[i + 1] - mean[i - 1]) / (2 * step)) for i in range(1, 20)]
+    want_dp = [SINGULAR if abs(x) < 1e-9 * max(1.0, abs(mean[i])) / step
+               else math.sqrt(max(0.0, float(second[i] - mean[i] * mean[i]))) / abs(x)
+               for i, x in zip(range(1, 20), want_d)]
+    assert d.tolist() == want_d
+    assert dp.tolist() == want_dp
     assert is_singular(dp[9]) and not any(is_singular(x) for x in np.delete(dp, 9))
 
 
-def test_delta_phi_index_and_grid_validation():
-    curve = cosine_curve(1.0, 0.1, n=11)
-    with pytest.raises(IndexError):
-        delta_phi_error_propagation(curve, 0)
-    with pytest.raises(IndexError):
-        delta_phi_error_propagation(curve, 10)
+def test_check_phi_grid_refuses_a_non_uniform_grid():
+    check_phi_grid(np.array([0.0, 0.1, 0.2]))
     with pytest.raises(ValueError):
-        ObservableCurve([0.0, 0.1, 0.35], [0, 0, 0], [1, 1, 1])  # non-uniform
-    with pytest.raises(ValueError):
-        ObservableCurve([0.0, 0.1, 0.2], [1, 1, 1], [0, 0, 0])  # second < mean^2
+        check_phi_grid(np.array([0.0, 0.1, 0.35]))  # non-uniform
+
+
+def test_error_propagation_clamps_a_variance_below_zero():
+    # second < mean^2 by rounding, as at the endpoints of a large fixed-N sweep: no error, a zero spread
+    phi = np.array([0.0, 0.1, 0.2])
+    mean = np.array([681.0, 680.0, 679.0])
+    second = mean**2 - np.array([0.0, 1e-7, 0.0])
+    d, dp = error_propagation(phi, mean, second)
+    assert d[0] == pytest.approx(-10.0) and dp[0] == 0.0
 
 
 # ----- Fisher information ----------------------------------------------------------
@@ -195,9 +207,9 @@ def test_quantum_bound_dominates_error_propagation():
     for i, p in enumerate(phis):
         d = photon_distribution(beam_splitter(phase_shift(psi, float(p), "mode_b"), BS2_JY))
         mean[i], second[i] = jz_moments(d)
-    curve = ObservableCurve(phis, mean, second)
+    curve = (phis, mean, second)
     bound = cramer_rao(qfi_analytic(psi, "nb").f_q)
     grid_slack = bound * 1e-3
     for i in range(1, phis.size - 1):
-        dp = delta_phi_error_propagation(curve, i)
+        dp = delta_phi_at(curve, i)
         assert dp >= bound - grid_slack

@@ -499,3 +499,31 @@ def test_pull_back_convention_on_a_random_unitary(rng):
         got = product_expectations(fa, fb, n_cap, [pull_back(p, q) for p in EXCHANGE_SUMS])
         for g, w in zip(got, want):
             assert close(g, w)
+
+
+def _exact_weights(size: int, word) -> list[float]:
+    """<n + d| word |n>^2 as a Python integer for every n, rounded once to a float (0 for a zero element)."""
+    out = []
+    for n in range(size):
+        k, product = n, 1
+        for letter in reversed(word):
+            if letter > 0:
+                k += 1
+                product *= k
+            else:
+                product *= k
+                k -= 1
+        out.append(float(product))
+    return out
+
+
+@pytest.mark.parametrize("word", [(1, -1, 1, -1), (1, 1, -1, -1), (-1, 1, 1, -1), (-1, 1, -1), (1, 1), (-1,)])
+def test_word_terms_take_the_root_of_the_exact_product_past_the_int64_range(word):
+    # a four-letter product passes 2**63 at ~55,100 entries; every weight stays sqrt(exact integer product)
+    size = 60_000
+    g = optics._word_terms(np.ones(size, dtype=np.complex128), word)
+    d = sum(word)
+    lo, hi = max(0, -d), min(size, size - d)
+    want = np.sqrt(np.array(_exact_weights(size, word)))[lo:hi]
+    assert np.isfinite(g).all()
+    assert g[lo:hi].real.tobytes() == want.tobytes() and not g[lo:hi].imag.any()

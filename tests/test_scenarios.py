@@ -20,7 +20,6 @@ from mzlab.scenarios import (
     SCENARIOS,
     SWEEP_COLUMNS,
     ScenarioConfig,
-    SweepRow,
     _assemble_table,
     _phi_text,
     coherent_probe,
@@ -47,29 +46,26 @@ def test_coherent_sweep_matches_closed_form():
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=2.0, beta_mag=2.0, n_cap=40, phi_steps=181)
     table = run_sweep(cfg)
     mid = 90  # phi = pi/2
-    row = table.rows[mid]
-    assert row.mean_o == pytest.approx(0.0, abs=1e-10)
-    assert row.closed_form_delta_phi == pytest.approx(1 / math.sqrt(8), abs=1e-12)
-    assert row.delta_phi == pytest.approx(row.closed_form_delta_phi / SINC_181, rel=1e-9)
-    first = table.rows[0]
-    assert first.mean_o == pytest.approx(4.0, abs=1e-10)  # |alpha||beta| at phi = 0
-    assert is_singular(first.delta_phi)  # endpoint
-    assert row.qfi == pytest.approx(16.0, abs=1e-8)
-    assert row.crb == pytest.approx(0.25, abs=1e-9)
+    assert table.mean_o[mid] == pytest.approx(0.0, abs=1e-10)
+    assert table.closed_form_delta_phi[mid] == pytest.approx(1 / math.sqrt(8), abs=1e-12)
+    assert table.delta_phi[mid] == pytest.approx(table.closed_form_delta_phi[mid] / SINC_181, rel=1e-9)
+    assert table.mean_o[0] == pytest.approx(4.0, abs=1e-10)  # |alpha||beta| at phi = 0
+    assert is_singular(table.delta_phi[0])  # endpoint
+    assert table.qfi == pytest.approx(16.0, abs=1e-8)
+    assert table.crb == pytest.approx(0.25, abs=1e-9)
 
 
 def test_coherent_theta_offset_shifts_fringe():
     cfg = ScenarioConfig(scenario="coherent", theta1=0.3, theta2=0.9, n_cap=40, phi_steps=61)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
-    mean = np.array(table.column("mean_o"))
+    phis, mean = table.phi, table.mean_o
     assert np.abs(mean - 4.0 * np.cos(phis + 0.6)).max() <= 1e-9
 
 
 def test_coherent_dark_second_port():
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=2.0, beta_mag=0.0, n_cap=30, phi_steps=21)
     table = run_sweep(cfg)
-    assert all(is_singular(r.delta_phi) for r in table.rows)
+    assert all(is_singular(x) for x in table.delta_phi)
 
 
 # ----- fock ----------------------------------------------------------------------
@@ -78,12 +74,10 @@ def test_fock_sweep_moments():
     for n in (1, 4, 9):
         cfg = ScenarioConfig(scenario="fock", n=n, phi_steps=61)
         table = run_sweep(cfg)
-        phis = np.array(table.column("phi"))
-        mean = np.array(table.column("mean_o"))
-        var = np.array(table.column("var_o"))
+        phis, mean, var = table.phi, table.mean_o, table.var_o
         assert np.abs(mean - n * np.cos(phis) / 2).max() <= 1e-10
         assert np.abs(var - n * np.sin(phis) ** 2 / 4).max() <= 1e-10
-        assert table.rows[0].qfi == pytest.approx(n, abs=1e-10)
+        assert table.qfi == pytest.approx(n, abs=1e-10)
 
 
 def test_fock_fine_grid_delta_phi():
@@ -92,13 +86,13 @@ def test_fock_fine_grid_delta_phi():
         scenario="fock", n=n, phi_start=math.pi / 2 - 2e-4, phi_stop=math.pi / 2 + 2e-4, phi_steps=5
     )
     table = run_sweep(cfg)
-    assert table.rows[2].delta_phi == pytest.approx(0.25, abs=1e-8)
+    assert table.delta_phi[2] == pytest.approx(0.25, abs=1e-8)
 
 
 def test_fock_single_photon_limits_coincide():
     cfg = ScenarioConfig(scenario="fock", n=1, phi_start=1.2 - 2e-4, phi_stop=1.2 + 2e-4, phi_steps=5)
     table = run_sweep(cfg)
-    dp = table.rows[2].delta_phi
+    dp = table.delta_phi[2]
     assert dp == pytest.approx(1.0, rel=1e-6)
 
 
@@ -108,10 +102,10 @@ def test_fock_single_photon_limits_coincide():
 def test_twin_fock_null_signal(n):
     cfg = ScenarioConfig(scenario="twin_fock", n=n, phi_steps=31)
     table = run_sweep(cfg)
-    assert max(abs(m) for m in table.column("mean_o")) <= 1e-12
-    assert all(is_singular(r.delta_phi) for r in table.rows)
+    assert max(abs(m) for m in table.mean_o) <= 1e-12
+    assert all(is_singular(x) for x in table.delta_phi)
     assert "no first-order signal" in table.annotation
-    assert all(r.closed_form_delta_phi is None for r in table.rows)
+    assert all(c is None for c in table.closed_form_delta_phi)
 
 
 # ----- squeezed --------------------------------------------------------------------
@@ -119,8 +113,7 @@ def test_twin_fock_null_signal(n):
 def test_squeezed_mean_small_case():
     cfg = ScenarioConfig(scenario="squeezed", alpha_mag=2.0, r=0.6, theta=0.0, phi_steps=41)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
-    mean = np.array(table.column("mean_o"))
+    phis, mean = table.phi, table.mean_o
     target = np.cos(phis) * (4.0 - math.sinh(0.6) ** 2)
     assert np.abs(mean - target).max() <= 1e-8
 
@@ -145,16 +138,16 @@ def test_squeezed_r_zero_reduces_to_single_coherent():
         phi_start=math.pi / 2 - 2e-4, phi_stop=math.pi / 2 + 2e-4, phi_steps=5,
     )
     table = run_sweep(cfg)
-    assert table.rows[2].delta_phi == pytest.approx(1 / 3.0, abs=1e-7)
+    assert table.delta_phi[2] == pytest.approx(1 / 3.0, abs=1e-7)
 
 
 def test_squeezed_large_probe_signal():
     # n_cap 386: 75,078 two-mode amplitudes, read off the two single-mode arrays instead
     cfg = ScenarioConfig(scenario="squeezed", alpha_mag=8.0, r=1.5, phi_steps=41)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
+    phis = table.phi
     target = np.cos(phis) * (64.0 - math.sinh(1.5) ** 2)
-    mean = np.array(table.column("mean_o"))
+    mean = table.mean_o
     assert np.all(np.abs(mean - target) <= 1e-8 * np.maximum(1.0, np.abs(target)))
 
 
@@ -168,19 +161,16 @@ def test_squeezed_regime_guard():
 def test_noon_sweep_exact_fringe():
     cfg = ScenarioConfig(scenario="noon", n=4, phi_steps=91)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
-    mean = np.array(table.column("mean_o"))
+    phis, mean = table.phi, table.mean_o
     assert np.abs(mean - np.cos(4 * phis)).max() <= 1e-12
-    assert table.rows[0].qfi == pytest.approx(16.0, abs=1e-10)
-    row = table.rows[20]
-    assert row.second_o == pytest.approx(1.0, abs=1e-12)
+    assert table.qfi == pytest.approx(16.0, abs=1e-10)
+    assert table.second_o[20] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noon_single_photon():
     cfg = ScenarioConfig(scenario="noon", n=1, phi_steps=41)
     table = run_sweep(cfg)
-    phis = np.array(table.column("phi"))
-    mean = np.array(table.column("mean_o"))
+    phis, mean = table.phi, table.mean_o
     assert np.abs(mean - np.cos(phis)).max() <= 1e-12
 
 
@@ -260,29 +250,41 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("cfg", ORACLE_CASES, ids=[c.scenario for c in ORACLE_CASES])
 def test_harmonic_sweep_matches_direct_evolution(cfg):
     got, want = run_sweep(cfg), direct_sweep(cfg)
-    assert got.scenario == want.scenario and len(got.rows) == len(want.rows)
+    assert got.scenario == want.scenario and got.phi.size == want.phi.size
     # product probes sum the Fisher information on the single-mode arrays, in another order
     fisher_rel = 1e-13 if cfg.scenario in ("coherent", "squeezed") else 0.0
-    for g, w in zip(got.rows, want.rows):
-        for name in ("phi", "closed_form_delta_phi", "convention"):
-            assert getattr(g, name) == getattr(w, name), name
-        for name in ("qfi", "crb"):
-            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=fisher_rel, abs=0.0), name
+    assert got.convention == want.convention
+    for name in ("qfi", "crb"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=fisher_rel, abs=0.0), name
+    for i in range(want.phi.size):
+        for name in ("phi", "closed_form_delta_phi"):
+            assert getattr(got, name)[i] == getattr(want, name)[i], name
         for name in ("mean_o", "second_o"):
-            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-12 * max(1.0, abs(getattr(w, name))), name
-        assert g.var_o == pytest.approx(w.var_o, rel=1e-9, abs=1e-12 * max(1.0, w.second_o))
-        assert (g.d_mean_dphi is None) == (w.d_mean_dphi is None)
-        if w.d_mean_dphi is not None:
-            assert g.d_mean_dphi == pytest.approx(w.d_mean_dphi, rel=1e-9, abs=1e-9)
-        assert is_singular(g.delta_phi) == is_singular(w.delta_phi)
-        if not is_singular(w.delta_phi):
-            assert g.delta_phi == pytest.approx(w.delta_phi, rel=1e-8)
+            g, w = getattr(got, name)[i], getattr(want, name)[i]
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), name
+        assert got.var_o[i] == pytest.approx(want.var_o[i], rel=1e-9, abs=1e-12 * max(1.0, want.second_o[i]))
+        assert is_singular(got.delta_phi[i]) == is_singular(want.delta_phi[i])
+        if not is_singular(want.delta_phi[i]):
+            assert got.delta_phi[i] == pytest.approx(want.delta_phi[i], rel=1e-8)
+    # d_mean_dphi holds the interior points only: the derivative is undefined at both endpoints
+    assert got.d_mean_dphi.shape == want.d_mean_dphi.shape == (want.phi.size - 2,)
+    for g, w in zip(got.d_mean_dphi, want.d_mean_dphi):
+        assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
 
 # ----- columnar table against the row-by-row reference ----------------------------------
 
+def per_point(table) -> list[list]:
+    """Each column of the table in ``SWEEP_COLUMNS`` order, one Python value per grid point,
+    with None where d_mean_dphi is undefined."""
+    n = table.phi.size
+    return [table.phi.tolist(), table.mean_o.tolist(), table.second_o.tolist(), table.var_o.tolist(),
+            [None, *table.d_mean_dphi.tolist(), None], table.delta_phi.tolist(), [table.qfi] * n, [table.crb] * n,
+            list(table.closed_form_delta_phi), [table.convention] * n]
+
+
 def reference_table(phis, mean, second, qfi, crb, closed, convention):
-    """The sweep table built point by point with scalar float operations: (rows, CSV text).
+    """The sweep table built point by point with scalar float operations: (row tuples, CSV text).
 
     This is the row-by-row assembly and cell formatting the columnar table
     replaced; the columnar table must reproduce it to the byte.
@@ -297,7 +299,7 @@ def reference_table(phis, mean, second, qfi, crb, closed, convention):
             if not abs(d) < 1e-9 * max(1.0, abs(m)) / step:
                 dp = math.sqrt(max(0.0, float(second[i] - m * m))) / abs(d)
         var = max(0.0, second[i] - mean[i] ** 2)  # numpy scalar ** is pow(), not x * x
-        rows.append(SweepRow(float(phi), float(mean[i]), float(second[i]), float(var), d, dp, qfi, crb, closed[i], convention))
+        rows.append((float(phi), float(mean[i]), float(second[i]), float(var), d, dp, qfi, crb, closed[i], convention))
 
     def fmt(x):
         if x is None:
@@ -308,9 +310,7 @@ def reference_table(phis, mean, second, qfi, crb, closed, convention):
 
     lines = ["phi,mean_o,second_o,var_o,d_mean_dphi,delta_phi,qfi,crb,closed_form_delta_phi,convention"]
     for r in rows:
-        cells = [fmt(r.phi), fmt(r.mean_o), fmt(r.second_o), fmt(r.var_o), fmt(r.d_mean_dphi), fmt(r.delta_phi),
-                 fmt(r.qfi), fmt(r.crb), fmt(r.closed_form_delta_phi), r.convention]
-        lines.append(",".join(cells))
+        lines.append(",".join([*map(fmt, r[:-1]), r[-1]]))
     return rows, "\n".join(lines) + "\n"
 
 
@@ -320,14 +320,10 @@ def assert_matches_reference(table, phis, mean, second, closed):
         path = Path(tmp) / "t.csv"
         table.write_csv(path)
         assert path.read_bytes() == text.encode("utf-8")
-    assert len(table.rows) == len(rows)
-    for got, want in zip(table.rows, rows):
-        assert astuple(got) == astuple(want)
-        assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
-    for name in SWEEP_COLUMNS:
-        want = [getattr(r, name) for r in rows]
-        assert table.column(name) == want, name
-        assert [type(v) for v in table.column(name)] == [type(v) for v in want], name
+    assert table.phi.size == len(rows)
+    for name, got, want in zip(SWEEP_COLUMNS, per_point(table), zip(*rows), strict=True):
+        assert got == list(want), name
+        assert [type(v) for v in got] == [type(v) for v in want], name
 
 
 TAIL_CASES = ORACLE_CASES + [
@@ -389,12 +385,6 @@ def test_columnar_table_matches_row_reference_on_random_curves(curve):
     assert_matches_reference(table, phis, mean, second, closed)
 
 
-def test_sweep_rows_are_built_on_request():
-    table = run_sweep(ScenarioConfig(scenario="fock", n=4, phi_steps=11))
-    assert "rows" not in vars(table)
-    assert table.rows is table.rows
-
-
 # ----- cross-cutting table invariants ------------------------------------------------
 
 def test_every_finite_delta_phi_dominates_crb():
@@ -405,9 +395,9 @@ def test_every_finite_delta_phi_dominates_crb():
         ScenarioConfig(scenario="squeezed", alpha_mag=3.0, r=0.5, phi_steps=21),
     ):
         table = run_sweep(cfg)
-        for r in table.rows:
-            if not is_singular(r.delta_phi):
-                assert r.delta_phi >= r.crb * (1 - 1e-6)
+        for dp in table.delta_phi:
+            if not is_singular(dp):
+                assert dp >= table.crb * (1 - 1e-6)
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -436,8 +426,8 @@ def test_sweep_csv_singular_and_na_serialization(tmp_path):
 
 def _row_by_row_csv(table) -> str:
     """The sweep CSV formatted cell by cell, with no template and no memo."""
-    cells = zip(*([f"{x:.17g}" if x is not None else "" for x in table.column(name)]
-                  if name != "convention" else table.column(name) for name in SWEEP_COLUMNS))
+    *numbers, convention = per_point(table)
+    cells = zip(*([f"{x:.17g}" if x is not None else "" for x in col] for col in numbers), convention)
     return ",".join(SWEEP_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in cells)
 
 
@@ -602,7 +592,7 @@ def _sweep_outcome(cfg: ScenarioConfig):
         table = run_sweep(cfg)
     except TruncationError:
         return "deficit above epsilon_trunc"
-    return [table.column(c) for c in SWEEP_COLUMNS]
+    return per_point(table)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

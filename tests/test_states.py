@@ -284,3 +284,22 @@ def test_twin_fock_through_splitter_matches_polynomial_oracle(n):
 def test_auto_coherent_meets_target():
     sm = auto_coherent(4.0, 1e-10)
     assert sm.deficit <= 2.5e-11
+
+
+def _convolved_deficit(a, b, n_cap: int) -> float:
+    """The product deficit from the full convolution of the two photon-number distributions."""
+    return 1.0 - math.fsum(np.convolve(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2)[: n_cap + 1])
+
+
+@pytest.mark.parametrize("pair", ["coherent", "coherent-large", "squeezed", "squeezed-large"])
+def test_product_probe_deficit_matches_the_convolution(pair):
+    a, b = {
+        "coherent": lambda: (auto_coherent(2.0), auto_coherent(1.5j)),
+        "coherent-large": lambda: (auto_coherent(6.0), auto_coherent(0.5)),
+        "squeezed": lambda: (auto_coherent(4.0j), auto_squeezed(SqueezeParams(1.0))),
+        "squeezed-large": lambda: (auto_coherent(8.0), auto_squeezed(SqueezeParams(1.5, 0.4))),
+    }[pair]()
+    default = a.cutoff + b.cutoff
+    for n_cap in (default, default - 1, default - 7, default // 2, default // 5, 0):  # at, below, well below
+        got = product_probe(a, b, n_cap, eps_trunc=1.0).deficit
+        assert got == pytest.approx(_convolved_deficit(a, b, n_cap), abs=1e-15), n_cap
