@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .errors import BasisMismatchError, NoInformationError
-from .fock import TwoModeState, index_pairs, inner
+from .fock import TwoModeState, inner
+from .optics import PhaseConvention, phase_generator
 
 SINGULAR = math.inf
-
-GeneratorName = Literal["jz", "nb"]
 
 DERIVATIVE_STEP_DEFAULT = 1e-4
 
@@ -71,19 +70,15 @@ class FisherReport:
     delta_phi_min: float
 
 
-def generator_values(s: TwoModeState, generator: GeneratorName) -> np.ndarray:
-    n1, n2 = index_pairs(s.n_cap)
-    if generator == "jz":
-        return (n1 - n2) / 2.0
-    if generator == "nb":
-        return n2.astype(np.float64)
-    raise ValueError(f"unknown generator {generator!r}")
+def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> FisherReport:
+    """F = 4 Var(G) on the probe state, G the generator of the ``conv`` arm phase.
 
-
-def qfi_analytic(s_tilde: TwoModeState, generator: GeneratorName) -> FisherReport:
-    """F = 4 Var(G) on the probe state, G the diagonal phase generator."""
-    v = generator_values(s_tilde, generator)
+    Only the p != 0 entries are summed: ``fsum`` is correctly rounded, so the zeros cannot move it.
+    """
+    c, k = phase_generator(s_tilde.n_cap, conv)
     p = np.abs(s_tilde.amps) ** 2
+    kept = p != 0
+    p, v = p[kept], abs(c) * k[kept]
     return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)))
 
 
@@ -130,7 +125,7 @@ def metric_distance(a: TwoModeState, b: TwoModeState) -> float:
 
 def uncertainty_product(s_tilde: TwoModeState) -> float:
     """delta_phi_min * 2 Delta m; identically 1 whenever Var(Jz) > 0."""
-    rep = qfi_analytic(s_tilde, "jz")
+    rep = qfi_analytic(s_tilde, "relative")
     if rep.f_q <= 0:
         raise NoInformationError("state carries no half-difference variance, product undefined")
     two_dm = 2.0 * math.sqrt(rep.f_q / 4.0)

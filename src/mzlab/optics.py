@@ -224,23 +224,26 @@ def expect_j2(s: TwoModeState, which: AngularAxis) -> float:
     return float(np.vdot(js, js).real)
 
 
-def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeState:
-    """Diagonal phase unitary in either bookkeeping convention.
+def phase_generator(n_cap: int, conv: PhaseConvention) -> tuple[float, np.ndarray]:
+    """The arm phase of convention ``conv`` on the basis of ``n_cap`` as (c, K).
 
-    "relative" multiplies |n1,n2> by exp(-i m phi), m = (n1-n2)/2 (the Jz
-    generator); "mode_b" multiplies by exp(+i phi n2) (all phase on the
-    second arm).  On a fixed-total-photon block the two differ only by a
-    global phase; across blocks they are distinct conventions and each
-    scenario documents which one it uses.
+    The phase multiplies |n1,n2> by exp(i c phi K), K an integer diagonal,
+    and its generator is G = |c| K: "mode_b" puts all the phase on the
+    second arm (c = 1, K = n2, G = n2) and "relative" is exp(-i phi Jz)
+    (c = -1/2, K = n1 - n2, G = Jz).  On a fixed-total-photon block the two
+    differ only by a global phase; across blocks they are distinct
+    conventions, and each scenario names its own.
     """
-    n1, n2 = index_pairs(s.n_cap)
-    if conv == "relative":
-        diag = np.exp(-0.5j * phi * (n1 - n2))
-    elif conv == "mode_b":
-        diag = np.exp(1j * phi * n2)
-    else:
-        raise ValueError(f"unknown phase convention {conv!r}")
-    return s.with_amps(s.amps * diag)
+    if conv not in ("mode_b", "relative"):
+        raise ValueError(f"unknown phase convention {conv!r}; pick 'mode_b' or 'relative'")
+    n1, n2 = index_pairs(n_cap)
+    return (1.0, n2) if conv == "mode_b" else (-0.5, n1 - n2)
+
+
+def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeState:
+    """The arm phase exp(i c phi K) of :func:`phase_generator`; c phi is rounded before it meets K."""
+    c, k = phase_generator(s.n_cap, conv)
+    return s.with_amps(s.amps * np.exp(c * 1j * phi * k))
 
 
 # --------------------------------------------------------------------------

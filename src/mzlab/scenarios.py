@@ -23,9 +23,9 @@ Observable conventions (recorded per row in the ``convention`` column):
                   the pair form; delta-phi is scale invariant either way.
 * ``parity_a``  - photon-number parity (-1)^l1 of output port a.
 
-The phase bookkeeping is ``mode_b`` (phase accumulates on arm b) for the
-coherent, Fock, twin-Fock and squeezed scenarios and ``relative`` (the
-half-difference generator) for the NOON scenario.
+The ``convention`` text names the arm phase before its slash: ``mode_b``
+(all phase on arm b, generator n2) for the coherent, Fock, twin-Fock and
+squeezed scenarios, ``relative`` (generator Jz) for the NOON scenario.
 
 Sweeps are evaluated harmonically, not by evolving the probe at every grid
 point.  The arm phase is generated by n2 or Jz, and every readout conserves
@@ -43,7 +43,7 @@ splitter and count distribution at each phi) remains the reference the
 tests compare against, and ``noon_output_distribution`` still uses it for
 Monte Carlo sampling.  Each scenario is one ``Scenario`` entry of
 ``SCENARIOS``, run by :func:`run_sweep`; the Fisher-information table and
-the metric cross-check take their probes, readouts and generators from the
+the metric cross-check take their probes, readouts and arm phases from the
 same entries.
 
 The coherent and squeezed probes are products of two single-mode inputs
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -75,7 +75,6 @@ from .errors import ConfigError
 from .estimation import (
     SINGULAR,
     FisherReport,
-    GeneratorName,
     check_phi_grid,
     error_propagation,
     fisher_from_moments,
@@ -97,10 +96,12 @@ from .measurement import (
 from .optics import (
     BS1_SYMMETRIC,
     BS2_JX,
+    PhaseConvention,
     beam_splitter,
     eval_harmonics,
     exchange_harmonics,
     parity_harmonics,
+    phase_generator,
     phase_shift,
     product_exchange_sums,
 )
@@ -116,9 +117,6 @@ from .states import (
     product_state,
     twin_fock,
 )
-
-# scenarios whose basis the photon number n fixes: no cutoff, no truncation
-_FIXED_BASIS = ("fock", "twin_fock", "noon")
 
 
 @dataclass
@@ -165,7 +163,7 @@ class ScenarioConfig:
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"{tag} must lie in [0, 1]")
-        if self.scenario in _FIXED_BASIS and self.n < 1:
+        if "n" in SCENARIOS[self.scenario].reads and self.n < 1:
             raise ConfigError(f"scenario {self.scenario} needs n >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -182,6 +180,8 @@ class ScenarioConfig:
     def phi_grid(self) -> np.ndarray:
         """The sweep's grid, built and checked once per sweep; only a sweep reads it."""
         try:  # numpy refuses a grid too long to address; check_phi_grid one whose float64 steps differ
+            if not math.isfinite(self.phi_stop - self.phi_start):
+                raise ValueError("its span overflows")
             grid = np.linspace(self.phi_start, self.phi_stop, self.phi_steps)
             check_phi_grid(grid)
         except ValueError as exc:
@@ -315,8 +315,10 @@ class Scenario:
     ``readout`` gives the Fourier coefficients in phi of the observable's
     mean and second moment on a two-mode probe; the reported observable is
     ``scale`` times it.  A product probe is always read out through the
-    exchange sums with the ``nb`` generator.  ``closed_form`` gives the
+    exchange sums under the ``mode_b`` phase.  ``closed_form`` gives the
     textbook delta-phi at one grid phase, or None where none applies.
+    ``phase``, the arm phase of ``optics.phase_generator``, is the
+    ``convention`` text before its slash.
     ``reads`` names the ``ScenarioConfig`` fields that the probe and the
     closed form read, besides the phi grid; a sweep rejects any other
     field that differs from its default.
@@ -325,11 +327,14 @@ class Scenario:
     probe: Callable[[ScenarioConfig], Probe]
     readout: Callable[[TwoModeState], Harmonics]
     scale: float
-    generator: GeneratorName
     closed_form: Callable[[ScenarioConfig, float], float | None]
     convention: str
     reads: tuple[str, ...]
     annotation: str = ""
+
+    @property
+    def phase(self) -> PhaseConvention:
+        return self.convention.partition("/")[0]
 
 
 def _coherent_closed(cfg: ScenarioConfig, phi: float) -> float:
@@ -359,29 +364,23 @@ _TRUNCATION = ("epsilon_trunc", "n_cap")
 
 SCENARIOS: dict[str, Scenario] = {
     "coherent": Scenario(
-        coherent_probe, exchange_harmonics, 1.0, "nb", _coherent_closed, "mode_b/jz_half",
+        coherent_probe, exchange_harmonics, 1.0, _coherent_closed, "mode_b/jz_half",
         ("alpha_mag", "beta_mag", "theta1", "theta2", *_TRUNCATION),
     ),
     "fock": Scenario(
-        lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, "nb", _fock_closed, "mode_b/jz_half", ("n",)
+        lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, _fock_closed, "mode_b/jz_half", ("n",)
     ),
     "twin_fock": Scenario(
-        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC),
-        exchange_harmonics,
-        1.0,
-        "nb",
-        lambda cfg, phi: None,
-        "mode_b/jx_half",
-        ("n",),
-        annotation="number-difference readout carries no first-order signal for a twin-Fock input",
+        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC), exchange_harmonics, 1.0, lambda cfg, phi: None,
+        "mode_b/jx_half", ("n",), annotation="number-difference readout carries no first-order signal for a twin-Fock input",
     ),
     # reported observable is the unhalved pair exchange a+ b + b+ a
     "squeezed": Scenario(
-        squeezed_probe, exchange_harmonics, 2.0, "nb", _squeezed_closed, "mode_b/jx_pair",
+        squeezed_probe, exchange_harmonics, 2.0, _squeezed_closed, "mode_b/jx_pair",
         ("alpha_mag", "r", "theta", "f", *_TRUNCATION),
     ),
     "noon": Scenario(
-        lambda cfg: noon_state(cfg.n), parity_harmonics, 1.0, "jz", _noon_closed, "relative/parity_a", ("n",)
+        lambda cfg: noon_state(cfg.n), parity_harmonics, 1.0, _noon_closed, "relative/parity_a", ("n",)
     ),
 }
 
@@ -412,7 +411,11 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
         mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
         fisher = fisher_from_moments(n2_mean, n2_second)
     else:
-        (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.generator)
+        (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.phase)
+    top = max(len(mean_c), len(second_c)) - 1  # the readout's highest harmonic e^{i top phi}
+    if not math.isfinite(top * max(abs(cfg.phi_start), abs(cfg.phi_stop))):
+        raise ConfigError(f"phi grid {cfg.phi_start!r}:{cfg.phi_stop!r}:{cfg.phi_steps} refused: {top} phi, "
+                          f"the phase of the {cfg.scenario} readout's top harmonic, overflows")
     mean = sc.scale * eval_harmonics(mean_c, phis)
     second = sc.scale**2 * eval_harmonics(second_c, phis)
     closed = [sc.closed_form(cfg, float(phi)) for phi in phis]
@@ -421,7 +424,7 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
 
 def noon_output_distribution(n: int, phi: float):
     """Exact output count distribution of the NOON probe at one phase."""
-    st = beam_splitter(phase_shift(noon_state(n), phi, "relative"), BS2_JX)
+    st = beam_splitter(phase_shift(noon_state(n), phi, SCENARIOS["noon"].phase), BS2_JX)
     return photon_distribution(st)
 
 
@@ -464,6 +467,9 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
         raise ConfigError("count sampling is defined for the noon scenario")
     _reject_unread(cfg, _SAMPLING_READS, "sample")
     phi = cfg.sample_phi if cfg.sample_phi is not None else math.pi / (3 * cfg.n)
+    c, _ = phase_generator(cfg.n, SCENARIOS["noon"].phase)
+    if not math.isfinite(c * phi * cfg.n):  # the largest exponent c phi K of the phase factor, |K| = n
+        raise ConfigError(f"sample_phi {phi!r} makes the arm phase of {cfg.n} photons overflow")
     ideal = noon_output_distribution(cfg.n, phi)
     lossy = lossy_distribution(ideal, cfg.eta_a, cfg.eta_b)
     hist = sample_counts(lossy, cfg.trials, cfg.seed)
@@ -506,21 +512,15 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
     return float(error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))[1][1])
 
 
-def _phase_family(psi: TwoModeState, generator: GeneratorName) -> Callable[[float], TwoModeState]:
-    """phi -> the probe after the arm phase that ``generator`` generates."""
-    conv = "mode_b" if generator == "nb" else "relative"
-    return lambda phi: phase_shift(psi, phi, conv)
-
-
 def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfig, str]:
     """The validated |beta>|beta> row of a table and its label."""
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
     return cfg, f"coherent beta={beta_mag:g}"
 
 
-def _positive_fisher(psi: TwoModeState, generator: GeneratorName, label: str, command: str) -> FisherReport:
+def _positive_fisher(psi: TwoModeState, conv: PhaseConvention, label: str, command: str) -> FisherReport:
     """The probe's Fisher information, refused where it is not positive: the tables divide by it."""
-    fisher = qfi_analytic(psi, generator)
+    fisher = qfi_analytic(psi, conv)
     if not fisher.f_q > 0:
         raise ConfigError(f"{command} needs Fisher information > 0, and {label} has F_Q = {fisher.f_q:g}, "
                           "so the relative error is undefined")
@@ -551,8 +551,8 @@ def run_qfi_table(
     for cfg, label, phi, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
         psi = two_mode(sc.probe(cfg))
-        f_an = _positive_fisher(psi, sc.generator, label, "qfi-table")
-        f_num = qfi_numeric(_phase_family(psi, sc.generator), phi, h)
+        f_an = _positive_fisher(psi, sc.phase, label, "qfi-table")
+        f_num = qfi_numeric(partial(phase_shift, psi, conv=sc.phase), phi, h)
         dp = _error_prop_at(sc.readout(psi), center, step)
         rows.append(QfiRow(label, f_an.f_q, f_num.f_q, f_an.delta_phi_min, dp, dp / f_an.delta_phi_min, note))
     return rows
@@ -595,8 +595,8 @@ def run_metric_check(
         psi = two_mode(sc.probe(cfg))
         if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
             psi = normalize(psi)
-        fam = _phase_family(psi, sc.generator)
-        quarter = _positive_fisher(psi, sc.generator, label, "metric-check").f_q / 4
+        fam = partial(phase_shift, psi, conv=sc.phase)
+        quarter = _positive_fisher(psi, sc.phase, label, "metric-check").f_q / 4
         for phi in _METRIC_PHIS:
             rate = (metric_distance(fam(phi), fam(phi + h)) / h) ** 2
             rows.append(MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter))

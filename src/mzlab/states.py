@@ -201,9 +201,11 @@ def fock_after_symmetric_bs(n_photons: int) -> TwoModeState:
     if n_photons < 0:
         raise ValueError("photon number must be >= 0")
     amps = np.zeros(basis_dim(n_photons), dtype=np.complex128)
+    c = 1  # C(N, k), by the exact integer recurrence
     for k in range(n_photons + 1):
         # C(N,k)/2^N is rounded once by the int / int division, then once by sqrt.
-        amps[pair_index(n_photons - k, k)] = math.sqrt(math.comb(n_photons, k) / 2**n_photons)
+        amps[pair_index(n_photons - k, k)] = math.sqrt(c / 2**n_photons)
+        c = c * (n_photons - k) // (k + 1)
     return TwoModeState(n_photons, amps, deficit=0.0)
 
 

@@ -164,7 +164,37 @@ OUT_OF_RANGE_CASES = [
     ["sweep", "--scenario", "squeezed", "--alpha", "1e200", "--r", "1000"],  # and so does |alpha|^2
     ["sweep", "--scenario", "fock", "--n", "3", "--phi", "1e8:100000000.000001:5"],  # steps round unequal
     ["sweep", "--scenario", "fock", "--phi", f"0:1:{10**20}"],  # more points than numpy can address
+    ["sweep", "--scenario", "noon", "--n", "4", "--phi", "0:1e308:5"],  # 4 phi overflows
+    ["sweep", "--scenario", "fock", "--phi", "0:9e307:5"],  # 2 phi, the second moment's harmonic, overflows
+    ["sweep", "--scenario", "fock", "--phi=-1e308:1e308:5"],  # stop - start overflows
+    ["sample", "--n", "4", "--phi-at", "1e308"],  # the phase factor exp(-i phi (n1 - n2)/2) overflows
 ]
+
+
+def _harmonic_edge(name):
+    """The largest |phi| whose top harmonic top * phi stays finite: top = 2 for an exchange readout, N for noon."""
+    return sys.float_info.max / (4 if name == "noon" else 2)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_largest_grid_whose_top_harmonic_is_finite(tmp_path, capsys, name):
+    head = ["sweep", "--scenario", name, "--out", str(tmp_path / "x.csv")] + {"noon": ["--n", "4"], "squeezed": ["--alpha", "4"]}.get(name, [])
+    edge = _harmonic_edge(name)
+    assert main(head + [f"--phi=-{edge!r}:{edge!r}:5"]) == 0
+    assert "nan" not in (tmp_path / "x.csv").read_text()
+    assert main(head + [f"--phi=0:{math.nextafter(edge, math.inf)!r}:5"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_largest_sampled_phase_whose_phase_factor_is_finite(tmp_path, capsys):
+    # (phi / 2) (n1 - n2) reaches (phi / 2) n: finite up to phi = 2 max / n, at n = 4 max / 2
+    edge = sys.float_info.max / 2
+    head = ["sample", "--n", "4", "--trials", "1000", "--out", str(tmp_path / "x.csv")]
+    assert main(head + ["--phi-at", repr(edge)]) == 0
+    assert "nan" not in capsys.readouterr().out
+    assert main(head + ["--phi-at", repr(math.nextafter(edge, math.inf))]) == 2
+    assert main(["sample", "--n", "3", "--phi-at", "1e308", "--out", str(tmp_path / "x.csv")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE_CASES, ids=[" ".join(a) for a in OUT_OF_RANGE_CASES])
@@ -449,7 +479,7 @@ _PHOTONS = ["-1", "0", "1", "2", "6", "x"]
 _EPS = ["0", "1e-12", "1e-10", "1e-6", "1e-5", "-1", "nan", "inf"]
 _ETAS = ["-0.1", "0", "0.5", "1", "1.0000001", "nan", "inf"]
 _PHI = ["0:3.14159:5", "0:1:3", "0:1:2", "1:0:5", "0:0:5", "-3:3:2000", "nan:1:5", "0:inf:5", "0:1:-1", "0-1-5", "0:1:x",
-        "1e8:100000000.000001:5"]
+        "1e8:100000000.000001:5", "0:1e308:5"]
 _FLAGS = {
     "sweep": {
         "--scenario": ["coherent", "fock", "twin_fock", "squeezed", "noon", "bogus"],
@@ -460,7 +490,7 @@ _FLAGS = {
     "sample": {
         "--scenario": ["noon", "fock"], "--n": _PHOTONS, "--seed": ["-1", "0", "12345", str(2**64 - 1), str(2**64)],
         "--eta": _ETAS, "--eta-a": _ETAS, "--eta-b": _ETAS, "--trials": ["-5", "0", "1", "777", "10000"],
-        "--post-select": None, "--phi-at": ["0", "0.3", "-1", "1e6", "nan", "inf"], "--epsilon-trunc": _EPS,
+        "--post-select": None, "--phi-at": ["0", "0.3", "-1", "1e6", "1e308", "nan", "inf"], "--epsilon-trunc": _EPS,
     },
     "qfi-table": {"--beta": ["0", "1e-200", "1", "2.5", "1e10", "1e200", "-1", "nan", "inf"], "--fock-n": _PHOTONS,
                   "--noon-n": _PHOTONS, "--epsilon-trunc": _EPS},

@@ -9,6 +9,7 @@ from mzlab.estimation import (
     check_phi_grid,
     cramer_rao,
     error_propagation,
+    fisher_from_moments,
     is_singular,
     metric_distance,
     qfi_analytic,
@@ -16,10 +17,10 @@ from mzlab.estimation import (
     uncertainty_product,
 )
 from mzlab.fock import TwoModeState, basis_dim, normalize
-from mzlab.optics import phase_shift
-from mzlab.states import coherent_amplitudes, fock_after_symmetric_bs, noon_state, product_state
+from mzlab.optics import phase_generator, phase_shift
+from mzlab.states import coherent_amplitudes, fock_after_symmetric_bs, noon_state, product_state, twin_fock
 
-from conftest import random_state
+from conftest import random_fixed_total_state, random_state
 
 
 def cosine_curve(amplitude, var, step=0.01, n=101):
@@ -91,15 +92,15 @@ def test_qfi_analytic_coherent():
     b = coherent_amplitudes(2.0, 44)
     vac = coherent_amplitudes(0.0, 0)
     s = product_state(vac, b, 44)
-    rep = qfi_analytic(s, "nb")
+    rep = qfi_analytic(s, "mode_b")
     assert rep.f_q == pytest.approx(16.0, abs=1e-8)
     assert rep.delta_phi_min == pytest.approx(0.25, abs=1e-9)
     assert rep.delta_phi_min * math.sqrt(rep.f_q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qfi_analytic_fock_and_noon():
-    assert qfi_analytic(fock_after_symmetric_bs(9), "nb").f_q == pytest.approx(9.0, abs=1e-10)
-    rep = qfi_analytic(noon_state(4), "jz")
+    assert qfi_analytic(fock_after_symmetric_bs(9), "mode_b").f_q == pytest.approx(9.0, abs=1e-10)
+    rep = qfi_analytic(noon_state(4), "relative")
     assert rep.f_q == pytest.approx(16.0, abs=1e-10)
     assert rep.delta_phi_min == pytest.approx(0.25, abs=1e-12)
 
@@ -107,9 +108,30 @@ def test_qfi_analytic_fock_and_noon():
 def test_qfi_generators_agree_on_definite_total():
     # on a fixed-total block, Var(n_b) equals Var((n1-n2)/2)
     for st in (noon_state(4), fock_after_symmetric_bs(7)):
-        a = qfi_analytic(st, "jz").f_q
-        b = qfi_analytic(st, "nb").f_q
+        a = qfi_analytic(st, "relative").f_q
+        b = qfi_analytic(st, "mode_b").f_q
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_qfi_analytic_sums_only_the_occupied_entries():
+    """Dropping the p = 0 entries leaves both fsums exact, and a definite-Jz probe keeps F_Q = +0.0."""
+    def full_basis(s, conv):  # the sums over the whole basis, zeros included
+        c, k = phase_generator(s.n_cap, conv)
+        p, v = np.abs(s.amps) ** 2, abs(c) * k
+        return fisher_from_moments(math.fsum(p * v), math.fsum(p * v * v))
+
+    states = (twin_fock(3), noon_state(4), fock_after_symmetric_bs(9), random_state(6, 3), random_fixed_total_state(5, 4))
+    for st in states:
+        for conv in ("mode_b", "relative"):
+            assert qfi_analytic(st, conv) == full_basis(st, conv)
+    # |3,3> has Jz = 0: its one kept term is +0.0, and the dropped p = 0 terms at n1 < n2 are -0.0
+    rep = qfi_analytic(twin_fock(3), "relative")
+    assert rep.f_q == 0.0 and math.copysign(1.0, rep.f_q) == 1.0 and rep.delta_phi_min == math.inf
+
+
+def test_qfi_analytic_names_the_two_conventions():
+    with pytest.raises(ValueError, match="'mode_b' or 'relative'"):
+        qfi_analytic(noon_state(2), "jz")
 
 
 def test_qfi_numeric_noon():
@@ -208,7 +230,7 @@ def test_quantum_bound_dominates_error_propagation():
         d = photon_distribution(beam_splitter(phase_shift(psi, float(p), "mode_b"), BS2_JY))
         mean[i], second[i] = jz_moments(d)
     curve = (phis, mean, second)
-    bound = cramer_rao(qfi_analytic(psi, "nb").f_q)
+    bound = cramer_rao(qfi_analytic(psi, "mode_b").f_q)
     grid_slack = bound * 1e-3
     for i in range(1, phis.size - 1):
         dp = delta_phi_at(curve, i)

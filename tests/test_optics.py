@@ -486,7 +486,7 @@ def test_product_exchange_sums_match_two_mode_state(inputs, bs1):
     got = [mean_c[1], 2 * second_c[2], 4 * second_c[0], n2, n2_sq]
     for name, g, w in zip(("A", "B", "C", "n2", "n2^2"), got, two_mode_sums(psi)):
         assert close(g, w), name
-    assert close(4 * (n2_sq - n2 * n2), qfi_analytic(psi, "nb").f_q)
+    assert close(4 * (n2_sq - n2 * n2), qfi_analytic(psi, "mode_b").f_q)
 
 
 def test_pull_back_convention_on_a_random_unitary(rng):

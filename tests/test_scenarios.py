@@ -14,7 +14,7 @@ from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
 from mzlab.estimation import SINGULAR, FisherReport, is_singular, qfi_analytic
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
-from mzlab.optics import BS1_SYMMETRIC, BS2_JY, beam_splitter, expect_j, expect_j2, phase_shift
+from mzlab.optics import BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, expect_j, expect_j2, phase_generator, phase_shift
 from mzlab.scenarios import (
     SCENARIO_NAMES,
     SCENARIOS,
@@ -32,6 +32,7 @@ from mzlab.scenarios import (
     run_qfi_table,
     run_sweep,
     squeezed_probe,
+    two_mode,
     write_metric_csv,
     write_qfi_table_csv,
 )
@@ -199,7 +200,7 @@ def direct_sweep(cfg: ScenarioConfig):
     phis = cfg.phi_grid()
     mean, second = np.empty_like(phis), np.empty_like(phis)
     if cfg.scenario == "noon":
-        psi, generator = noon_state(cfg.n), "jz"
+        psi, generator = noon_state(cfg.n), "relative"
         for i, phi in enumerate(phis):
             d = noon_output_distribution(cfg.n, float(phi))
             mean[i], second[i] = parity_expectation(d, "a"), d.total()
@@ -222,7 +223,7 @@ def direct_sweep(cfg: ScenarioConfig):
             mean[i], second[i] = jz_moments(photon_distribution(beam_splitter(inside, BS2_JY)))
         else:
             mean[i], second[i] = scale * expect_j(inside, "x"), scale**2 * expect_j2(inside, "x")
-    fisher = qfi_analytic(psi, "nb")
+    fisher = qfi_analytic(psi, "mode_b")
     if cfg.scenario == "coherent":
         amp, dc = cfg.alpha_mag * cfg.beta_mag, cfg.theta2 - cfg.theta1
         root = math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp) if amp else math.inf
@@ -398,6 +399,45 @@ def test_every_finite_delta_phi_dominates_crb():
         for dp in table.delta_phi:
             if not is_singular(dp):
                 assert dp >= table.crb * (1 - 1e-6)
+
+
+_CLOSING_SPLITTER = {"mode_b": BS2_JY, "relative": BS2_JX}
+CHAIN_CASES = [
+    ScenarioConfig(scenario="coherent", alpha_mag=1.5, beta_mag=1.0, n_cap=30),
+    ScenarioConfig(scenario="fock", n=8),
+    ScenarioConfig(scenario="twin_fock", n=3),
+    ScenarioConfig(scenario="squeezed", alpha_mag=2.0, r=0.4, n_cap=30),
+    ScenarioConfig(scenario="noon", n=5),
+]
+
+
+def counting_fisher(conv, psi, phi):
+    """F_C = sum (dp/dphi)^2 / p of the output counts after the arm phase ``conv`` and its closing splitter.
+
+    dp/dphi is exact: the phase exp(i c phi K) differentiates to i c K, applied before the splitter.
+    """
+    c, k = phase_generator(psi.n_cap, conv)
+    inside = phase_shift(psi, phi, conv)
+    out = beam_splitter(inside, _CLOSING_SPLITTER[conv]).amps
+    d_out = beam_splitter(inside.with_amps(1j * c * k * inside.amps, deficit=math.nan), _CLOSING_SPLITTER[conv]).amps
+    p, dp = np.abs(out) ** 2, 2 * (out.conj() * d_out).real
+    return float(np.sum(np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0)))
+
+
+@pytest.mark.parametrize("grid", [(0.0, math.pi, 181), (0.1, 3.0, 30)], ids=["default", "coarse"])
+@pytest.mark.parametrize("cfg", CHAIN_CASES, ids=[c.scenario for c in CHAIN_CASES])
+def test_counting_fisher_lies_between_error_propagation_and_the_quantum_bound(cfg, grid):
+    """1/delta_phi^2 <= F_C <= F_Q at every interior grid point: every readout is a function of the counts."""
+    cfg = replace(cfg, phi_start=grid[0], phi_stop=grid[1], phi_steps=grid[2])
+    sc = SCENARIOS[cfg.scenario]
+    table = run_sweep(cfg)
+    psi = two_mode(sc.probe(cfg))
+    for phi, dp in zip(table.phi[1:-1].tolist(), table.delta_phi[1:-1].tolist()):
+        f_c = counting_fisher(sc.phase, psi, phi)
+        assert 1 / dp**2 <= f_c * (1 + 1e-12), (phi, dp, f_c)
+        assert f_c <= table.qfi * (1 + 1e-12), (phi, f_c, table.qfi)
+        if cfg.scenario == "fock":
+            assert f_c == pytest.approx(cfg.n, rel=1e-12)
 
 
 def test_sweep_csv_deterministic(tmp_path):
