@@ -71,7 +71,10 @@ EDGE_SAMPLE_OPS = [
 # fixed-N ops above the workloads' N <= 16: their splitter blocks (BS1_SYMMETRIC to 2N = 80, BS2_JX to
 # N = 150) are ones no workload op builds, so byte identity covers the ladder and the splitter memo there too;
 # and a product probe of ~40,000 amplitudes a mode, far above the workloads' and still below the ~55,100 where
-# an int64 product of four ladder factors would overflow, so both trees must agree there byte for byte
+# an int64 product of four ladder factors would overflow, so both trees must agree there byte for byte;
+# and product readouts off the workloads' path: a squeezed probe of ~2,000 and ~1,700 amplitudes a mode, a
+# squeezed vacuum with a squeeze phase (complex amplitudes on the BS1 path), and two caps below the coherent
+# cutoffs of 59: at 55 every pair sum takes a truncated partial sum, and 20 leaves too much mass out (exit 3)
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -80,6 +83,10 @@ LARGE_N_OPS = [
     ["qfi-table", "--noon-n", "30", "--fock-n", "40"],
     ["metric-check", "--noon-n", "30"],
     ["sweep", "--scenario", "coherent", "--alpha", "200", "--beta", "200"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "40", "--r", "2.5"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1", "--theta", "1.3"],
+    ["sweep", "--scenario", "coherent", "--alpha", "3", "--beta", "3", "--n-cap", "20"],
+    ["sweep", "--scenario", "coherent", "--alpha", "3", "--beta", "3", "--n-cap", "55"],
 ]
 
 

@@ -58,7 +58,8 @@ def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> 
     step = float(phi[1] - phi[0])
     m, s = mean[1:-1], second[1:-1]
     d = (mean[2:] - mean[:-2]) / (2 * step)
-    singular = np.abs(d) < 1e-9 * np.fmax(1.0, np.abs(m)) / step
+    with np.errstate(over="ignore"):  # a subnormal step puts the threshold past the float range: inf, all singular
+        singular = np.abs(d) < 1e-9 * np.fmax(1.0, np.abs(m)) / step
     dp = np.full(d.shape, SINGULAR)
     np.divide(np.sqrt(np.fmax(0.0, s - m * m)), np.abs(d), out=dp, where=~singular)
     return d, dp

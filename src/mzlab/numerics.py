@@ -45,12 +45,15 @@ def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:
 
 
 def pair_operands(ga: np.ndarray, gb: np.ndarray, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """ga[i] and the partial sum of gb[j] over j <= n_cap - i, for every i that has a partner.
+    """ga[..., i] and the partial sum of gb[..., j] over j <= n_cap - i, for every i that has a partner.
 
-    The sum of their products is the truncated pair sum of ga[i] gb[j] over
-    i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum(), in time
-    linear in the two lengths instead of their product.
+    The sum of their products along the last axis is the truncated pair sum
+    of ga[i] gb[j] over i + j <= n_cap, i.e. np.convolve(ga, gb)[:n_cap + 1].sum(),
+    in time linear in the two lengths instead of their product.  A 2-D gb
+    gives one row of partial sums per row; they are gathered with ``take``,
+    so each row stays row-major, as the 1-D gather of one row would be.
     """
-    n_cap = min(n_cap, ga.size + gb.size)  # every pair lies below this, and n_cap - i stays an int64
-    i = np.arange(min(ga.size, n_cap + 1))
-    return ga[: i.size], np.cumsum(gb)[np.minimum(n_cap - i, gb.size - 1)]
+    size_a, size_b = ga.shape[-1], gb.shape[-1]
+    n_cap = min(n_cap, size_a + size_b)  # every pair lies below this, and n_cap - i stays an int64
+    i = np.arange(min(size_a, n_cap + 1))
+    return ga[..., : i.size], np.cumsum(gb, axis=-1).take(np.minimum(n_cap - i, size_b - 1), axis=-1)

@@ -70,8 +70,24 @@ so on the truncated basis n1 + n2 <= n_cap the monomial's expectation is
 the sum of ga[i] gb[j] over i + j <= n_cap, exactly what the two-mode
 state gives (``product_expectations``).  ``product_exchange_sums`` returns
 the exchange sums A, B, C and the n2 moments this way, in
-O(cutoff_a + cutoff_b) per word, with no block built.  The polynomials are
-built at import, bare and through ``BS1_SYMMETRIC``.
+O(cutoff_a + cutoff_b) per word, with no block built.
+
+The polynomials are built at import, bare and through ``BS1_SYMMETRIC``,
+and so is one plan for each set (``_ProductPlan``): every distinct word of
+each mode as the letter offsets of its matrix element, and one row per
+(polynomial, mode-a word) pair holding its monomials in dict order.  A
+call computes the weights of all words of one mode together, takes one
+square root, forms each word's terms, sums each row's monomials on the
+mode-b side, and runs every row's pair sum through one cumulative sum and
+one gather.  Each step repeats the arithmetic of evaluating one word and
+one pair sum at a time, so the readout is the same to the bit; three
+choices keep it so.  The gather is ``take`` along the row axis: fancy
+indexing of a row-major cumulative sum returns a column-major array, and
+a dot product on its strided rows takes another BLAS path.  Squeezed
+amplitudes exponentiate with ``math.exp``, which differs from ``np.exp`` in
+the last bit for a few inputs in a hundred.  And every complex product is a
+whole-row operation on 1-D slices, as in the one-word form, never a
+broadcast over several words.
 """
 
 from __future__ import annotations
@@ -347,7 +363,18 @@ def parity_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_harmonics(coeffs: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Re(sum_d coeffs[d] e^{i d phi}) at every phi of the grid."""
-    return (np.exp(1j * np.outer(phis, np.arange(len(coeffs)))) @ coeffs).real
+    return (_harmonic_basis(np.asarray(phis, dtype=np.float64).tobytes(), len(coeffs)) @ coeffs).real
+
+
+@functools.lru_cache(maxsize=16)
+def _harmonic_basis(grid: bytes, size: int) -> np.ndarray:
+    """exp(1j * outer(phis, arange(size))) on the float64 grid with the bytes ``grid``, memoized.
+
+    A sweep evaluates two coefficient sizes on one grid, and a small-probe
+    benchmark pass asks for about 13 (grid, size) pairs.  Each size keeps
+    its own matrix: a slice of a larger one would take another BLAS path.
+    """
+    return _frozen(np.exp(1j * np.outer(np.frombuffer(grid), np.arange(size))))
 
 
 # --------------------------------------------------------------------------
@@ -385,33 +412,87 @@ def pull_back(poly: Poly, matrix: np.ndarray) -> Poly:
     return {key: complex(c) for key, c in out.items() if c != 0}
 
 
-def _word_terms(f: np.ndarray, word: Word) -> np.ndarray:
-    """g[n] = conj(f[n + d]) <n + d| word |n> f[n], d the word's photon change.
+class _ModeWords:
+    """The distinct words of one mode as the factors of their matrix elements.
 
-    The matrix element is the square root of one integer product rounded
-    once, so <n| a+ a |n> is exactly n; g is zero where n + d leaves the
-    array.  A running int64 product of four letters overflows once f passes
-    ~55,100 entries, so each two letters' product (exact in float64 below
-    2^53) is taken apart, and for words of up to four letters the float
-    product of the two halves is that one rounding.
+    Read from the right, letter i of a word multiplies <n + d| word |n> by
+    n + offset[i]: a creation operator after it raises the count, an
+    annihilation operator before it lowers it.  The letters go in pairs;
+    a padded slot (live 0, offset 1) is a factor of one.
     """
-    n = np.arange(f.size)
-    k, weight, half = n, np.ones(f.size), 1
-    for i, letter in enumerate(reversed(word), 1):
-        if letter > 0:
-            k = k + 1
-            half = half * k
-        else:
-            half = half * k
-            k = k - 1
-        if i % 2 == 0 or i == len(word):
-            weight, half = weight * half, 1
-    d = sum(word)
-    g = np.zeros(f.size, dtype=np.complex128)
-    lo, hi = max(0, -d), min(f.size, f.size - d)
-    if lo < hi:
-        g[lo:hi] = f[lo + d : hi + d].conj() * np.sqrt(weight[lo:hi]) * f[lo:hi]
-    return g
+
+    def __init__(self, words: list[Word]):
+        pairs = max([1] + [(len(w) + 1) // 2 for w in words])
+        self.live = np.zeros((len(words), 2 * pairs), dtype=np.int64)  # 1 for a letter, 0 for padding
+        self.offset = np.ones_like(self.live)
+        for row, word in enumerate(words):
+            k = 0
+            for slot, letter in enumerate(reversed(word)):
+                k += letter > 0
+                self.live[row, slot], self.offset[row, slot] = 1, k
+                k -= letter < 0
+        self.shift = [sum(w) for w in words]  # the photon change d of each word
+
+    def terms(self, f: np.ndarray) -> np.ndarray:
+        """g[w, n] = conj(f[n + d]) <n + d| word w |n> f[n] for every word, zero where n + d leaves f.
+
+        The matrix element is the square root of one product rounded once,
+        so <n| a+ a |n> is exactly n.  A running int64 product of four
+        letters overflows once f passes ~55,100 entries, so each pair of
+        letters is multiplied exactly in int64 (below 2^53, so exact in
+        float64 too), and the float product of the pairs is that one
+        rounding for words of up to four letters.
+        """
+        n = np.arange(f.size)
+
+        def factor(slot):  # (words, f.size) int64
+            return n * self.live[:, slot, None] + self.offset[:, slot, None]
+
+        weight = 1.0
+        for slot in range(0, self.live.shape[1], 2):
+            weight = weight * (factor(slot) * factor(slot + 1))
+        root = np.sqrt(weight)
+        fc = f.conj()
+        g = np.zeros(root.shape, dtype=np.complex128)
+        for row, r, d in zip(g, root, self.shift):
+            lo, hi = max(0, -d), min(f.size, f.size - d)
+            if lo < hi:
+                row[lo:hi] = fc[lo + d : hi + d] * r[lo:hi] * f[lo:hi]
+        return g
+
+
+class _ProductPlan:
+    """How :func:`product_expectations` reads a list of polynomials, worked out once.
+
+    Each (polynomial, mode-a word) pair is one row: the sum of c times the
+    mode-b word terms over its monomials, in the polynomial's dict order.
+    A polynomial's value is the sum over its rows, in that order, of the
+    truncated pair sum of the mode-a word terms with the row.
+    """
+
+    def __init__(self, polys):
+        words_a: dict = {}
+        words_b: dict = {}
+        rows: dict = {}
+        self.terms = []  # (row, coefficient, mode-b word) of each monomial
+        for p, poly in enumerate(polys):
+            for (wa, wb), c in poly.items():
+                row = rows.setdefault((p, words_a.setdefault(wa, len(words_a))), len(rows))
+                self.terms.append((row, c, words_b.setdefault(wb, len(words_b))))
+        self.a, self.b = _ModeWords(list(words_a)), _ModeWords(list(words_b))
+        self.rows = list(rows)  # (polynomial, mode-a word) of each row
+        self.n_polys = len(polys)
+
+    def __call__(self, fa: np.ndarray, fb: np.ndarray, n_cap: int) -> list[complex]:
+        ga, gb = self.a.terms(fa), self.b.terms(fb)
+        sums = np.zeros((len(self.rows), fb.size), dtype=np.complex128)
+        for row, c, w in self.terms:
+            sums[row] += c * gb[w]
+        ga, partial = pair_operands(ga, sums, n_cap)
+        out = [0j] * self.n_polys
+        for (p, w), part in zip(self.rows, partial):
+            out[p] += np.dot(ga[w], part)
+        return out
 
 
 def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> list[complex]:
@@ -421,22 +502,7 @@ def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> l
     two-mode sum of its word terms; monomials sharing a mode-a word are
     summed on the mode-b side first, and every word is evaluated once.
     """
-    words_a: dict = {}
-    words_b: dict = {}
-    out = []
-    for poly in polys:
-        by_a: dict = {}
-        for (wa, wb), c in poly.items():
-            if wb not in words_b:
-                words_b[wb] = _word_terms(fb, wb)
-            by_a[wa] = by_a.get(wa, 0.0) + c * words_b[wb]
-        total = 0j
-        for wa, gb in by_a.items():
-            if wa not in words_a:
-                words_a[wa] = _word_terms(fa, wa)
-            total += np.dot(*pair_operands(words_a[wa], gb, n_cap))
-        out.append(total)
-    return out
+    return _ProductPlan(polys)(fa, fb, n_cap)
 
 
 # A = <a+ b>, B = <(a+ b)^2>, C = <a+a b b+ + b+b a a+>, <n2>, <n2^2>
@@ -448,6 +514,7 @@ EXCHANGE_SUMS: tuple[Poly, ...] = (
     {((), (1, -1, 1, -1)): 1.0},
 )
 EXCHANGE_SUMS_BS1 = tuple(pull_back(p, BS1_SYMMETRIC.matrix) for p in EXCHANGE_SUMS)
+_EXCHANGE_PLANS = {False: _ProductPlan(EXCHANGE_SUMS), True: _ProductPlan(EXCHANGE_SUMS_BS1)}
 
 
 def product_exchange_sums(fa: np.ndarray, fb: np.ndarray, n_cap: int, bs1: bool) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -456,6 +523,6 @@ def product_exchange_sums(fa: np.ndarray, fb: np.ndarray, n_cap: int, bs1: bool)
     The probe is fa (x) fb on n1 + n2 <= n_cap, sent through ``BS1_SYMMETRIC``
     first when ``bs1`` is set.
     """
-    a, b, c, n2, n2_sq = product_expectations(fa, fb, n_cap, EXCHANGE_SUMS_BS1 if bs1 else EXCHANGE_SUMS)
+    a, b, c, n2, n2_sq = _EXCHANGE_PLANS[bs1](fa, fb, n_cap)
     mean_c, second_c = _exchange_coeffs(a, b, c.real)
     return mean_c, second_c, n2.real, n2_sq.real

@@ -65,6 +65,7 @@ template per row and written in place in one piece (``measurement.write_text``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable
@@ -316,7 +317,7 @@ class Scenario:
     mean and second moment on a two-mode probe; the reported observable is
     ``scale`` times it.  A product probe is always read out through the
     exchange sums under the ``mode_b`` phase.  ``closed_form`` gives the
-    textbook delta-phi at one grid phase, or None where none applies.
+    textbook delta-phi column over the grid, None where none applies.
     ``phase``, the arm phase of ``optics.phase_generator``, is the
     ``convention`` text before its slash.
     ``reads`` names the ``ScenarioConfig`` fields that the probe and the
@@ -327,7 +328,7 @@ class Scenario:
     probe: Callable[[ScenarioConfig], Probe]
     readout: Callable[[TwoModeState], Harmonics]
     scale: float
-    closed_form: Callable[[ScenarioConfig, float], float | None]
+    closed_form: Callable[[ScenarioConfig, np.ndarray], list[float | None]]
     convention: str
     reads: tuple[str, ...]
     annotation: str = ""
@@ -337,26 +338,29 @@ class Scenario:
         return self.convention.partition("/")[0]
 
 
-def _coherent_closed(cfg: ScenarioConfig, phi: float) -> float:
+def _coherent_closed(cfg: ScenarioConfig, phis: np.ndarray) -> list[float]:
     amp = cfg.alpha_mag * cfg.beta_mag
-    s = abs(math.sin(phi + (cfg.theta2 - cfg.theta1)))
-    if amp == 0.0 or s == 0.0:
-        return math.inf
-    return math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp) / s
+    if amp == 0.0:
+        return [math.inf] * len(phis)
+    scale, shift = math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp), cfg.theta2 - cfg.theta1
+    return [scale / s if (s := abs(math.sin(phi + shift))) else math.inf for phi in phis.tolist()]
 
 
-def _fock_closed(cfg: ScenarioConfig, phi: float) -> float | None:
-    return 1.0 / math.sqrt(cfg.n) if abs(math.sin(phi)) > 1e-12 else None
+def _fock_closed(cfg: ScenarioConfig, phis: np.ndarray) -> list[float | None]:
+    value = 1.0 / math.sqrt(cfg.n)
+    return [value if abs(math.sin(phi)) > 1e-12 else None for phi in phis.tolist()]
 
 
-def _squeezed_closed(cfg: ScenarioConfig, phi: float) -> float | None:
-    if cfg.alpha_mag > 0 and abs(math.cos(phi)) <= 1e-9:
-        return math.exp(-cfg.r) / cfg.alpha_mag
-    return None
+def _squeezed_closed(cfg: ScenarioConfig, phis: np.ndarray) -> list[float | None]:
+    if not cfg.alpha_mag > 0:
+        return [None] * len(phis)
+    value = math.exp(-cfg.r) / cfg.alpha_mag
+    return [value if abs(math.cos(phi)) <= 1e-9 else None for phi in phis.tolist()]
 
 
-def _noon_closed(cfg: ScenarioConfig, phi: float) -> float | None:
-    return 1.0 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None
+def _noon_closed(cfg: ScenarioConfig, phis: np.ndarray) -> list[float | None]:
+    value = 1.0 / cfg.n
+    return [value if abs(math.sin(cfg.n * phi)) > 1e-12 else None for phi in phis.tolist()]
 
 
 # truncated probes read the cutoff settings; the fock, twin_fock and noon bases are fixed by n and exact
@@ -371,7 +375,7 @@ SCENARIOS: dict[str, Scenario] = {
         lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, _fock_closed, "mode_b/jz_half", ("n",)
     ),
     "twin_fock": Scenario(
-        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC), exchange_harmonics, 1.0, lambda cfg, phi: None,
+        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC), exchange_harmonics, 1.0, lambda cfg, phis: [None] * len(phis),
         "mode_b/jx_half", ("n",), annotation="number-difference readout carries no first-order signal for a twin-Fock input",
     ),
     # reported observable is the unhalved pair exchange a+ b + b+ a
@@ -418,8 +422,7 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
                           f"the phase of the {cfg.scenario} readout's top harmonic, overflows")
     mean = sc.scale * eval_harmonics(mean_c, phis)
     second = sc.scale**2 * eval_harmonics(second_c, phis)
-    closed = [sc.closed_form(cfg, float(phi)) for phi in phis]
-    return _assemble_table(cfg.scenario, phis, mean, second, fisher, closed, sc.convention, sc.annotation)
+    return _assemble_table(cfg.scenario, phis, mean, second, fisher, sc.closed_form(cfg, phis), sc.convention, sc.annotation)
 
 
 def noon_output_distribution(n: int, phi: float):
@@ -519,11 +522,12 @@ def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfi
 
 
 def _positive_fisher(psi: TwoModeState, conv: PhaseConvention, label: str, command: str) -> FisherReport:
-    """The probe's Fisher information, refused where it is not positive: the tables divide by it."""
+    """The probe's Fisher information, refused below the smallest normal float: the tables divide by it,
+    and a subnormal F_Q keeps too few digits to mean anything."""
     fisher = qfi_analytic(psi, conv)
-    if not fisher.f_q > 0:
-        raise ConfigError(f"{command} needs Fisher information > 0, and {label} has F_Q = {fisher.f_q:g}, "
-                          "so the relative error is undefined")
+    if not fisher.f_q >= sys.float_info.min:
+        raise ConfigError(f"{command} needs Fisher information >= {sys.float_info.min:g}, and {label} has "
+                          f"F_Q = {fisher.f_q:g}, so the relative error is undefined")
     return fisher
 
 

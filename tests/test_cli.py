@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,27 @@ def test_squeezed_sweep_past_the_int64_word_weights_has_no_nan(tmp_path, capsys)
     for row in rows:
         target = math.cos(float(row["phi"])) * (240.0**2 - math.sinh(1.0) ** 2)
         assert abs(float(row["mean_o"]) - target) <= 1e-11 * max(1.0, abs(target))  # 5.03e-12 at phi = 0
+
+
+def test_subnormal_grid_step_warns_nothing_and_is_singular_everywhere(tmp_path):
+    # the singular threshold 1e-9 max(1, |m|) / step overflows at a step of 2.5e-321: it reads inf, quietly
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--scenario", "fock", "--phi", "0:1e-320:5", "--out", str(out)]) == 0
+    assert [row["delta_phi"] for row in csv.DictReader(out.read_text().splitlines())] == ["inf"] * 5
+
+
+@pytest.mark.parametrize("command", ["qfi-table", "metric-check"])
+def test_tables_refuse_a_subnormal_fisher_information(tmp_path, capsys, command):
+    # F_Q = 4 beta^2 is 4e-320 at beta = 1e-160, a subnormal with ~5 digits left; 4e-300 is a normal float
+    out = tmp_path / "x.csv"
+    assert main([command, "--beta", "1e-160", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} needs Fisher information >= 2.22507e-308, and coherent beta=1e-160 "
+                          "has F_Q = 3.99996e-320") and "Traceback" not in err
+    assert not out.exists()
+    assert main([command, "--beta", "1e-150", "--out", str(out)]) == 0
 
 
 EPS_TRUNC_UNREAD_CASES = [

@@ -20,6 +20,7 @@ from mzlab.optics import (
     BS2_JX,
     BS2_JY,
     EXCHANGE_SUMS,
+    EXCHANGE_SUMS_BS1,
     BeamSplitterSpec,
     apply_angular,
     beam_splitter,
@@ -431,6 +432,22 @@ def test_harmonic_kernels_match_direct_evolution(n_cap, seed, phi, sparse):
     assert close(eval_harmonics(norm_c, grid)[0], out.total())
 
 
+def test_harmonic_basis_memo_stays_bounded_and_evaluations_stay_exact(rng):
+    # each (grid, degree) keeps its own matrix; the evaluation is the one-expression form to the bit
+    bound = optics._harmonic_basis.cache_info().maxsize
+    assert bound == 16
+    grids = [np.linspace(0.0, math.pi, 181), np.linspace(-1.0, 2.0, 7), 0.3 + 1e-4 * np.arange(-2.0, 3.0)]
+    for _ in range(2):  # the second round after the first ones were evicted
+        for grid in grids:
+            for size in (1, 2, 3, 5, 17, 41, 151):
+                coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+                want = (np.exp(1j * np.outer(grid, np.arange(size))) @ coeffs).real
+                assert eval_harmonics(coeffs, grid).tobytes() == want.tobytes(), size
+                assert optics._harmonic_basis.cache_info().currsize <= bound
+    basis = optics._harmonic_basis(grids[0].tobytes(), 3)
+    assert not basis.flags.writeable and basis is optics._harmonic_basis(grids[0].tobytes(), 3)
+
+
 def test_parity_harmonics_match_noon_output_distribution():
     phis = np.linspace(-0.3, math.pi + 0.3, 53)
     for n in range(1, 17):
@@ -521,9 +538,104 @@ def _exact_weights(size: int, word) -> list[float]:
 def test_word_terms_take_the_root_of_the_exact_product_past_the_int64_range(word):
     # a four-letter product passes 2**63 at ~55,100 entries; every weight stays sqrt(exact integer product)
     size = 60_000
-    g = optics._word_terms(np.ones(size, dtype=np.complex128), word)
+    g = optics._ModeWords([word]).terms(np.ones(size, dtype=np.complex128))[0]
     d = sum(word)
     lo, hi = max(0, -d), min(size, size - d)
     want = np.sqrt(np.array(_exact_weights(size, word)))[lo:hi]
     assert np.isfinite(g).all()
     assert g[lo:hi].real.tobytes() == want.tobytes() and not g[lo:hi].imag.any()
+
+
+# ----- the readout plan against the per-word form it replaced ---------------------
+
+
+def word_terms_oracle(f: np.ndarray, word) -> np.ndarray:
+    """g[n] = conj(f[n + d]) <n + d| word |n> f[n], one word at a time, the weight built letter by letter."""
+    n = np.arange(f.size)
+    k, weight, half = n, np.ones(f.size), 1
+    for i, letter in enumerate(reversed(word), 1):
+        if letter > 0:
+            k = k + 1
+            half = half * k
+        else:
+            half = half * k
+            k = k - 1
+        if i % 2 == 0 or i == len(word):
+            weight, half = weight * half, 1
+    d = sum(word)
+    g = np.zeros(f.size, dtype=np.complex128)
+    lo, hi = max(0, -d), min(f.size, f.size - d)
+    if lo < hi:
+        g[lo:hi] = f[lo + d : hi + d].conj() * np.sqrt(weight[lo:hi]) * f[lo:hi]
+    return g
+
+
+def expectations_oracle(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> list:
+    """The monomial loop: sum the mode-b terms per mode-a word, then one truncated pair sum per word."""
+    words_a: dict = {}
+    words_b: dict = {}
+    out = []
+    for poly in polys:
+        by_a: dict = {}
+        for (wa, wb), c in poly.items():
+            if wb not in words_b:
+                words_b[wb] = word_terms_oracle(fb, wb)
+            by_a[wa] = by_a.get(wa, 0.0) + c * words_b[wb]
+        total = 0j
+        top = min(n_cap, fa.size + fb.size)
+        i = np.arange(min(fa.size, top + 1))
+        for wa, gb in by_a.items():
+            if wa not in words_a:
+                words_a[wa] = word_terms_oracle(fa, wa)
+            total += np.dot(words_a[wa][: i.size], np.cumsum(gb)[np.minimum(top - i, gb.size - 1)])
+        out.append(total)
+    return out
+
+
+_Q, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(2, 2)) + 1j * np.random.default_rng(23).normal(size=(2, 2)))
+POLY_SETS = {
+    "bare": EXCHANGE_SUMS,
+    "bs1": EXCHANGE_SUMS_BS1,
+    "unitary": tuple(pull_back(p, _Q) for p in EXCHANGE_SUMS),
+}
+PLAN_SIZES = [(s, s) for s in range(1, 13)] + [
+    (1, 12), (12, 1), (2, 40), (40, 3), (40, 173), (173, 40), (173, 173), (1000, 173), (40, 1000), (1000, 1000)]
+
+
+def plan_amps(rng, size: int, variant: int) -> np.ndarray:
+    """Random amplitudes: complex, real, or complex on the even entries only (a squeezed vacuum's pattern)."""
+    f = rng.normal(size=size) + 1j * rng.normal(size=size) * (variant != 1)
+    if variant == 2:
+        f[1::2] = 0
+    return unit(f)
+
+
+@pytest.mark.parametrize("sizes", PLAN_SIZES, ids=[f"{a}x{b}" for a, b in PLAN_SIZES])
+@pytest.mark.parametrize("name", list(POLY_SETS))
+def test_plan_matches_the_per_word_oracle_byte_for_byte(name, sizes):
+    size_a, size_b = sizes
+    rng = np.random.default_rng([size_a, size_b, len(name)])
+    cutoffs = size_a + size_b - 2
+    plans = [optics._ProductPlan(POLY_SETS[name])]
+    if name != "unitary":  # the plans product_exchange_sums reads, built at import
+        plans.append(optics._EXCHANGE_PLANS[name == "bs1"])
+    for variant in range(3):
+        fa, fb = plan_amps(rng, size_a, variant), plan_amps(rng, size_b, (variant + 1) % 3)
+        # caps below, at and above the sum of the two cutoffs, and one far past the int64 sum n_cap - i
+        for n_cap in sorted({0, 1, cutoffs // 2, max(0, cutoffs - 1), cutoffs, cutoffs + 1, cutoffs + size_a, 2**62}):
+            want = np.array(expectations_oracle(fa, fb, n_cap, POLY_SETS[name])).tobytes()
+            assert np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes() == want, n_cap
+            for plan in plans:
+                assert np.array(plan(fa, fb, n_cap)).tobytes() == want, n_cap
+
+
+def test_plan_words_match_the_per_word_oracle_byte_for_byte(rng):
+    # every word of the import-time plans, and longer and empty ones, on arrays of 1 to 12 and 173 entries
+    words = list(dict.fromkeys(w for p in EXCHANGE_SUMS_BS1 + EXCHANGE_SUMS for key in p for w in key))
+    words += [(), (1, 1, 1), (-1, -1, -1, -1, 1), (1, -1, 1, -1, 1, -1)]
+    mode = optics._ModeWords(words)
+    for size in [*range(1, 13), 173]:
+        f = unit(rng.normal(size=size) + 1j * rng.normal(size=size))
+        got = mode.terms(f)
+        for word, row in zip(words, got):
+            assert row.tobytes() == word_terms_oracle(f, word).tobytes(), (size, word)

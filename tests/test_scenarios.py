@@ -41,6 +41,46 @@ from mzlab.states import fock_after_symmetric_bs, noon_state, product_state, twi
 SINC_181 = math.sin(math.pi / 180) / (math.pi / 180)  # grid derivative attenuation
 
 
+# ----- closed forms ---------------------------------------------------------------
+
+
+def closed_form_oracle(name: str, cfg: ScenarioConfig, phi: float) -> float | None:
+    """The textbook delta-phi of each scenario at one phase, one point at a time."""
+    if name == "coherent":
+        amp = cfg.alpha_mag * cfg.beta_mag
+        s = abs(math.sin(phi + (cfg.theta2 - cfg.theta1)))
+        if amp == 0.0 or s == 0.0:
+            return math.inf
+        return math.sqrt(cfg.alpha_mag**2 + cfg.beta_mag**2) / (2 * amp) / s
+    if name == "fock":
+        return 1.0 / math.sqrt(cfg.n) if abs(math.sin(phi)) > 1e-12 else None
+    if name == "squeezed":
+        if cfg.alpha_mag > 0 and abs(math.cos(phi)) <= 1e-9:
+            return math.exp(-cfg.r) / cfg.alpha_mag
+        return None
+    if name == "noon":
+        return 1.0 / cfg.n if abs(math.sin(cfg.n * phi)) > 1e-12 else None
+    return None
+
+
+CLOSED_FORM_CASES = [
+    ("coherent", {}), ("coherent", {"alpha_mag": 0.0}), ("coherent", {"alpha_mag": 1.3, "beta_mag": 0.7, "theta2": 0.4}),
+    ("coherent", {"theta1": math.pi / 2}), ("fock", {"n": 1}), ("fock", {"n": 7}), ("twin_fock", {"n": 3}),
+    ("squeezed", {"alpha_mag": 4.0, "r": 1.0}), ("squeezed", {"alpha_mag": 0.0, "r": 0.0}), ("noon", {"n": 1}),
+    ("noon", {"n": 6}), ("noon", {"n": 16}),
+]
+CLOSED_FORM_GRIDS = [np.linspace(0.0, math.pi, 181), np.linspace(-math.pi, math.pi, 8), np.linspace(0.0, 1e-320, 5),
+                     np.linspace(math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, 7)]
+
+
+@pytest.mark.parametrize("name,values", CLOSED_FORM_CASES, ids=[f"{n}-{i}" for i, (n, _) in enumerate(CLOSED_FORM_CASES)])
+def test_closed_form_columns_match_the_per_point_oracle_byte_for_byte(name, values):
+    cfg = replace(ScenarioConfig(scenario=name), **values)
+    for phis in CLOSED_FORM_GRIDS:
+        got = SCENARIOS[name].closed_form(cfg, phis)
+        assert list(map(repr, got)) == [repr(closed_form_oracle(name, cfg, float(phi))) for phi in phis]
+
+
 # ----- coherent -----------------------------------------------------------------
 
 def test_coherent_sweep_matches_closed_form():

@@ -146,6 +146,29 @@ def test_squeezed_matches_generator_exponentiation(r, theta):
     assert np.abs(sm.amps - oracle).max() <= 1e-9
 
 
+def squeezed_loop_oracle(r: float, theta: float, cutoff: int) -> np.ndarray:
+    """The per-entry form of the closed expansion: one math.exp and one scalar phase per even entry."""
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    if r == 0.0:
+        amps[0] = 1.0
+        return amps
+    lf = log_factorials(cutoff)
+    log_tanh = math.log(math.tanh(r))
+    base = -0.5 * math.log(math.cosh(r))
+    for k in range(0, cutoff // 2 + 1):
+        mag = math.exp(base + k * log_tanh + 0.5 * lf[2 * k] - k * math.log(2.0) - lf[k])
+        amps[2 * k] = ((-1.0) ** k) * np.exp(1j * theta * k) * mag
+    return amps
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, 0.95, 1.0, 2.5, 20.0])
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1.3, -2.0, math.pi])
+def test_squeezed_amplitudes_match_the_per_entry_loop_byte_for_byte(r, theta):
+    for cutoff in (0, 1, 2, 3, 40, 41, 86, 87, 401):
+        got = squeezed_vacuum_amplitudes(SqueezeParams(r, theta), cutoff, eps_trunc=1.0).amps
+        assert got.tobytes() == squeezed_loop_oracle(r, theta, cutoff).tobytes(), cutoff
+
+
 def test_squeezed_even_support():
     sm = squeezed_vacuum_amplitudes(SqueezeParams(0.9), 41, eps_trunc=1e-5)
     assert np.all(sm.amps[1::2] == 0.0)
