@@ -39,7 +39,6 @@ from .optics import (
     BS2_JX,
     BS2_JY,
     BeamSplitterSpec,
-    WignerBlock,
     apply_angular,
     beam_splitter,
     expect_j,
@@ -61,7 +60,6 @@ from .measurement import (
 )
 from .estimation import (
     SINGULAR,
-    FisherReport,
     cramer_rao,
     is_singular,
     metric_distance,

@@ -9,10 +9,12 @@ the one entry point: it takes the grid, mean and second moment as plain
 arrays and applies the rule to every interior point at once.  It does not
 check the moments: a variance that rounds below zero is clamped to zero.
 
-The quantum side evaluates the pure-state Fisher information, either from
+The quantum side evaluates the pure-state Fisher information F, either from
 the variance of the known phase generator (4 Var G) or from a numerical
-derivative of the state family, 4 [<dpsi|dpsi> - |<dpsi|psi>|^2]; the
-quantum Cramer-Rao bound is then delta_phi >= 1/sqrt(F).  A Hilbert-metric
+derivative of the state family, 4 [<dpsi|dpsi> - |<dpsi|psi>|^2].  Each
+returns F as a plain float; the quantum Cramer-Rao bound delta_phi >=
+1/sqrt(F) (Braunstein and Caves, Phys. Rev. Lett. 72, 3439 (1994)) is
+``cramer_rao(F)``, taken by the caller that needs it.  A Hilbert-metric
 cross-check is available through ``metric_distance``: the squared rate of
 change of dL = sqrt(1 - |<psi|psi'>|^2) along the family equals F/4.
 """
@@ -20,7 +22,6 @@ change of dL = sqrt(1 - |<psi|psi'>|^2) along the family equals F/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,27 +52,27 @@ def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> 
     """Central difference d and delta_phi at every interior point 1 .. n-2 of a uniform grid.
 
     With step = phi[1] - phi[0], d = (mean[i+1] - mean[i-1]) / (2 step).  The
-    derivative counts as vanishing, and delta_phi is SINGULAR, when
-    |d| < 1e-9 max(1, |m|)/step, i.e. when the two-point difference is at the
-    level of rounding noise; otherwise delta_phi = sqrt(max(0, s - m^2)) / |d|.
+    derivative counts as vanishing, and delta_phi is SINGULAR, when d = 0 or
+    |d| < 1e-9 max(min(1, rms), |m|)/step, i.e. when the two-point difference
+    is at the level of rounding noise; otherwise delta_phi =
+    sqrt(max(0, s - m^2)) / |d|.  rms = sqrt(max(second)) scales the floor
+    to a weak curve (a coherent probe of beta = 3e-3 has a fringe slope of
+    9e-6); an all-zero curve keeps the floor 1.
     """
     step = float(phi[1] - phi[0])
     m, s = mean[1:-1], second[1:-1]
     d = (mean[2:] - mean[:-2]) / (2 * step)
-    with np.errstate(over="ignore"):  # a subnormal step puts the threshold past the float range: inf, all singular
-        singular = np.abs(d) < 1e-9 * np.fmax(1.0, np.abs(m)) / step
+    floor = min(1.0, math.sqrt(max(0.0, float(second.max())))) or 1.0
+    # a subnormal step puts the threshold past the float range (inf, all singular); a tiny floor over
+    # a huge step rounds it to 0, where only d = 0 is singular
+    with np.errstate(over="ignore"):
+        singular = (d == 0) | (np.abs(d) < 1e-9 * np.fmax(floor, np.abs(m)) / step)
     dp = np.full(d.shape, SINGULAR)
     np.divide(np.sqrt(np.fmax(0.0, s - m * m)), np.abs(d), out=dp, where=~singular)
     return d, dp
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    f_q: float
-    delta_phi_min: float
-
-
-def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> FisherReport:
+def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> float:
     """F = 4 Var(G) on the probe state, G the generator of the ``conv`` arm phase.
 
     Only the p != 0 entries are summed: ``fsum`` is correctly rounded, so the zeros cannot move it.
@@ -83,18 +84,16 @@ def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> FisherReport:
     return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)))
 
 
-def fisher_from_moments(mean: float, second: float) -> FisherReport:
+def fisher_from_moments(mean: float, second: float) -> float:
     """F = 4 (<G^2> - <G>^2) from the first two moments of the generator on the probe."""
-    f_q = 4.0 * (second - mean * mean)
-    dmin = 1.0 / math.sqrt(f_q) if f_q > 0 else math.inf
-    return FisherReport(f_q=f_q, delta_phi_min=dmin)
+    return 4.0 * (second - mean * mean)
 
 
 def qfi_numeric(
     family: Callable[[float], TwoModeState],
     phi: float,
     h: float = DERIVATIVE_STEP_DEFAULT,
-) -> FisherReport:
+) -> float:
     """Fisher information from a central-difference state derivative.
 
     Agrees with ``qfi_analytic`` to O(h^2).
@@ -107,9 +106,7 @@ def qfi_numeric(
     dpsi = (plus.amps - minus.amps) / (2 * h)
     norm2 = float(np.vdot(dpsi, dpsi).real)
     overlap = complex(np.vdot(dpsi, center.amps))
-    f_q = 4.0 * (norm2 - abs(overlap) ** 2)
-    dmin = 1.0 / math.sqrt(f_q) if f_q > 0 else math.inf
-    return FisherReport(f_q=f_q, delta_phi_min=dmin)
+    return 4.0 * (norm2 - abs(overlap) ** 2)
 
 
 def cramer_rao(f_q: float) -> float:
@@ -126,8 +123,8 @@ def metric_distance(a: TwoModeState, b: TwoModeState) -> float:
 
 def uncertainty_product(s_tilde: TwoModeState) -> float:
     """delta_phi_min * 2 Delta m; identically 1 whenever Var(Jz) > 0."""
-    rep = qfi_analytic(s_tilde, "relative")
-    if rep.f_q <= 0:
+    f_q = qfi_analytic(s_tilde, "relative")
+    if f_q <= 0:
         raise NoInformationError("state carries no half-difference variance, product undefined")
-    two_dm = 2.0 * math.sqrt(rep.f_q / 4.0)
-    return cramer_rao(rep.f_q) * two_dm
+    two_dm = 2.0 * math.sqrt(f_q / 4.0)
+    return cramer_rao(f_q) * two_dm

@@ -29,7 +29,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from typing import Literal, NamedTuple, Union
 
 import numpy as np
 import numpy.random  # noqa: F401  load the sampler at import time, not on the first sample
@@ -80,8 +80,7 @@ class CountHistogram:
             raise ValueError("histogram counts do not add up to the number of trials")
 
 
-@dataclass(frozen=True)
-class ParityEstimate:
+class ParityEstimate(NamedTuple):
     estimate: float
     stderr: float
     kept_fraction: float

@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -179,17 +179,9 @@ def _climb(g: np.ndarray, total: int) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class WignerBlock:
-    """d^j_{v,u}(theta) on one fixed-total-photon block, m ordered descending."""
-
-    twice_j: int
-    theta: float
-    entries: np.ndarray = field(repr=False)  # read-only float64
-
-
-def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
-    """d^j(theta) = matrix of exp(-i theta Jy) in the 2j-photon block, climbed afresh on each call."""
+def wigner_d_block(twice_j: int, theta: float) -> np.ndarray:
+    """d^j_{v,u}(theta), the matrix of exp(-i theta Jy) in the 2j-photon block with m descending,
+    as a read-only float64 array climbed afresh on each call."""
     if twice_j < 0:
         raise ValueError("twice_j must be >= 0")
     theta = float(theta)
@@ -197,7 +189,7 @@ def wigner_d_block(twice_j: int, theta: float) -> WignerBlock:
     # ladder then gives the signed antidiagonal exactly.
     c = 0.0 if abs(theta) == math.pi else math.cos(theta / 2)
     s = math.sin(theta / 2)
-    return WignerBlock(twice_j, theta, _climb(np.array([[c, -s], [s, c]]), twice_j))
+    return _climb(np.array([[c, -s], [s, c]]), twice_j)
 
 
 # --------------------------------------------------------------------------

@@ -68,22 +68,22 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .estimation import (
     SINGULAR,
-    FisherReport,
     check_phi_grid,
+    cramer_rao,
     error_propagation,
     fisher_from_moments,
     qfi_analytic,
     qfi_numeric,
     metric_distance,
 )
-from .fock import TwoModeState, normalize
+from .fock import TwoModeState, basis_dim, normalize
 from .measurement import (
     CountHistogram,
     ParityEstimate,
@@ -164,8 +164,13 @@ class ScenarioConfig:
         for tag, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"{tag} must lie in [0, 1]")
-        if "n" in SCENARIOS[self.scenario].reads and self.n < 1:
-            raise ConfigError(f"scenario {self.scenario} needs n >= 1")
+        if "n" in SCENARIOS[self.scenario].reads:
+            if self.n < 1:
+                raise ConfigError(f"scenario {self.scenario} needs n >= 1")
+            dim = basis_dim(2 * self.n if self.scenario == "twin_fock" else self.n)  # twin_fock holds 2n photons
+            if 16 * dim > sys.maxsize:  # numpy refuses such an array with a ValueError: refuse before building any
+                raise MemoryError(f"{self.scenario} n={self.n} needs {dim} amplitudes, "
+                                  "more than an address space holds")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -197,8 +202,7 @@ SWEEP_COLUMNS = ("phi", "mean_o", "second_o", "var_o", "d_mean_dphi", "delta_phi
                  "closed_form_delta_phi", "convention")
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(NamedTuple):
     """One sweep as columns over its phi grid.
 
     The array columns cover every grid point except ``d_mean_dphi``, which
@@ -250,7 +254,7 @@ def _assemble_table(
     phis: np.ndarray,
     mean: np.ndarray,
     second: np.ndarray,
-    fisher: FisherReport,
+    fisher: float,
     closed: list[float | None],
     convention: str,
     annotation: str = "",
@@ -263,10 +267,8 @@ def _assemble_table(
     delta = np.concatenate(([SINGULAR], dp, [SINGULAR]))
     for arr in (phis, mean, second, var, d, delta):
         arr.flags.writeable = False
-    return SweepTable(
-        scenario, phis, mean, second, var, d, delta, tuple(closed),
-        fisher.f_q, fisher.delta_phi_min, convention, annotation,
-    )
+    crb = 1.0 / math.sqrt(fisher) if fisher > 0 else math.inf
+    return SweepTable(scenario, phis, mean, second, var, d, delta, tuple(closed), fisher, crb, convention, annotation)
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +311,7 @@ def two_mode(probe: Probe) -> TwoModeState:
 Harmonics = tuple[np.ndarray, np.ndarray]  # Fourier coefficients of mean and second moment
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """What one sweep measures; :func:`run_sweep` does the rest.
 
     ``readout`` gives the Fourier coefficients in phi of the observable's
@@ -431,8 +432,7 @@ def noon_output_distribution(n: int, phi: float):
     return photon_distribution(st)
 
 
-@dataclass(frozen=True)
-class NoonSamplingReport:
+class NoonSamplingReport(NamedTuple):
     """Monte Carlo parity estimation with loss and optional post-selection."""
 
     n: int
@@ -497,8 +497,7 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QfiRow:
+class QfiRow(NamedTuple):
     case: str
     f_q: float
     f_q_numeric: float
@@ -521,14 +520,14 @@ def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfi
     return cfg, f"coherent beta={beta_mag:g}"
 
 
-def _positive_fisher(psi: TwoModeState, conv: PhaseConvention, label: str, command: str) -> FisherReport:
+def _positive_fisher(psi: TwoModeState, conv: PhaseConvention, label: str, command: str) -> float:
     """The probe's Fisher information, refused below the smallest normal float: the tables divide by it,
     and a subnormal F_Q keeps too few digits to mean anything."""
-    fisher = qfi_analytic(psi, conv)
-    if not fisher.f_q >= sys.float_info.min:
+    f_q = qfi_analytic(psi, conv)
+    if not f_q >= sys.float_info.min:
         raise ConfigError(f"{command} needs Fisher information >= {sys.float_info.min:g}, and {label} has "
-                          f"F_Q = {fisher.f_q:g}, so the relative error is undefined")
-    return fisher
+                          f"F_Q = {f_q:g}, so the relative error is undefined")
+    return f_q
 
 
 def run_qfi_table(
@@ -536,7 +535,6 @@ def run_qfi_table(
     fock_n: int = 9,
     noon_n: int = 4,
     epsilon_trunc: float = EPS_TRUNC_DEFAULT,
-    h: float = 1e-4,
 ) -> list[QfiRow]:
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
@@ -555,10 +553,11 @@ def run_qfi_table(
     for cfg, label, phi, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
         psi = two_mode(sc.probe(cfg))
-        f_an = _positive_fisher(psi, sc.phase, label, "qfi-table")
-        f_num = qfi_numeric(partial(phase_shift, psi, conv=sc.phase), phi, h)
+        f_q = _positive_fisher(psi, sc.phase, label, "qfi-table")
+        f_num = qfi_numeric(partial(phase_shift, psi, conv=sc.phase), phi)
+        bound = cramer_rao(f_q)
         dp = _error_prop_at(sc.readout(psi), center, step)
-        rows.append(QfiRow(label, f_an.f_q, f_num.f_q, f_an.delta_phi_min, dp, dp / f_an.delta_phi_min, note))
+        rows.append(QfiRow(label, f_q, f_num, bound, dp, dp / bound, note))
     return rows
 
 
@@ -568,8 +567,7 @@ def write_qfi_table_csv(rows: list[QfiRow], path) -> None:
         f"{_fmt(r.delta_phi_error_prop)},{_fmt(r.ratio)},{r.note}\n" for r in rows))
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     family: str
     phi: float
     dl_dphi_squared: float
@@ -600,7 +598,7 @@ def run_metric_check(
         if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
             psi = normalize(psi)
         fam = partial(phase_shift, psi, conv=sc.phase)
-        quarter = _positive_fisher(psi, sc.phase, label, "metric-check").f_q / 4
+        quarter = _positive_fisher(psi, sc.phase, label, "metric-check") / 4
         for phi in _METRIC_PHIS:
             rate = (metric_distance(fam(phi), fam(phi + h)) / h) ** 2
             rows.append(MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,39 +23,28 @@ from .numerics import log_factorials, pair_operands
 EPS_TRUNC_DEFAULT = 1e-10
 
 
-@dataclass(frozen=True)
-class SingleModeAmplitudes:
-    """Number-basis amplitudes of one mode up to ``cutoff``, plus tail mass."""
+class SingleModeAmplitudes(NamedTuple):
+    """Number-basis amplitudes of one mode up to ``cutoff`` (a read-only array of cutoff + 1), plus tail mass."""
 
     cutoff: int
     amps: np.ndarray
     deficit: float
 
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=np.complex128, copy=True)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError("amplitude length must be cutoff + 1")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
 
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Polar squeeze parameter zeta = r * exp(i theta)."""
+class SqueezeParams(NamedTuple):
+    """Polar squeeze parameter zeta = r * exp(i theta); :func:`squeezed_vacuum_amplitudes` refuses r < 0."""
 
     r: float
     theta: float = 0.0
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeezing magnitude r must be >= 0")
-
 
 def _checked(cutoff: int, amps: np.ndarray, eps_trunc: float, what: str) -> SingleModeAmplitudes:
+    """The cutoff + 1 amplitudes just built, frozen in place once their deficit passes (a nan one never does)."""
     deficit = 1.0 - math.fsum(np.abs(amps) ** 2)
-    if deficit > eps_trunc:
+    if not deficit <= eps_trunc:
         raise TruncationError(f"{what}: cutoff {cutoff} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
-    return SingleModeAmplitudes(cutoff=cutoff, amps=amps, deficit=deficit)
+    amps.flags.writeable = False
+    return SingleModeAmplitudes(cutoff, amps, deficit)
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
@@ -97,6 +86,8 @@ def squeezed_vacuum_amplitudes(p: SqueezeParams, cutoff: int, eps_trunc: float =
     The closed form is validated against a generator-exponentiation oracle in
     the test suite rather than trusted.
     """
+    if p.r < 0:
+        raise ValueError(f"squeezing magnitude r must be >= 0, got {p.r}")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
@@ -164,8 +155,7 @@ def product_state(a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, 
     return TwoModeState(n_cap, amps, deficit=deficit)
 
 
-@dataclass(frozen=True)
-class ProductProbe:
+class ProductProbe(NamedTuple):
     """Single-mode inputs a (x) b on the basis n1 + n2 <= n_cap, then BS1 if ``bs1``.
 
     The coherent and squeezed sweeps read this out on the two amplitude

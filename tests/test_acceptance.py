@@ -217,11 +217,11 @@ def test_criterion_9_structural_invariants():
     t0 = time.monotonic()
     # rotation blocks stay orthogonal far up the photon ladder
     for tj in range(0, 101):
-        d = wigner_d_block(tj, math.pi / 2).entries
+        d = wigner_d_block(tj, math.pi / 2)
         assert np.abs(d @ d.T - np.eye(tj + 1)).max() <= 1e-12
     # half-turn identity: exact antidiagonal with alternating signs
     for tj in (1, 2, 3, 6, 9, 12):
-        d = wigner_d_block(tj, -math.pi).entries
+        d = wigner_d_block(tj, -math.pi)
         want = np.zeros((tj + 1, tj + 1))
         for i in range(tj + 1):
             want[i, tj - i] = (-1.0) ** i

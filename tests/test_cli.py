@@ -161,6 +161,7 @@ OUT_OF_RANGE_CASES = [
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
     ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "-1"],
     ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1000"],  # sinh(r) overflows
     ["sweep", "--scenario", "squeezed", "--alpha", "1e200", "--r", "1000"],  # and so does |alpha|^2
     ["sweep", "--scenario", "fock", "--n", "3", "--phi", "1e8:100000000.000001:5"],  # steps round unequal
@@ -227,12 +228,20 @@ TOO_LARGE_CASES = [
     ["sweep", "--scenario", "coherent", "--alpha", "1e10", "--beta", "1"],
     ["sweep", "--scenario", "squeezed", "--alpha", "1e10", "--r", "0.5"],
     ["qfi-table", "--beta", "1e10"],
+    # (N+1)(N+2)/2 amplitudes of 16 bytes pass sys.maxsize from N = 2**30 - 1 on (twin_fock holds 2N photons)
+    ["sweep", "--scenario", "fock", "--n", "1073741823"],
+    ["sweep", "--scenario", "noon", "--n", "1073741823"],
+    ["sweep", "--scenario", "twin_fock", "--n", "536870912"],
+    ["qfi-table", "--fock-n", "1073741823"],
+    ["metric-check", "--noon-n", "1073741823"],
+    ["sample", "--n", str(10**11)],
 ]
 
 
 @pytest.mark.parametrize("argv", TOO_LARGE_CASES, ids=[" ".join(a) for a in TOO_LARGE_CASES])
 def test_probe_too_large_to_address_exits_three(tmp_path, capsys, argv):
-    # |alpha|^2 photons of cutoff: refused before |alpha|^2 overflows or any array is allocated
+    # |alpha|^2 photons of cutoff, or a basis past the address space: refused before |alpha|^2 overflows
+    # or any array is allocated
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: out of memory") and "Traceback" not in err
@@ -288,6 +297,18 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_keeps_only_the_checking_records_as_dataclasses():
+    # a frozen dataclass generates its methods at import; only records that are mutable or check their
+    # input in __post_init__ stay dataclasses, the plain ones are NamedTuples
+    code = ("import dataclasses, inspect, sys, mzlab.cli; "
+            "print(sorted({c.__name__ for m, mod in list(sys.modules.items()) if m.split('.')[0] == 'mzlab' "
+            "for c in vars(mod).values() if inspect.isclass(c) and c.__module__ == m and dataclasses.is_dataclass(c)}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted(["BeamSplitterSpec", "CountDistribution", "CountHistogram", "ScenarioConfig",
+                                              "TwoModeState"]))
 
 
 def test_sweep_rejects_seed_flag(tmp_path, capsys):
@@ -373,6 +394,17 @@ def test_subnormal_grid_step_warns_nothing_and_is_singular_everywhere(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["sweep", "--scenario", "fock", "--phi", "0:1e-320:5", "--out", str(out)]) == 0
     assert [row["delta_phi"] for row in csv.DictReader(out.read_text().splitlines())] == ["inf"] * 5
+
+
+def test_weak_probe_on_a_huge_step_warns_nothing_and_is_singular_everywhere(tmp_path):
+    # 1e-9 rms / step underflows to 0 (rms ~ 7e-161, step 4e307) and the central differences round to
+    # +-0: a zero difference must read singular, not 0 / 0
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--scenario", "coherent", "--alpha", "1e-160", "--beta", "1e-160",
+                     "--phi", "0:8e307:3", "--out", str(out)]) == 0
+    assert [row["delta_phi"] for row in csv.DictReader(out.read_text().splitlines())] == ["inf"] * 3
 
 
 @pytest.mark.parametrize("command", ["qfi-table", "metric-check"])

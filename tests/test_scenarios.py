@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
-from mzlab.estimation import SINGULAR, FisherReport, is_singular, qfi_analytic
+from mzlab.estimation import SINGULAR, is_singular, qfi_analytic
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, expect_j, expect_j2, phase_generator, phase_shift
 from mzlab.scenarios import (
@@ -331,13 +331,14 @@ def reference_table(phis, mean, second, qfi, crb, closed, convention):
     replaced; the columnar table must reproduce it to the byte.
     """
     step = float(phis[1] - phis[0])
+    floor = min(1.0, math.sqrt(max(0.0, *second))) or 1.0  # the rms of the curve, 1 for an all-zero one
     rows = []
     for i, phi in enumerate(phis):
         d, dp = None, SINGULAR
         if 1 <= i <= phis.size - 2:
             d = float((mean[i + 1] - mean[i - 1]) / (2 * step))
             m = mean[i]
-            if not abs(d) < 1e-9 * max(1.0, abs(m)) / step:
+            if d != 0 and not abs(d) < 1e-9 * max(floor, abs(m)) / step:
                 dp = math.sqrt(max(0.0, float(second[i] - m * m))) / abs(d)
         var = max(0.0, second[i] - mean[i] ** 2)  # numpy scalar ** is pow(), not x * x
         rows.append((float(phi), float(mean[i]), float(second[i]), float(var), d, dp, qfi, crb, closed[i], convention))
@@ -421,9 +422,15 @@ def random_curves(draw):
 @example((0.5 * np.arange(3), np.array([0.0, 0.5, 2e-9]), np.array([1.0, 1.25, 1.0]), [None] * 3))  # |d| == threshold
 def test_columnar_table_matches_row_reference_on_random_curves(curve):
     phis, mean, second, closed = curve
-    fisher = FisherReport(f_q=3.0, delta_phi_min=1 / math.sqrt(3.0))
-    table = _assemble_table("fock", phis, mean, second, fisher, closed, "mode_b/jz_half")
+    table = _assemble_table("fock", phis, mean, second, 3.0, closed, "mode_b/jz_half")
+    assert table.qfi == 3.0 and table.crb == 1 / math.sqrt(3.0)
     assert_matches_reference(table, phis, mean, second, closed)
+
+
+def test_probe_without_fisher_information_writes_an_infinite_bound():
+    # an empty arm b carries no n2 variance: F_Q = 0 and the table's crb is inf, not a refusal
+    table = run_sweep(ScenarioConfig(scenario="coherent", alpha_mag=2.0, beta_mag=0.0, phi_steps=5))
+    assert table.qfi == 0.0 and table.crb == math.inf
 
 
 # ----- cross-cutting table invariants ------------------------------------------------
@@ -594,6 +601,22 @@ def test_qfi_table_values():
     for r in rows:
         assert r.f_q_numeric == pytest.approx(r.f_q, rel=1e-5)
         assert r.delta_phi_min == pytest.approx(1 / math.sqrt(r.f_q), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-4, 3e-3, 1e-2])
+def test_weak_coherent_row_keeps_its_error_propagation(beta):
+    # the fringe slope beta^2 sits below 1e-9 / step = 1e-5 for beta < 3.2e-3; the singular floor scales
+    # with the curve's rms, so a weak probe still reads the sqrt(2) of the strong one, not inf
+    (row, *_) = run_qfi_table(beta_mag=beta)
+    assert row.delta_phi_error_prop == pytest.approx(math.sqrt(2) / (2 * beta), rel=1e-6)
+    assert row.ratio == pytest.approx(math.sqrt(2), abs=1e-6)
+
+
+def test_zero_mean_curve_stays_singular_everywhere():
+    # twin_fock's exchange readout has mean 0 at every phase, and a second moment that reaches 4.25: no slope to invert
+    table = run_sweep(ScenarioConfig(scenario="twin_fock", n=3, phi_start=-1.0, phi_stop=1.0, phi_steps=5))
+    assert np.abs(table.mean_o).max() < 1e-30 and table.second_o.max() > 1  # rounding residue of a zero mean
+    assert table.delta_phi.tolist() == [SINGULAR] * 5
 
 
 def test_metric_check_rows():

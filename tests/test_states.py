@@ -138,6 +138,32 @@ def test_squeezed_identity_limit():
     assert np.all(sm.amps[1:] == 0.0)
 
 
+@pytest.mark.parametrize("r", [-1.0, -1e-300])
+def test_negative_squeezing_is_refused(r):
+    # SqueezeParams is a plain record; the amplitudes, which every squeezed preparation goes through, refuse r < 0
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        squeezed_vacuum_amplitudes(SqueezeParams(r), 10)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        auto_squeezed(SqueezeParams(r, 0.3))
+
+
+@pytest.mark.parametrize("params", [SqueezeParams(math.nan), SqueezeParams(0.5, math.nan)], ids=["r", "theta"])
+def test_nan_squeezing_is_refused(params):
+    # nan amplitudes have a nan deficit, which no cutoff may pass (nan > eps_trunc is false)
+    with pytest.raises(TruncationError, match="deficit nan"):
+        squeezed_vacuum_amplitudes(params, 10, eps_trunc=1.0)
+    with pytest.raises(TruncationError, match="deficit nan"):
+        auto_squeezed(params)
+
+
+def test_prepared_amplitudes_are_read_only():
+    for sm in (coherent_amplitudes(2.0, 30), coherent_amplitudes(40.0, 1200, eps_trunc=1.0), squeezed_vacuum_amplitudes(SqueezeParams(0.5), 30),
+               auto_squeezed(SqueezeParams(0.0)), auto_coherent(3.0)):
+        assert not sm.amps.flags.writeable and sm.amps.shape == (sm.cutoff + 1,) and sm.amps.dtype == np.complex128
+        with pytest.raises(ValueError):
+            sm.amps[0] = 0.0
+
+
 @pytest.mark.parametrize("r,theta", [(0.5, 0.0), (1.0, 0.0), (1.5, 0.7), (1.0, -1.2)])
 def test_squeezed_matches_generator_exponentiation(r, theta):
     cutoff = 60
