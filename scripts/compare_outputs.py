@@ -8,7 +8,8 @@ A tree is a checkout (holding ``src/mzlab``) or a directory holding
 each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
 (``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
-(``LARGE_N_OPS``), one squeezed sweep right after the edge ops
+(``LARGE_N_OPS``), one refusal of each kind that mzlab itself raises
+(``REFUSAL_OPS``), one squeezed sweep right after the edge ops
 (``AFTER_EDGE_OP``), shorter outputs written over longer ones at one path
 (``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
 reference sweeps and the two tables.  Each tree runs the workload, edge,
@@ -28,9 +29,10 @@ So a number that depends on what ran earlier shows up as a difference
 between the two trees, and the script says for each tree whether the two
 runs of the op wrote the same CSV.
 
-For every op it prints whether the exit code, the stdout and the CSV are
-byte-identical, then the worst difference per CSV column over all ops,
-scaled by max(1, |x|), and the cells whose empty/inf/nan pattern changed.
+For every op it prints whether the exit code, the stdout, the stderr and
+the CSV are byte-identical, then the worst difference per CSV column over
+all ops, scaled by max(1, |x|), and the cells whose empty/inf/nan pattern
+changed.
 Exit status: 0 if every op is byte-identical and every second pass of the
 new tree wrote the bytes of its first, 1 otherwise.
 """
@@ -90,6 +92,21 @@ LARGE_N_OPS = [
 ]
 
 
+# inputs mzlab refuses with exit 2 after argparse has accepted them, one of each kind: a grid whose top
+# harmonic overflows, a config field out of range, a field the scenario does not read, a probe the squeezed
+# scenario refuses (|alpha|^2 < 8 sinh(r)^2), a sampled phase whose phase factor overflows, a probe with no
+# Fisher information and a finite-difference step that moves no sampled phase.  Argparse's own errors are
+# left out: they print the subcommand's usage line, which lists its flags and changes whenever one does.
+REFUSAL_OPS = [
+    ["sweep", "--scenario", "noon", "--n", "400", "--phi", "0:1e306:5"],
+    ["sweep", "--scenario", "fock", "--n", "0"],
+    ["sweep", "--scenario", "fock", "--n", "3", "--n-cap", "5"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "1", "--r", "1"],
+    ["sample", "--n", "4", "--phi-at", "1e308"],
+    ["qfi-table", "--beta", "0"],
+    ["metric-check", "--step", "1e-300"],
+]
+
 AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
 
 # a long output, then a shorter one written over it at the same path: the CSV left must hold no tail of the first
@@ -126,19 +143,21 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
            for name in workloads.WORKLOADS for seed in seeds
            for i, argv in enumerate(workloads.generate(name, seed))]
     return (ops + [(f"edge_sample:{i}", argv) for i, argv in enumerate(EDGE_SAMPLE_OPS)]
-            + [(f"large_n:{i}", argv) for i, argv in enumerate(LARGE_N_OPS)])
+            + [(f"large_n:{i}", argv) for i, argv in enumerate(LARGE_N_OPS)]
+            + [(f"refusal:{i}", argv) for i, argv in enumerate(REFUSAL_OPS)])
 
 
 def _run_op(main, argvs: list[list[str]], path: str) -> dict:
-    """Each argv of one op in turn, written to one path; the exit code, stdout and CSV the last one left."""
+    """Each argv of one op in turn, written to one path; the exit code, stdout, stderr and CSV the last one left."""
     for argv in argvs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = main(argv + ["--out", path])
             except Exception as exc:  # a traceback breaks the exit-code contract; report it as a result
                 rc = f"raised {exc!r}"
-    return {"rc": rc, "stdout": out.getvalue().replace(path, "<out>"), "csv": _read(Path(path))}
+    return {"rc": rc, "stdout": out.getvalue().replace(path, "<out>"), "stderr": err.getvalue().replace(path, "<out>"),
+            "csv": _read(Path(path))}
 
 
 def worker() -> None:
@@ -179,9 +198,9 @@ def run_tree(src: Path, ops, workdir: Path) -> dict:
     results.update(_run_worker(env, [("fresh:0", [AFTER_EDGE_OP])], outdir))
     cases = subprocess.run([sys.executable, str(CASES_SCRIPT), "--outdir", "cases"], cwd=workdir,
                            capture_output=True, text=True, env=env)
-    results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "csv": None}
+    results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "stderr": cases.stderr, "csv": None}
     for path in sorted((workdir / "cases").glob("*.csv")):
-        results[f"cases:{path.stem}"] = {"rc": cases.returncode, "stdout": "", "csv": _read(path)}
+        results[f"cases:{path.stem}"] = {"rc": cases.returncode, "stdout": "", "stderr": "", "csv": _read(path)}
     return results
 
 
@@ -236,7 +255,8 @@ def main() -> int:
         if o is None or n is None:
             print(f"{op_id:28s} only in the {'new' if o is None else 'old'} tree")
             continue
-        same = {"exit": o["rc"] == n["rc"], "stdout": o["stdout"] == n["stdout"], "csv": o["csv"] == n["csv"]}
+        same = {"exit": o["rc"] == n["rc"], "stdout": o["stdout"] == n["stdout"], "stderr": o["stderr"] == n["stderr"],
+                "csv": o["csv"] == n["csv"]}
         identical += all(same.values())
         if o["csv"] is not None and n["csv"] is not None and o["csv"] != n["csv"]:
             compare_csv(o["csv"], n["csv"], worst, pattern)
@@ -244,7 +264,7 @@ def main() -> int:
         rc = o["rc"] if o["rc"] == n["rc"] else f"{o['rc']}->{n['rc']}"
         print(f"{op_id:28s} rc {rc!s:6s} {marks}  {' '.join(argv_of.get(op_id, []))}")
     total = len(old.keys() | new.keys())
-    print(f"\n{identical}/{total} ops byte-identical (exit code, stdout and CSV)")
+    print(f"\n{identical}/{total} ops byte-identical (exit code, stdout, stderr and CSV)")
     same = {side: "same" if res["after_edge:0"]["csv"] == res["fresh:0"]["csv"] else "DIFF"
             for side, res in (("old", old), ("new", new))}
     print(f"after_edge:0 against fresh:0, the same sweep in a fresh interpreter: old {same['old']}, new {same['new']}")

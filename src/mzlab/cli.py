@@ -1,5 +1,10 @@
 """Command-line surface: sweep, sample, qfi-table, metric-check.
 
+Every subcommand requires --out.  Input is refused before the work it
+would waste: argparse checks the flags, ``ScenarioConfig`` checks a config
+when it is built, and a sweep checks its grid against its readout's top
+harmonic before it reads the probe out.
+
 Exit codes: 0 success, 2 argument/config errors (argparse prints usage) or
 an unwritable --out, 3 numerical failures such as an exhausted
 post-selection filter, a truncation deficit above the configured epsilon,
@@ -43,7 +48,7 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
 def _add_common(p: argparse.ArgumentParser, config_file: bool) -> None:
     """Flags of every subcommand.  Those that read a config file (sweep, sample) also take
     --config, and leave --epsilon-trunc unset so the file's value stands."""
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc", default=None if config_file else EPS_TRUNC_DEFAULT,
                    help=f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})")
     if config_file:
@@ -67,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--r", type=float, help="squeezing magnitude")
     sw.add_argument("--theta", type=float, help="squeezing phase")
     sw.add_argument("--f", type=float, help="coherent phase of the squeezed scenario (default (pi - theta)/2)")
-    sw.add_argument("--phi", help="grid as start:stop:steps (default 0:pi:181)")
+    sw.add_argument("--phi", help="grid as start:stop:steps (default 0:pi:181); write a negative start as --phi=-1:1:5")
     sw.add_argument("--n-cap", type=int, dest="n_cap", help="override the automatic basis cutoff (coherent, squeezed)")
 
     sa = sub.add_parser("sample", help="Monte Carlo photon counting with loss (noon scenario)")
@@ -113,12 +118,6 @@ def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
     return config_from_values(values)
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise ConfigError("missing --out <path>")
-    return args.out
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -129,14 +128,14 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cfg = _assemble_config(args)
             table = run_sweep(cfg)
-            table.write_csv(_require_out(args))
+            table.write_csv(args.out)
             if table.annotation:
                 print(f"note: {table.annotation}")
             print(f"wrote {args.out} ({table.phi.size} rows)")
         elif args.command == "sample":
             cfg = _assemble_config(args)
             report = run_noon_sampling(cfg)
-            write_histogram_csv(report.histogram, _require_out(args))
+            write_histogram_csv(report.histogram, args.out)
             for line in report.lines():
                 print(line)
             print(f"wrote {args.out}")
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
                 noon_n=args.noon_n,
                 epsilon_trunc=args.epsilon_trunc,
             )
-            write_qfi_table_csv(rows, _require_out(args))
+            write_qfi_table_csv(rows, args.out)
             print(f"wrote {args.out} ({len(rows)} rows)")
         else:
             rows = run_metric_check(
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
                 h=args.step,
                 epsilon_trunc=args.epsilon_trunc,
             )
-            write_metric_csv(rows, _require_out(args))
+            write_metric_csv(rows, args.out)
             print(f"wrote {args.out} ({len(rows)} rows)")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

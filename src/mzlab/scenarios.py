@@ -120,8 +120,10 @@ from .states import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's settings, checked when built; ``dataclasses.replace`` checks the copy it makes."""
+
     scenario: str = "fock"
     # coherent inputs |alpha| e^{i theta1}, |beta| e^{i theta2}
     alpha_mag: float = 2.0
@@ -148,7 +150,7 @@ class ScenarioConfig:
     epsilon_trunc: float = EPS_TRUNC_DEFAULT
     n_cap: int | None = None  # coherent and squeezed only; the other bases are fixed by n
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self) -> None:
         for fld in fields(self):
             val = getattr(self, fld.name)
             if isinstance(val, float) and not math.isfinite(val):
@@ -181,7 +183,6 @@ class ScenarioConfig:
             raise ConfigError("n_cap must be >= 0")
         if self.alpha_mag < 0 or self.beta_mag < 0:
             raise ConfigError("magnitudes must be >= 0")
-        return self
 
     def phi_grid(self) -> np.ndarray:
         """The sweep's grid, built and checked once per sweep; only a sweep reads it."""
@@ -408,19 +409,19 @@ def _reject_unread(cfg: ScenarioConfig, reads: tuple[str, ...], run: str) -> Non
 
 def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Sweep the scenario named by ``cfg`` over its phi grid."""
-    phis = cfg.validate().phi_grid()
+    phis = cfg.phi_grid()
     sc = SCENARIOS[cfg.scenario]
     _reject_unread(cfg, sc.reads + _PHI_GRID, f"a {cfg.scenario} sweep")
     probe = sc.probe(cfg)
+    top = cfg.n if sc.readout is parity_harmonics else 2  # the readout's highest harmonic e^{i top phi}
+    if not math.isfinite(top * max(abs(cfg.phi_start), abs(cfg.phi_stop))):
+        raise ConfigError(f"phi grid {cfg.phi_start!r}:{cfg.phi_stop!r}:{cfg.phi_steps} refused: {top} phi, "
+                          f"the phase of the {cfg.scenario} readout's top harmonic, overflows")
     if isinstance(probe, ProductProbe):
         mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
         fisher = fisher_from_moments(n2_mean, n2_second)
     else:
         (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.phase)
-    top = max(len(mean_c), len(second_c)) - 1  # the readout's highest harmonic e^{i top phi}
-    if not math.isfinite(top * max(abs(cfg.phi_start), abs(cfg.phi_stop))):
-        raise ConfigError(f"phi grid {cfg.phi_start!r}:{cfg.phi_stop!r}:{cfg.phi_steps} refused: {top} phi, "
-                          f"the phase of the {cfg.scenario} readout's top harmonic, overflows")
     mean = sc.scale * eval_harmonics(mean_c, phis)
     second = sc.scale**2 * eval_harmonics(second_c, phis)
     return _assemble_table(cfg.scenario, phis, mean, second, fisher, sc.closed_form(cfg, phis), sc.convention, sc.annotation)
@@ -465,7 +466,6 @@ class NoonSamplingReport(NamedTuple):
 
 
 def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
-    cfg.validate()
     if cfg.scenario != "noon":
         raise ConfigError("count sampling is defined for the noon scenario")
     _reject_unread(cfg, _SAMPLING_READS, "sample")
@@ -515,8 +515,8 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
 
 
 def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfig, str]:
-    """The validated |beta>|beta> row of a table and its label."""
-    cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc).validate()
+    """The |beta>|beta> row of a table and its label."""
+    cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc)
     return cfg, f"coherent beta={beta_mag:g}"
 
 
@@ -540,8 +540,8 @@ def run_qfi_table(
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
     eps = epsilon_trunc
     coherent, coherent_label = _coherent_case(beta_mag, eps)
-    fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps).validate()
-    noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate()
+    fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps)
+    noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps)
     # (config, label, phi of the numeric derivative, fringe centre, stencil step, note)
     cases = [
         (coherent, coherent_label, 0.7, math.pi / 2, 1e-4,
@@ -585,7 +585,7 @@ def run_metric_check(
     eps = epsilon_trunc
     cases = [
         _coherent_case(beta_mag, eps),
-        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps).validate(), f"noon n={noon_n}"),
+        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps), f"noon n={noon_n}"),
     ]
     if not 0.0 < h < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {h}")
@@ -675,9 +675,6 @@ def config_lines(cfg: ScenarioConfig) -> list[str]:
 
 
 def config_from_values(values: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    for key, val in values.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, val)
-    return cfg
+    if unknown := [key for key in values if key not in _CONFIG_FIELDS]:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    return ScenarioConfig(**values)

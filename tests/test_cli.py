@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzlab.cli
+import mzlab.optics
 from mzlab.cli import main
 from mzlab.scenarios import SCENARIOS
 
@@ -330,6 +331,44 @@ def test_sweep_rejects_sampling_settings(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and line.split()[0] in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("reached work that a refused input must not start")
+
+
+def test_overflowing_noon_grid_is_refused_before_any_splitter_block(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mzlab.optics, "_walk", _must_not_run)  # the parity readout walks the BS2_JX blocks
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "noon", "--n", "400", "--phi", "0:1e306:5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi grid 0.0:1e+306:5 refused: 400 phi, the phase of the noon readout's "
+                          "top harmonic, overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "fock", "--n", "3000"],
+    ["sample", "--n", "300", "--trials", "1000"],
+    ["qfi-table", "--noon-n", "300"],
+    ["metric-check"],
+])
+def test_missing_out_is_refused_before_the_run(capsys, monkeypatch, argv):
+    for name in ("run_sweep", "run_noon_sampling", "run_qfi_table", "run_metric_check"):
+        monkeypatch.setattr(mzlab.cli, name, _must_not_run)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --out" in err and "Traceback" not in err
+
+
+def test_negative_phi_start_takes_the_equals_form(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    head = ["sweep", "--scenario", "fock", "--n", "3", "--out", str(out)]
+    assert main(head + ["--phi", "-1:1:5"]) == 2  # argparse reads a value that starts with '-' as an option
+    assert "argument --phi: expected one argument" in capsys.readouterr().err
+    assert main(head + ["--phi=-1:1:5"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 5 and rows[0].startswith("-1,") and rows[-1].startswith("1,")
 
 
 def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import math
 import os
 import stat
 import tempfile
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -673,13 +673,26 @@ def test_config_parser_comments_and_blanks():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="fock", phi_steps=2).validate()
+        ScenarioConfig(scenario="fock", phi_steps=2)
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="fock", epsilon_trunc=1e-5).validate()
+        ScenarioConfig(scenario="fock", epsilon_trunc=1e-5)
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="noon", eta_a=1.5).validate()
+        ScenarioConfig(scenario="noon", eta_a=1.5)
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="nope").validate()
+        ScenarioConfig(scenario="nope")
+
+
+def test_config_is_frozen_and_checked_whenever_one_is_built():
+    cfg = ScenarioConfig(scenario="fock", n=3)
+    with pytest.raises(FrozenInstanceError):
+        cfg.n = 0
+    with pytest.raises(ConfigError):
+        ScenarioConfig(scenario="fock", n=0)
+    with pytest.raises(ConfigError):
+        replace(cfg, n=0)
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        config_from_values({"n": 3, "bogus": 1})
+    assert config_from_values({"scenario": "fock", "n": 3}) == cfg
 
 
 # each scenario's declared fields, one at a time, moved off a base config
