@@ -8,10 +8,10 @@ A tree is a checkout (holding ``src/mzlab``) or a directory holding
 each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
 (``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
-(``LARGE_N_OPS``), one refusal of each kind that mzlab itself raises
-(``REFUSAL_OPS``), one squeezed sweep right after the edge ops
-(``AFTER_EDGE_OP``), shorter outputs written over longer ones at one path
-(``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
+and on weak metric-check probes (``LARGE_N_OPS``), one refusal of each
+kind that mzlab itself raises (``REFUSAL_OPS``), one squeezed sweep right
+after the edge ops (``AFTER_EDGE_OP``), shorter outputs written over longer
+ones at one path (``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
 reference sweeps and the two tables.  Each tree runs the workload, edge,
 large-N and overwrite ops in a subprocess of its own, one op after another
 in one interpreter, as the benchmark does; BLAS is pinned to one thread so
@@ -76,7 +76,9 @@ EDGE_SAMPLE_OPS = [
 # an int64 product of four ladder factors would overflow, so both trees must agree there byte for byte;
 # and product readouts off the workloads' path: a squeezed probe of ~2,000 and ~1,700 amplitudes a mode, a
 # squeezed vacuum with a squeeze phase (complex amplitudes on the BS1 path), and two caps below the coherent
-# cutoffs of 59: at 55 every pair sum takes a truncated partial sum, and 20 leaves too much mass out (exit 3)
+# cutoffs of 59: at 55 every pair sum takes a truncated partial sum, and 20 leaves too much mass out (exit 3);
+# a coherent probe of ~10^6 amplitudes in mode a, the one op here whose plan takes its words one run at a time;
+# and two weak probes whose metric-check rate is far below the float epsilon of an overlap
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -89,6 +91,9 @@ LARGE_N_OPS = [
     ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1", "--theta", "1.3"],
     ["sweep", "--scenario", "coherent", "--alpha", "3", "--beta", "3", "--n-cap", "20"],
     ["sweep", "--scenario", "coherent", "--alpha", "3", "--beta", "3", "--n-cap", "55"],
+    ["sweep", "--scenario", "coherent", "--alpha", "1000", "--beta", "1"],
+    ["metric-check", "--beta", "1e-4"],
+    ["metric-check", "--beta", "1e-2", "--noon-n", "1"],
 ]
 
 

@@ -20,7 +20,9 @@ value splits is clean: every uniform in it lands on the same outcome, so
 only its count is kept.  At most one bucket per outcome is dirty, and only
 the uniforms that fall in a dirty bucket are searched.  Each trial still
 resolves to the outcome the per-trial search gives, so the histogram is the
-same, bit for bit.
+same, bit for bit.  The histogram is one read-only int64 array in the layout
+of the distribution (``pair_index``); the parity, the moments and the CSV
+rows are reductions of that array, and the rows go in sampling order.
 """
 
 from __future__ import annotations
@@ -66,18 +68,13 @@ class CountDistribution:
         return float(math.fsum(self.probs))
 
 
-@dataclass(frozen=True)
-class CountHistogram:
-    """Sampled counts; Sum(counts) == trials."""
+class CountHistogram(NamedTuple):
+    """Sampled counts: ``counts[pair_index(l1, l2)]`` trials landed on (l1, l2), read-only; they sum to ``trials``."""
 
-    counts: dict[tuple[int, int], int]
+    n_cap: int
+    counts: np.ndarray
     trials: int
     seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        if sum(self.counts.values()) != self.trials:
-            raise ValueError("histogram counts do not add up to the number of trials")
 
 
 class ParityEstimate(NamedTuple):
@@ -108,8 +105,8 @@ def lossy_distribution(d: CountDistribution, eta_a: float, eta_b: float) -> Coun
     return CountDistribution(d.n_cap, rect[n1, n2])
 
 
-def _sampling_order(d: CountDistribution) -> np.ndarray:
-    n1, n2 = index_pairs(d.n_cap)
+def _sampling_order(n_cap: int) -> np.ndarray:  # the pair indices by (l1 + l2, l1)
+    n1, n2 = index_pairs(n_cap)
     return np.lexsort((n1, n1 + n2))
 
 
@@ -140,10 +137,9 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    order = _sampling_order(d)
+    order = _sampling_order(d.n_cap)
     cdf = np.cumsum(d.probs[order])
-    total = cdf[-1]
-    cdf /= total  # distribution may carry a truncation deficit ~1e-12
+    cdf /= cdf[-1]  # distribution may carry a truncation deficit ~1e-12
     last = cdf.size - 1
     lo, dirty = _bucket_table(cdf)
     occupancy = np.zeros(cdf.size, dtype=np.int64)
@@ -166,27 +162,22 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
         chunk_index += 1
     clean = ~dirty
     np.add.at(occupancy, lo[clean], per_bucket[clean])
-    n1, n2 = index_pairs(d.n_cap)
-    counts = {}
-    for pos in np.nonzero(occupancy)[0]:
-        i = order[pos]
-        counts[(int(n1[i]), int(n2[i]))] = int(occupancy[pos])
-    return CountHistogram(counts=counts, trials=trials, seed=seed)
+    counts = np.empty_like(occupancy)
+    counts[order] = occupancy
+    counts.flags.writeable = False
+    return CountHistogram(d.n_cap, counts, trials, seed)
 
 
 def jz_moments(src: Union[CountDistribution, CountHistogram]) -> tuple[float, float]:
     """Moments of the half-difference (l1 - l2)/2 of the output counts."""
+    n1, n2 = index_pairs(src.n_cap)
     if isinstance(src, CountDistribution):
-        n1, n2 = index_pairs(src.n_cap)
         v = (n1 - n2) / 2.0
-        p = src.probs
-        return float(math.fsum(p * v)), float(math.fsum(p * v * v))
-    if not src.counts:
+        return float(math.fsum(src.probs * v)), float(math.fsum(src.probs * v * v))
+    if not src.counts.any():
         raise ValueError("empty histogram")
-    w = 1.0 / src.trials
-    mean = math.fsum(c * w * (l1 - l2) / 2.0 for (l1, l2), c in src.counts.items())
-    second = math.fsum(c * w * ((l1 - l2) / 2.0) ** 2 for (l1, l2), c in src.counts.items())
-    return mean, second
+    freq = src.counts * (1.0 / src.trials)
+    return math.fsum(freq * (n1 - n2) / 2.0), math.fsum(freq * ((n1 - n2) / 2.0) ** 2)
 
 
 def parity_expectation(d: CountDistribution, mode: OutputMode = "a") -> float:
@@ -203,15 +194,12 @@ def parity_from_histogram(h: CountHistogram, post_select_total: int | None = Non
     The standard error uses the plug-in sample variance 1 - estimate^2
     (parity squares to one), which remains valid after post-selection.
     """
-    if not h.counts:
+    if not h.counts.any():
         raise ValueError("empty histogram")
-    kept = 0
-    acc = 0
-    for (l1, l2), c in h.counts.items():
-        if post_select_total is not None and l1 + l2 != post_select_total:
-            continue
-        kept += c
-        acc += c if l1 % 2 == 0 else -c
+    n1, n2 = index_pairs(h.n_cap)
+    counts = h.counts if post_select_total is None else h.counts * (n1 + n2 == post_select_total)
+    kept = int(counts.sum())
+    acc = int(np.where(n1 % 2 == 0, counts, -counts).sum())
     if kept == 0:
         raise FilterExhaustedError(f"post-selection on total={post_select_total} kept no events")
     estimate = acc / kept
@@ -220,8 +208,11 @@ def parity_from_histogram(h: CountHistogram, post_select_total: int | None = Non
 
 
 def histogram_rows(h: CountHistogram) -> list[tuple[int, int, int]]:
-    """(l1, l2, count) rows sorted by (l1 + l2, l1)."""
-    return sorted(((l1, l2, c) for (l1, l2), c in h.counts.items()), key=lambda r: (r[0] + r[1], r[0]))
+    """(l1, l2, count) of every outcome drawn, in sampling order (l1 + l2, then l1)."""
+    n1, n2 = index_pairs(h.n_cap)
+    order = _sampling_order(h.n_cap)
+    order = order[h.counts[order] != 0]
+    return list(zip(n1[order].tolist(), n2[order].tolist(), h.counts[order].tolist()))
 
 
 def write_histogram_csv(h: CountHistogram, path) -> None:

@@ -76,18 +76,22 @@ The polynomials are built at import, bare and through ``BS1_SYMMETRIC``,
 and so is one plan for each set (``_ProductPlan``): every distinct word of
 each mode as the letter offsets of its matrix element, and one row per
 (polynomial, mode-a word) pair holding its monomials in dict order.  A
-call computes the weights of all words of one mode together, takes one
-square root, forms each word's terms, sums each row's monomials on the
-mode-b side, and runs every row's pair sum through one cumulative sum and
-one gather.  Each step repeats the arithmetic of evaluating one word and
-one pair sum at a time, so the readout is the same to the bit; three
-choices keep it so.  The gather is ``take`` along the row axis: fancy
-indexing of a row-major cumulative sum returns a column-major array, and
-a dot product on its strided rows takes another BLAS path.  Squeezed
-amplitudes exponentiate with ``math.exp``, which differs from ``np.exp`` in
-the last bit for a few inputs in a hundred.  And every complex product is a
-whole-row operation on 1-D slices, as in the one-word form, never a
-broadcast over several words.
+call sums each row's monomials on the mode-b side, then takes the mode-a
+words in runs of at most 2^20 terms (words x entries; one word at least):
+it computes the run's weights together, takes one square root, forms each
+word's terms, and runs the pair sums of the run's rows through one
+cumulative sum and one gather.  Each row's dot product is kept and added
+into its polynomial in row order after the last run.  So a coherent probe
+of 10^6 photons holds one word's terms at a time, and no probe of a
+benchmark size is split.  Each step repeats the arithmetic of evaluating
+one word and one pair sum at a time, so the readout is the same to the
+bit however the words are split; three choices keep it so.  The gather is
+``take`` along the row axis: fancy indexing of a row-major cumulative sum
+returns a column-major array, and a dot product on its strided rows takes
+another BLAS path.  Squeezed amplitudes exponentiate with ``math.exp``,
+which differs from ``np.exp`` in the last bit for a few inputs in a
+hundred.  And every complex product is a whole-row operation on 1-D
+slices, as in the one-word form, never a broadcast over several words.
 """
 
 from __future__ import annotations
@@ -425,8 +429,8 @@ class _ModeWords:
                 k -= letter < 0
         self.shift = [sum(w) for w in words]  # the photon change d of each word
 
-    def terms(self, f: np.ndarray) -> np.ndarray:
-        """g[w, n] = conj(f[n + d]) <n + d| word w |n> f[n] for every word, zero where n + d leaves f.
+    def terms(self, f: np.ndarray, words: slice = slice(None)) -> np.ndarray:
+        """g[w, n] = conj(f[n + d]) <n + d| word w |n> f[n] for each of ``words``, zero where n + d leaves f.
 
         The matrix element is the square root of one product rounded once,
         so <n| a+ a |n> is exactly n.  A running int64 product of four
@@ -436,21 +440,25 @@ class _ModeWords:
         rounding for words of up to four letters.
         """
         n = np.arange(f.size)
+        live, offset = self.live[words], self.offset[words]
 
         def factor(slot):  # (words, f.size) int64
-            return n * self.live[:, slot, None] + self.offset[:, slot, None]
+            return n * live[:, slot, None] + offset[:, slot, None]
 
         weight = 1.0
-        for slot in range(0, self.live.shape[1], 2):
+        for slot in range(0, live.shape[1], 2):
             weight = weight * (factor(slot) * factor(slot + 1))
         root = np.sqrt(weight)
         fc = f.conj()
         g = np.zeros(root.shape, dtype=np.complex128)
-        for row, r, d in zip(g, root, self.shift):
+        for row, r, d in zip(g, root, self.shift[words]):
             lo, hi = max(0, -d), min(f.size, f.size - d)
             if lo < hi:
                 row[lo:hi] = fc[lo + d : hi + d] * r[lo:hi] * f[lo:hi]
         return g
+
+
+_CHUNK_ENTRIES = 1 << 20  # the most mode-a terms (words x entries) a plan holds at once; at least one word
 
 
 class _ProductPlan:
@@ -459,31 +467,45 @@ class _ProductPlan:
     Each (polynomial, mode-a word) pair is one row: the sum of c times the
     mode-b word terms over its monomials, in the polynomial's dict order.
     A polynomial's value is the sum over its rows, in that order, of the
-    truncated pair sum of the mode-a word terms with the row.
+    truncated pair sum of the mode-a word terms with the row.  The rows are
+    stored grouped by mode-a word, so the rows of a run of words are one slice.
     """
 
     def __init__(self, polys):
         words_a: dict = {}
         words_b: dict = {}
-        rows: dict = {}
-        self.terms = []  # (row, coefficient, mode-b word) of each monomial
+        terms = []  # ((polynomial, mode-a word), coefficient, mode-b word) of each monomial
         for p, poly in enumerate(polys):
             for (wa, wb), c in poly.items():
-                row = rows.setdefault((p, words_a.setdefault(wa, len(words_a))), len(rows))
-                self.terms.append((row, c, words_b.setdefault(wb, len(words_b))))
+                terms.append(((p, words_a.setdefault(wa, len(words_a))), c, words_b.setdefault(wb, len(words_b))))
         self.a, self.b = _ModeWords(list(words_a)), _ModeWords(list(words_b))
-        self.rows = list(rows)  # (polynomial, mode-a word) of each row
+        keys = list(dict.fromkeys(key for key, _, _ in terms))  # the rows, in the order the polynomials add them
+        rows = sorted(keys, key=lambda key: key[1])  # stable: a word's rows keep that order
+        slot = {key: i for i, key in enumerate(rows)}
+        self.terms = [(slot[key], c, w) for key, c, w in terms]  # (stored row, coefficient, mode-b word)
+        self.word = [w for _, w in rows]  # the mode-a word of each stored row
+        self.first = np.searchsorted(self.word, range(len(words_a) + 1)).tolist()  # first row of each word
+        self.adds = [(p, slot[p, w]) for p, w in keys]  # (polynomial, stored row) in adding order
         self.n_polys = len(polys)
 
     def __call__(self, fa: np.ndarray, fb: np.ndarray, n_cap: int) -> list[complex]:
-        ga, gb = self.a.terms(fa), self.b.terms(fb)
-        sums = np.zeros((len(self.rows), fb.size), dtype=np.complex128)
+        """The polynomials' values; the mode-a words go in runs of at most ``_CHUNK_ENTRIES`` terms."""
+        gb = self.b.terms(fb)
+        sums = np.zeros((len(self.word), fb.size), dtype=np.complex128)
         for row, c, w in self.terms:
             sums[row] += c * gb[w]
-        ga, partial = pair_operands(ga, sums, n_cap)
+        dots = []
+        n_words = len(self.first) - 1
+        step = max(1, _CHUNK_ENTRIES // fa.size)
+        for lo in range(0, n_words, step):
+            hi = min(lo + step, n_words)
+            rows = slice(self.first[lo], self.first[hi])
+            ga, partial = pair_operands(self.a.terms(fa, slice(lo, hi)), sums[rows], n_cap)
+            dots += [np.dot(ga[w - lo], part) for w, part in zip(self.word[rows], partial)]
+            del ga, partial  # freed before the next run's terms are built
         out = [0j] * self.n_polys
-        for (p, w), part in zip(self.rows, partial):
-            out[p] += np.dot(ga[w], part)
+        for p, row in self.adds:
+            out[p] += dots[row]
         return out
 
 

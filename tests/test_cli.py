@@ -308,8 +308,7 @@ def test_cli_import_keeps_only_the_checking_records_as_dataclasses():
             "for c in vars(mod).values() if inspect.isclass(c) and c.__module__ == m and dataclasses.is_dataclass(c)}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(sorted(["BeamSplitterSpec", "CountDistribution", "CountHistogram", "ScenarioConfig",
-                                              "TwoModeState"]))
+    assert proc.stdout.strip() == str(sorted(["BeamSplitterSpec", "CountDistribution", "ScenarioConfig", "TwoModeState"]))
 
 
 def test_sweep_rejects_seed_flag(tmp_path, capsys):

@@ -195,9 +195,9 @@ def test_cramer_rao():
 # ----- metric cross-check ------------------------------------------------------------
 
 def test_metric_distance_limits():
-    # |<s|s>|^2 = 1 - O(eps) in float, so the distance floor is ~sqrt(eps)
+    # the distance is summed from u s - s, not from |<s|s>|^2 = 1 - O(eps), so it has no ~sqrt(eps) floor
     s = random_state(5, seed=42)
-    assert metric_distance(s, s) == pytest.approx(0.0, abs=1e-7)
+    assert metric_distance(s, s) == 0.0
     a = TwoModeState.basis_state(2, 1, 0)
     b = TwoModeState.basis_state(2, 0, 1)
     assert metric_distance(a, b) == 1.0

@@ -4,7 +4,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzlab.cli import main
@@ -14,6 +14,7 @@ from mzlab.measurement import (
     CountDistribution,
     _bucket_table,
     CountHistogram,
+    ParityEstimate,
     histogram_rows,
     jz_moments,
     lossy_distribution,
@@ -126,22 +127,36 @@ def test_lossy_rejects_bad_eta():
 
 # ----- sampling --------------------------------------------------------------------
 
+def on_pairs(n_cap: int, counts: dict) -> np.ndarray:
+    """An (l1, l2) -> count dict as the histogram's array: the count of (l1, l2) at pair_index(l1, l2)."""
+    out = np.zeros(basis_dim(n_cap), dtype=np.int64)
+    for (l1, l2), c in counts.items():
+        out[pair_index(l1, l2)] = c
+    return out
+
+
+def histogram(n_cap: int, counts: dict) -> CountHistogram:
+    return CountHistogram(n_cap, on_pairs(n_cap, counts), sum(counts.values()), 0)
+
+
 def test_sampling_deterministic_and_complete():
     d = photon_distribution(noon_state(2))
     h1 = sample_counts(d, 5000, seed=9)
     h2 = sample_counts(d, 5000, seed=9)
-    assert h1.counts == h2.counts
-    assert sum(h1.counts.values()) == 5000
+    assert h1.counts.tobytes() == h2.counts.tobytes()
+    assert h1.counts.dtype == np.int64 and h1.counts.shape == (basis_dim(2),) and not h1.counts.flags.writeable
+    assert h1.counts.sum() == 5000
 
 
 def test_sampling_point_mass():
     d = photon_distribution(TwoModeState.basis_state(3, 2, 1))
     h = sample_counts(d, 777, seed=1)
-    assert h.counts == {(2, 1): 777}
+    assert h.counts.tolist() == on_pairs(3, {(2, 1): 777}).tolist()
 
 
 def _oracle_counts(d: CountDistribution, trials: int, seed: int) -> dict:
-    """The per-trial sampler: each chunk's uniforms searched in the CDF one by one, then counted."""
+    """The per-trial sampler: each chunk's uniforms searched in the CDF one by one, then counted into the
+    (l1, l2) -> count dict that sample_counts used to return."""
     n1, n2 = index_pairs(d.n_cap)
     order = np.lexsort((n1, n1 + n2))
     cdf = np.cumsum(d.probs[order])
@@ -192,7 +207,7 @@ def test_sampling_chunk_merge_invariance():
     """Histogram must be the sum of the fixed-size chunk substreams."""
     d = photon_distribution(noon_state(2))
     trials = (1 << 16) + 12345  # spans two chunks
-    assert sample_counts(d, trials, seed=31).counts == _oracle_counts(d, trials, 31)
+    assert sample_counts(d, trials, seed=31).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 31)).tolist()
 
 
 @pytest.mark.parametrize("trials", [1, 4097, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
@@ -205,19 +220,20 @@ def test_sampling_chunk_merge_invariance():
 )
 def test_sampling_matches_per_trial_oracle(trials, kind, n_cap, dist_seed, seed):
     d = _drawn_distribution(kind, n_cap, dist_seed)
-    assert sample_counts(d, trials, seed).counts == _oracle_counts(d, trials, seed)
+    assert sample_counts(d, trials, seed).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, seed)).tolist()
 
 
 @pytest.mark.parametrize("trials", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1_000_000])
 def test_sampling_matches_oracle_across_chunk_edges(trials):
     d = lossy_distribution(noon_output_distribution(8, math.pi / 24), 0.8, 0.7)
-    assert sample_counts(d, trials, seed=3).counts == _oracle_counts(d, trials, 3)
+    assert sample_counts(d, trials, seed=3).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 3)).tolist()
 
 
 def test_sampling_total_loss_point_mass():
     d = lossy_distribution(noon_output_distribution(6, 0.2), 0.0, 0.0)
     h = sample_counts(d, (1 << 16) + 1, seed=12)
-    assert h.counts == {(0, 0): (1 << 16) + 1} == _oracle_counts(d, (1 << 16) + 1, 12)
+    assert _oracle_counts(d, (1 << 16) + 1, 12) == {(0, 0): (1 << 16) + 1}
+    assert h.counts.tolist() == on_pairs(d.n_cap, {(0, 0): (1 << 16) + 1}).tolist()
 
 
 def test_sampling_uniform_on_a_cdf_value_takes_the_next_outcome():
@@ -236,9 +252,8 @@ def test_sampling_uniform_on_a_cdf_value_takes_the_next_outcome():
     order = np.lexsort((n1, n1 + n2))
     assert np.array_equal(np.cumsum(d.probs[order]), edges[1:])
     h = sample_counts(d, trials, seed)
-    in_order = [h.counts.get((int(n1[i]), int(n2[i])), 0) for i in order]
-    assert in_order == np.histogram(u, edges)[0].tolist()  # half-open bins [edges[k], edges[k+1])
-    assert h.counts == _oracle_counts(d, trials, seed)
+    assert h.counts[order].tolist() == np.histogram(u, edges)[0].tolist()  # half-open bins [edges[k], edges[k+1])
+    assert h.counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, seed)).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,15 +307,80 @@ _PINNED = [
 @pytest.mark.parametrize("case", range(len(_PINNED)))
 def test_sampling_pinned_histograms(case):
     draw, expected = _PINNED[case]
-    assert draw().counts == expected
+    h = draw()
+    assert h.counts.tolist() == on_pairs(h.n_cap, expected).tolist()
 
 
 def test_sampling_frequency_matches_probability():
     d = photon_distribution(noon_state(2))
     h = sample_counts(d, 100_000, seed=2024)
-    frac = h.counts.get((2, 0), 0) / h.trials
+    frac = h.counts[pair_index(2, 0)] / h.trials
     stderr = math.sqrt(0.25 / 100_000)
     assert abs(frac - 0.5) <= 4 * stderr
+
+
+# ----- the histogram array against the (l1, l2) -> count dict it replaced -------------------
+
+def parity_oracle(counts: dict, trials: int, post_select_total: int | None) -> ParityEstimate:
+    """The dict loop of parity_from_histogram before the counts became an array."""
+    kept = 0
+    acc = 0
+    for (l1, l2), c in counts.items():
+        if post_select_total is not None and l1 + l2 != post_select_total:
+            continue
+        kept += c
+        acc += c if l1 % 2 == 0 else -c
+    if kept == 0:
+        raise FilterExhaustedError(f"post-selection on total={post_select_total} kept no events")
+    estimate = acc / kept
+    var = max(0.0, 1.0 - estimate * estimate)
+    return ParityEstimate(estimate=estimate, stderr=math.sqrt(var / kept), kept_fraction=kept / trials)
+
+
+def jz_oracle(counts: dict, trials: int) -> tuple[float, float]:
+    """The dict form of jz_moments on a histogram."""
+    w = 1.0 / trials
+    mean = math.fsum(c * w * (l1 - l2) / 2.0 for (l1, l2), c in counts.items())
+    second = math.fsum(c * w * ((l1 - l2) / 2.0) ** 2 for (l1, l2), c in counts.items())
+    return mean, second
+
+
+def rows_oracle(counts: dict) -> list[tuple[int, int, int]]:
+    """The sorted rows of the dict form of histogram_rows."""
+    return sorted(((l1, l2, c) for (l1, l2), c in counts.items()), key=lambda r: (r[0] + r[1], r[0]))
+
+
+def float_bytes(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["sparse", "dyadic", "deficit", "point", "noon"]),
+    st.integers(0, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, (1 << 16) - 1, (1 << 16) + 1, 1_000_000]),
+    st.integers(0, 2**64 - 1),
+)
+@example("noon", 10, 1, 1_000_000, 2**64 - 1)
+@example("point", 0, 0, 1, 2**64 - 1)
+@example("sparse", 10, 5, (1 << 16) + 1, 2**64 - 1)
+def test_histogram_array_matches_the_dict_it_replaced(kind, n_cap, dist_seed, trials, seed):
+    d = _drawn_distribution(kind, n_cap, dist_seed)
+    h = sample_counts(d, trials, seed)
+    counts = _oracle_counts(d, trials, seed)
+    pairs = [(l1, total - l1) for total in range(d.n_cap + 1) for l1 in range(total + 1)]
+    assert [int(h.counts[pair_index(l1, l2)]) for l1, l2 in pairs] == [counts.get(pair, 0) for pair in pairs]
+    for post in [None, *range(d.n_cap + 2)]:  # d.n_cap + 1 keeps no event
+        try:
+            want = parity_oracle(counts, trials, post)
+        except FilterExhaustedError:
+            with pytest.raises(FilterExhaustedError):
+                parity_from_histogram(h, post_select_total=post)
+            continue
+        assert float_bytes(parity_from_histogram(h, post_select_total=post)) == float_bytes(want), post
+    assert float_bytes(jz_moments(h)) == float_bytes(jz_oracle(counts, trials))
+    assert histogram_rows(h) == rows_oracle(counts)
 
 
 # ----- moments ----------------------------------------------------------------------
@@ -333,7 +413,7 @@ def test_jz_moments_histogram_against_exact():
 
 def test_jz_moments_empty_histogram_rejected():
     with pytest.raises(ValueError):
-        jz_moments(CountHistogram(counts={}, trials=0, seed=0))
+        jz_moments(CountHistogram(2, np.zeros(basis_dim(2), dtype=np.int64), 0, 0))
 
 
 # ----- parity ------------------------------------------------------------------------
@@ -371,7 +451,7 @@ def test_parity_filter_kept_fraction_under_loss():
 
 
 def test_parity_filter_exhausted():
-    h = CountHistogram(counts={(0, 0): 10}, trials=10, seed=0)
+    h = histogram(4, {(0, 0): 10})
     with pytest.raises(FilterExhaustedError):
         parity_from_histogram(h, post_select_total=4)
 
@@ -397,7 +477,7 @@ def test_filtered_parity_unbiased_for_definite_total(n, eta):
 # ----- CSV ---------------------------------------------------------------------------
 
 def test_histogram_csv_layout(tmp_path):
-    h = CountHistogram(counts={(2, 0): 5, (0, 2): 7, (1, 0): 3, (0, 0): 1}, trials=16, seed=0)
+    h = histogram(2, {(2, 0): 5, (0, 2): 7, (1, 0): 3, (0, 0): 1})
     assert histogram_rows(h) == [(0, 0, 1), (1, 0, 3), (0, 2, 7), (2, 0, 5)]
     path = tmp_path / "h.csv"
     write_histogram_csv(h, path)
@@ -410,7 +490,7 @@ def test_histogram_csv_layout(tmp_path):
 
 def test_shorter_histogram_over_a_longer_one_leaves_no_tail(tmp_path):
     long = run_noon_sampling(ScenarioConfig(scenario="noon", n=8, eta_a=0.7, eta_b=0.7, trials=20_000, seed=3)).histogram
-    short = CountHistogram(counts={(1, 0): 2}, trials=2, seed=0)
+    short = histogram(1, {(1, 0): 2})
     write_histogram_csv(long, tmp_path / "reused.csv")
     write_histogram_csv(short, tmp_path / "reused.csv")
     write_histogram_csv(short, tmp_path / "fresh.csv")
@@ -422,7 +502,7 @@ def test_histogram_csv_through_links_and_to_devnull(tmp_path, capsys):
     target.write_text("x" * 10_000)
     link.symlink_to(target)
     os.link(target, hard)
-    h = CountHistogram(counts={(0, 1): 4}, trials=4, seed=0)
+    h = histogram(1, {(0, 1): 4})
     write_histogram_csv(h, link)
     assert link.is_symlink() and link.resolve() == target.resolve()
     assert target.read_text() == hard.read_text() == "l1,l2,count\n0,1,4\n"
@@ -432,7 +512,7 @@ def test_histogram_csv_through_links_and_to_devnull(tmp_path, capsys):
 def test_new_histogram_csv_gets_the_mode_the_umask_leaves(tmp_path):
     old = os.umask(0o002)
     try:
-        write_histogram_csv(CountHistogram(counts={(0, 0): 1}, trials=1, seed=0), tmp_path / "new.csv")
+        write_histogram_csv(histogram(0, {(0, 0): 1}), tmp_path / "new.csv")
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~0o002

@@ -2,6 +2,7 @@ import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_jacobi, gammaln
 
-from mzlab import optics
+from mzlab import numerics, optics
 from mzlab.cli import main
 from mzlab.estimation import qfi_analytic
 from mzlab.fock import TwoModeState, basis_dim, block_slice, index_pairs, inner, normalize, pair_index
@@ -639,3 +640,44 @@ def test_plan_words_match_the_per_word_oracle_byte_for_byte(rng):
         got = mode.terms(f)
         for word, row in zip(words, got):
             assert row.tobytes() == word_terms_oracle(f, word).tobytes(), (size, word)
+
+
+@pytest.mark.parametrize("words_per_run", [1, 2])
+@pytest.mark.parametrize("name", list(POLY_SETS))
+def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name, words_per_run):
+    # a mode of 2^20 entries or more goes one word at a time; a smaller run limit splits these small ones alike
+    rng = np.random.default_rng([words_per_run, len(name)])
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return numerics.pair_operands(*args)
+
+    monkeypatch.setattr(optics, "pair_operands", counted)
+    for size_a, size_b in [(1, 1), (12, 5), (40, 173), (173, 40)]:
+        fa, fb = plan_amps(rng, size_a, 0), plan_amps(rng, size_b, 2)
+        for n_cap in (0, (size_a + size_b) // 2, size_a + size_b):
+            whole = np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes()
+            assert len(runs) == 1
+            with monkeypatch.context() as m:
+                m.setattr(optics, "_CHUNK_ENTRIES", words_per_run * size_a)
+                split = np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes()
+            n_words = len(optics._ProductPlan(POLY_SETS[name]).first) - 1
+            assert len(runs) == 1 + -(-n_words // words_per_run)
+            runs.clear()
+            assert split == whole == np.array(expectations_oracle(fa, fb, n_cap, POLY_SETS[name])).tobytes()
+
+
+def test_plan_holds_one_word_of_a_large_mode_at_a_time():
+    # all five mode-a words of a 10^6-entry mode at once peaked at 200 MB (tracemalloc), one word at a time at 72 MB
+    size = 10**6
+    fa = np.full(size, size**-0.5, dtype=np.complex128)
+    fb = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        a, _, _, _, n2 = optics._EXCHANGE_PLANS[False](fa, fb, size + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a == 0 and n2 == 0
+    assert peak < 100e6

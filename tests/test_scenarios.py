@@ -626,6 +626,38 @@ def test_metric_check_rows():
         assert r.rel_error <= 1e-5
 
 
+def finite_step_rate(cfg: ScenarioConfig, h: float) -> float:
+    """The rate (1 - |<psi|psi(h)>|^2) / h^2 that metric-check estimates, summed with no cancellation.
+
+    psi(h) multiplies the weight q_K of each generator value K by exp(i c h K), so
+    1 - |<psi|psi(h)>|^2 = sum_{K, K'} 2 q_K q_K' sin^2(c h (K - K') / 2) / (sum q)^2, every term >= 0.
+    q is summed per K from the state metric-check uses (before its renormalisation, which cancels).
+    """
+    sc = SCENARIOS[cfg.scenario]
+    psi = two_mode(sc.probe(cfg))
+    c, k = phase_generator(psi.n_cap, sc.phase)
+    p = np.abs(psi.amps) ** 2
+    values = [int(v) for v in np.unique(k)]
+    q = [math.fsum(p[k == v]) for v in values]
+    pairs = math.fsum(2 * qi * qj * math.sin(c * h * (ki - kj) / 2) ** 2
+                      for qi, ki in zip(q, values) for qj, kj in zip(q, values))
+    return pairs / (h * h * math.fsum(q) ** 2)
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-2])
+@pytest.mark.parametrize("noon_n", [1, 2, 4, 8])
+@pytest.mark.parametrize("beta", [1e-4, 1e-2, 2.0])
+def test_metric_rate_matches_the_exact_finite_step_rate(beta, noon_n, h):
+    # the overlap form 1 - |<a|b>|^2 read 0 at beta 1e-4 and was 9e-9 off at the defaults
+    want = {"coherent": finite_step_rate(ScenarioConfig(scenario="coherent", alpha_mag=beta, beta_mag=beta), h),
+            "noon": finite_step_rate(ScenarioConfig(scenario="noon", n=noon_n), h)}
+    rows = run_metric_check(beta_mag=beta, noon_n=noon_n, h=h)
+    assert [r.phi for r in rows] == [0.3, 1.1, 2.0] * 2
+    for r in rows:
+        ref = want[r.family.split()[0]]
+        assert abs(r.dl_dphi_squared - ref) <= 1e-11 * ref, r
+
+
 # ----- config handling -----------------------------------------------------------------
 
 def test_config_text_round_trip():
