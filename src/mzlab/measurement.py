@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
-import numpy.random  # noqa: F401  load the sampler at import time, not on the first sample
 
 from .errors import FilterExhaustedError
 from .fock import TwoModeState, index_pairs, pair_index

@@ -253,9 +253,9 @@ def phase_generator(n_cap: int, conv: PhaseConvention) -> tuple[float, np.ndarra
 
 
 def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeState:
-    """The arm phase exp(i c phi K) of :func:`phase_generator`; c phi is rounded before it meets K."""
+    """The arm phase exp(i c phi K) of :func:`phase_generator`, one exp per value of K gathered by K; c phi is rounded before it meets K."""
     c, k = phase_generator(s.n_cap, conv)
-    return s.with_amps(s.amps * np.exp(c * 1j * phi * k))
+    return s.with_amps(s.amps * np.exp(c * 1j * phi * np.arange(-s.n_cap, s.n_cap + 1))[k + s.n_cap])
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,8 @@ class SqueezeParams(NamedTuple):
 
 def _checked(cutoff: int, amps: np.ndarray, eps_trunc: float, what: str) -> SingleModeAmplitudes:
     """The cutoff + 1 amplitudes just built, frozen in place once their deficit passes (a nan one never does)."""
-    deficit = 1.0 - math.fsum(np.abs(amps) ** 2)
+    p = np.abs(amps) ** 2
+    deficit = 1.0 - math.fsum(p[p != 0])  # fsum is correctly rounded, so the zeros cannot move it
     if not deficit <= eps_trunc:
         raise TruncationError(f"{what}: cutoff {cutoff} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     amps.flags.writeable = False
@@ -55,7 +56,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int, eps_trunc: float = EPS_TRUN
     at least ``AMP_FLUSH`` (|alpha| <= 37.1).  Beyond, it underflows, so the
     anchor moves to the peak n0 = floor(|alpha|^2), whose logarithm is taken
     in log space with Stirling's series, the large terms cancelled in closed
-    form, and the ratio runs both ways from there.
+    form, and the ratio runs up from there and down to the first amplitude
+    below ``AMP_FLUSH`` (a step down multiplies by sqrt(n)/|alpha| <= 1).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -74,6 +76,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int, eps_trunc: float = EPS_TRUN
         amps[n0] = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
         for n in range(n0, 0, -1):
             amps[n - 1] = amps[n] * math.sqrt(n) / alpha
+            if abs(amps[n - 1]) < AMP_FLUSH:
+                break
     for n in range(n0, cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     return _checked(cutoff, amps[: cutoff + 1], eps_trunc, f"coherent |alpha|={abs(alpha):.3g}")
@@ -177,7 +181,8 @@ def product_probe(
     the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs."""
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
-    deficit = 1.0 - math.fsum(np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap)))
+    p = np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap))
+    deficit = 1.0 - math.fsum(p[p != 0])
     if deficit > eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return ProductProbe(a, b, n_cap, bs1, deficit)

@@ -300,6 +300,21 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_sweeps_and_tables_load_no_random_sampler(tmp_path):
+    # only sample draws random numbers; numpy loads numpy.random on first use, so no other command pays for it
+    out = str(tmp_path / "x.csv")
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; import mzlab.cli; "
+            "rc = [mzlab.cli.main(a + ['--out', sys.argv[1]]) for a in "
+            "(['sweep', '--scenario', 'fock', '--n', '4'], ['qfi-table'], ['metric-check'])]; "
+            "print(eager, rc, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, out], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    eager, rest = proc.stdout.splitlines()[-1].split(" ", 1)  # the tables print their paths first
+    if eager == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert rest.strip() == "[0, 0, 0] False"
+
+
 def test_cli_import_keeps_only_the_checking_records_as_dataclasses():
     # a frozen dataclass generates its methods at import; only records that are mutable or check their
     # input in __post_init__ stay dataclasses, the plain ones are NamedTuples

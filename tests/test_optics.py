@@ -175,6 +175,16 @@ def test_phase_shift_identity_and_norm():
         assert abs(out.squared_norm() - s.squared_norm()) <= 1e-14
 
 
+@pytest.mark.parametrize("n_cap", [0, 5, 40, 96])
+@pytest.mark.parametrize("conv", ["mode_b", "relative"])
+def test_phase_shift_matches_the_per_entry_exp_bit_for_bit(n_cap, conv):
+    # one exp per value of K, gathered by K, gives the very doubles of one exp per basis entry
+    s = random_state(n_cap, seed=n_cap + 3)
+    c, k = optics.phase_generator(n_cap, conv)
+    for phi in (0.0, 1e-9, 0.1, -1.3, math.pi, 2.5, -7.77, 100.3, 1e5):
+        assert phase_shift(s, phi, conv).amps.tobytes() == (s.amps * np.exp(c * 1j * phi * k)).tobytes(), phi
+
+
 def test_phase_shift_relative_on_noon():
     phi = 0.77
     out = phase_shift(noon_state(2), phi, "relative")

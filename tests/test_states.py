@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from mzlab.errors import TruncationError
-from mzlab.fock import inner, index_pairs
-from mzlab.numerics import log_factorials
-from mzlab.optics import BS1_SYMMETRIC, beam_splitter
+from mzlab.fock import AMP_FLUSH, inner, index_pairs
+from mzlab.numerics import log_factorials, pair_operands
+from mzlab.optics import BS1_SYMMETRIC, beam_splitter, product_exchange_sums
 from mzlab.states import (
     SqueezeParams,
     auto_coherent,
@@ -100,6 +100,29 @@ def test_coherent_large_alpha_does_not_underflow(alpha):
     log_mag = [-x / 2 + k * math.log(abs(alpha)) - math.lgamma(k + 1) / 2 for k in near]
     assert np.abs(np.abs(sm.amps[near]) / np.exp(log_mag) - 1).max() <= 1e-9
     assert np.abs(np.angle(sm.amps[near] / (alpha / abs(alpha)) ** near)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [40.0, 100.0 * np.exp(0.9j), 300.0])
+def test_coherent_downward_fill_stops_at_the_flush_level(alpha):
+    # the reference runs the ratio from the peak all the way down to n = 0; every entry the fill
+    # skips is below AMP_FLUSH, and no deficit or readout moves by a bit without them
+    sm = auto_coherent(alpha)
+    got, ref = sm.amps, sm.amps.copy()
+    for n in range(math.floor(abs(alpha) ** 2), 0, -1):
+        ref[n - 1] = ref[n] * math.sqrt(n) / alpha
+    stop = np.flatnonzero(got)[0]
+    assert stop > 0 and abs(got[stop]) < AMP_FLUSH <= abs(got[stop + 1])
+    assert got[stop:].tobytes() == ref[stop:].tobytes()
+    assert not got[:stop].any() and (np.abs(ref[:stop]) < AMP_FLUSH).all() and ref[:stop].any()
+    assert sm.deficit == 1.0 - math.fsum(np.abs(ref) ** 2)
+    b = auto_coherent(1.5)
+    n_cap = sm.cutoff + b.cutoff
+    kept = np.multiply(*pair_operands(np.abs(ref) ** 2, np.abs(b.amps) ** 2, n_cap))
+    assert product_probe(sm, b, n_cap).deficit == 1.0 - math.fsum(kept)
+    for bs1 in (False, True):
+        for x, y in (product_exchange_sums(got, b.amps, n_cap, bs1), product_exchange_sums(ref, b.amps, n_cap, bs1)), \
+                    (product_exchange_sums(b.amps, got, n_cap, bs1), product_exchange_sums(b.amps, ref, n_cap, bs1)):
+            assert [np.asarray(v).tobytes() for v in x] == [np.asarray(v).tobytes() for v in y]
 
 
 def test_coherent_cutoff_too_small():
