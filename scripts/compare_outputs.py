@@ -77,10 +77,10 @@ EDGE_SAMPLE_OPS = [
 # and product readouts off the workloads' path: a squeezed probe of ~2,000 and ~1,700 amplitudes a mode, a
 # squeezed vacuum with a squeeze phase (complex amplitudes on the BS1 path), and two caps below the coherent
 # cutoffs of 59: at 55 every pair sum takes a truncated partial sum, and 20 leaves too much mass out (exit 3);
-# a coherent probe of ~10^6 amplitudes in mode a, the one op here whose plan takes its words one run at a time,
-# its mirror in mode b, and a 300/300 probe: there the amplitude fill stops below the peak at AMP_FLUSH and the
-# deficits sum only the nonzero masses, in both modes; and two weak probes whose metric-check rate is far below
-# the float epsilon of an overlap
+# a coherent probe of ~10^6 amplitudes in mode a and its mirror in mode b, the ops here whose plans take their
+# rows one run at a time, the mirror again with a cap that truncates its pair sums, and a 300/300 probe: there
+# the amplitude fill stops below the peak at AMP_FLUSH and the deficits sum only the nonzero masses, in both
+# modes; and two weak probes whose metric-check rate is far below the float epsilon of an overlap
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -95,6 +95,8 @@ LARGE_N_OPS = [
     ["sweep", "--scenario", "coherent", "--alpha", "3", "--beta", "3", "--n-cap", "55"],
     ["sweep", "--scenario", "coherent", "--alpha", "1000", "--beta", "1"],
     ["sweep", "--scenario", "coherent", "--alpha", "1", "--beta", "1000"],
+    ["sweep", "--scenario", "coherent", "--alpha", "1", "--beta", "1000", "--n-cap", "1005000", "--epsilon-trunc",
+     "1e-6"],
     ["sweep", "--scenario", "coherent", "--alpha", "300", "--beta", "300"],
     ["metric-check", "--beta", "1e-4"],
     ["metric-check", "--beta", "1e-2", "--noon-n", "1"],

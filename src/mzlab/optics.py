@@ -75,17 +75,17 @@ O(cutoff_a + cutoff_b) per word, with no block built.
 The polynomials are built at import, bare and through ``BS1_SYMMETRIC``,
 and so is one plan for each set (``_ProductPlan``): every distinct word of
 each mode as the letter offsets of its matrix element, and one row per
-(polynomial, mode-a word) pair holding its monomials in dict order.  A
-call sums each row's monomials on the mode-b side, then takes the mode-a
-words in runs of at most 2^20 terms (words x entries; one word at least):
-it computes the run's weights together, takes one square root, forms each
-word's terms, and runs the pair sums of the run's rows through one
-cumulative sum and one gather.  Each row's dot product is kept and added
-into its polynomial in row order after the last run.  So a coherent probe
-of 10^6 photons holds one word's terms at a time, and no probe of a
+(polynomial, mode-a word) pair holding its monomials in dict order, the
+rows in the order the polynomials add them.  A call takes the rows in runs
+of at most 2^20 // (fa.size + fb.size) rows (one row at least).  Per run
+it forms the terms of exactly the words of either mode that the run's rows
+read, sums each row's monomials on the mode-b side, runs the run's pair
+sums through one cumulative sum and one gather, and adds each row's dot
+product into its polynomial in row order.  So a coherent probe of 10^6
+photons in either mode holds one row's words at a time, and no probe of a
 benchmark size is split.  Each step repeats the arithmetic of evaluating
 one word and one pair sum at a time, so the readout is the same to the
-bit however the words are split; three choices keep it so.  The gather is
+bit however the rows are split; three choices keep it so.  The gather is
 ``take`` along the row axis: fancy indexing of a row-major cumulative sum
 returns a column-major array, and a dot product on its strided rows takes
 another BLAS path.  Squeezed amplitudes exponentiate with ``math.exp``,
@@ -427,9 +427,9 @@ class _ModeWords:
                 k += letter > 0
                 self.live[row, slot], self.offset[row, slot] = 1, k
                 k -= letter < 0
-        self.shift = [sum(w) for w in words]  # the photon change d of each word
+        self.shift = np.array([sum(w) for w in words], dtype=np.int64)  # the photon change d of each word
 
-    def terms(self, f: np.ndarray, words: slice = slice(None)) -> np.ndarray:
+    def terms(self, f: np.ndarray, words: slice | list[int] = slice(None)) -> np.ndarray:
         """g[w, n] = conj(f[n + d]) <n + d| word w |n> f[n] for each of ``words``, zero where n + d leaves f.
 
         The matrix element is the square root of one product rounded once,
@@ -451,61 +451,57 @@ class _ModeWords:
         root = np.sqrt(weight)
         fc = f.conj()
         g = np.zeros(root.shape, dtype=np.complex128)
-        for row, r, d in zip(g, root, self.shift[words]):
+        for row, r, d in zip(g, root, self.shift[words].tolist()):
             lo, hi = max(0, -d), min(f.size, f.size - d)
             if lo < hi:
                 row[lo:hi] = fc[lo + d : hi + d] * r[lo:hi] * f[lo:hi]
         return g
 
 
-_CHUNK_ENTRIES = 1 << 20  # the most mode-a terms (words x entries) a plan holds at once; at least one word
+_CHUNK_ENTRIES = 1 << 20  # the most rows x (fa.size + fb.size) a plan reads in one run; at least one row
 
 
 class _ProductPlan:
     """How :func:`product_expectations` reads a list of polynomials, worked out once.
 
-    Each (polynomial, mode-a word) pair is one row: the sum of c times the
-    mode-b word terms over its monomials, in the polynomial's dict order.
-    A polynomial's value is the sum over its rows, in that order, of the
-    truncated pair sum of the mode-a word terms with the row.  The rows are
-    stored grouped by mode-a word, so the rows of a run of words are one slice.
+    Each (polynomial, mode-a word) pair is one row, mapped to its monomials'
+    (coefficient, mode-b word) pairs in the polynomial's dict order; the rows
+    keep the order in which the polynomials add them.  A polynomial's value is
+    the sum over its rows, in that order, of the truncated pair sum of the
+    mode-a word terms with the sum of c times the mode-b word terms.
     """
 
     def __init__(self, polys):
         words_a: dict = {}
         words_b: dict = {}
-        terms = []  # ((polynomial, mode-a word), coefficient, mode-b word) of each monomial
+        self.rows: dict = {}  # (polynomial, mode-a word) -> [(coefficient, mode-b word), ...]
         for p, poly in enumerate(polys):
             for (wa, wb), c in poly.items():
-                terms.append(((p, words_a.setdefault(wa, len(words_a))), c, words_b.setdefault(wb, len(words_b))))
+                row = self.rows.setdefault((p, words_a.setdefault(wa, len(words_a))), [])
+                row.append((c, words_b.setdefault(wb, len(words_b))))
         self.a, self.b = _ModeWords(list(words_a)), _ModeWords(list(words_b))
-        keys = list(dict.fromkeys(key for key, _, _ in terms))  # the rows, in the order the polynomials add them
-        rows = sorted(keys, key=lambda key: key[1])  # stable: a word's rows keep that order
-        slot = {key: i for i, key in enumerate(rows)}
-        self.terms = [(slot[key], c, w) for key, c, w in terms]  # (stored row, coefficient, mode-b word)
-        self.word = [w for _, w in rows]  # the mode-a word of each stored row
-        self.first = np.searchsorted(self.word, range(len(words_a) + 1)).tolist()  # first row of each word
-        self.adds = [(p, slot[p, w]) for p, w in keys]  # (polynomial, stored row) in adding order
         self.n_polys = len(polys)
 
     def __call__(self, fa: np.ndarray, fb: np.ndarray, n_cap: int) -> list[complex]:
-        """The polynomials' values; the mode-a words go in runs of at most ``_CHUNK_ENTRIES`` terms."""
-        gb = self.b.terms(fb)
-        sums = np.zeros((len(self.word), fb.size), dtype=np.complex128)
-        for row, c, w in self.terms:
-            sums[row] += c * gb[w]
-        dots = []
-        n_words = len(self.first) - 1
-        step = max(1, _CHUNK_ENTRIES // fa.size)
-        for lo in range(0, n_words, step):
-            hi = min(lo + step, n_words)
-            rows = slice(self.first[lo], self.first[hi])
-            ga, partial = pair_operands(self.a.terms(fa, slice(lo, hi)), sums[rows], n_cap)
-            dots += [np.dot(ga[w - lo], part) for w, part in zip(self.word[rows], partial)]
-            del ga, partial  # freed before the next run's terms are built
+        """The polynomials' values; the rows go in runs of at most ``_CHUNK_ENTRIES // (fa.size + fb.size)``, one at least."""
+        rows = list(self.rows.items())
+        step = max(1, _CHUNK_ENTRIES // (fa.size + fb.size))
         out = [0j] * self.n_polys
-        for p, row in self.adds:
-            out[p] += dots[row]
+        for lo in range(0, len(rows), step):
+            run = rows[lo : lo + step]
+            at_a = {w: i for i, w in enumerate(dict.fromkeys(w for (_, w), _ in run))}
+            at_b = {w: i for i, w in enumerate(dict.fromkeys(w for _, row in run for _, w in row))}
+            gb = self.b.terms(fb, list(at_b))
+            sums = np.zeros((len(run), fb.size), dtype=np.complex128)
+            for total, (_, row) in zip(sums, run):
+                for c, w in row:
+                    total += c * gb[at_b[w]]
+            del gb  # each array is freed once read: a 10^6-entry mode b then peaks 16 MB lower
+            ga, partial = pair_operands(self.a.terms(fa, list(at_a)), sums, n_cap)
+            del sums
+            for ((p, w), _), part in zip(run, partial):
+                out[p] += np.dot(ga[at_a[w]], part)
+            del ga, partial  # freed before the next run's terms are built
         return out
 
 
@@ -514,7 +510,7 @@ def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> l
 
     Each photon-number conserving monomial wa wb contributes the truncated
     two-mode sum of its word terms; monomials sharing a mode-a word are
-    summed on the mode-b side first, and every word is evaluated once.
+    summed on the mode-b side first, and every word is evaluated once per run.
     """
     return _ProductPlan(polys)(fa, fb, n_cap)
 

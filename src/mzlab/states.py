@@ -153,7 +153,8 @@ def product_state(a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, 
     keep2 = n2s <= b.cutoff
     sel = keep1 & keep2
     amps[sel] = a.amps[n1s[sel]] * b.amps[n2s[sel]]
-    deficit = 1.0 - math.fsum(np.abs(amps) ** 2)
+    p = np.abs(amps) ** 2
+    deficit = 1.0 - math.fsum(p[p != 0])
     if deficit > eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return TwoModeState(n_cap, amps, deficit=deficit)

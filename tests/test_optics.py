@@ -652,11 +652,12 @@ def test_plan_words_match_the_per_word_oracle_byte_for_byte(rng):
             assert row.tobytes() == word_terms_oracle(f, word).tobytes(), (size, word)
 
 
-@pytest.mark.parametrize("words_per_run", [1, 2])
+@pytest.mark.parametrize("rows_per_run", [1, 2])
 @pytest.mark.parametrize("name", list(POLY_SETS))
-def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name, words_per_run):
-    # a mode of 2^20 entries or more goes one word at a time; a smaller run limit splits these small ones alike
-    rng = np.random.default_rng([words_per_run, len(name)])
+def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name, rows_per_run):
+    # the plan reads its rows in runs: one row at a time once fa.size + fb.size reaches 2^20, and a smaller
+    # run limit splits these small probes alike, with the large mode on either side
+    rng = np.random.default_rng([rows_per_run, len(name)])
     runs = []
 
     def counted(*args):
@@ -664,22 +665,23 @@ def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name,
         return numerics.pair_operands(*args)
 
     monkeypatch.setattr(optics, "pair_operands", counted)
-    for size_a, size_b in [(1, 1), (12, 5), (40, 173), (173, 40)]:
+    n_rows = len(optics._ProductPlan(POLY_SETS[name]).rows)
+    for size_a, size_b in [(1, 1), (12, 5), (40, 173), (173, 40), (3, 1000)]:
         fa, fb = plan_amps(rng, size_a, 0), plan_amps(rng, size_b, 2)
         for n_cap in (0, (size_a + size_b) // 2, size_a + size_b):
             whole = np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes()
             assert len(runs) == 1
             with monkeypatch.context() as m:
-                m.setattr(optics, "_CHUNK_ENTRIES", words_per_run * size_a)
+                m.setattr(optics, "_CHUNK_ENTRIES", rows_per_run * (size_a + size_b))
                 split = np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes()
-            n_words = len(optics._ProductPlan(POLY_SETS[name]).first) - 1
-            assert len(runs) == 1 + -(-n_words // words_per_run)
+            assert len(runs) == 1 + -(-n_rows // rows_per_run)
             runs.clear()
             assert split == whole == np.array(expectations_oracle(fa, fb, n_cap, POLY_SETS[name])).tobytes()
 
 
 def test_plan_holds_one_word_of_a_large_mode_at_a_time():
-    # all five mode-a words of a 10^6-entry mode at once peaked at 200 MB (tracemalloc), one word at a time at 72 MB
+    # all five mode-a words of a 10^6-entry mode at once peaked at 200 MB (tracemalloc); the plan holds one row,
+    # and so one mode-a word, at a time
     size = 10**6
     fa = np.full(size, size**-0.5, dtype=np.complex128)
     fb = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
@@ -691,3 +693,23 @@ def test_plan_holds_one_word_of_a_large_mode_at_a_time():
         tracemalloc.stop()
     assert a == 0 and n2 == 0
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("bs1", [False, True])
+def test_plan_holds_one_row_of_a_large_mode_b_at_a_time(bs1):
+    # the mirror of the test above: runs of mode-a words with every mode-b word held whole peaked at 272 MB
+    # (bare) and ~1.5 GB (BS1) traced; a run of one row builds only the mode-b words that row reads
+    size = 10**6
+    fa = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+    fb = np.full(size, size**-0.5, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        a, _, _, n2, _ = optics._EXCHANGE_PLANS[bs1](fa, fb, size + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # mode a is the vacuum and mode b holds (size - 1) / 2 photons on average; BS1 sends half of them to each port
+    mean_b = (size - 1) / 2
+    assert a == pytest.approx(-mean_b / 2 if bs1 else 0, rel=1e-12)
+    assert n2 == pytest.approx(mean_b / 2 if bs1 else mean_b, rel=1e-12)
+    assert peak < (150e6 if bs1 else 100e6)
