@@ -80,7 +80,9 @@ EDGE_SAMPLE_OPS = [
 # a coherent probe of ~10^6 amplitudes in mode a and its mirror in mode b, the ops here whose plans take their
 # rows one run at a time, the mirror again with a cap that truncates its pair sums, and a 300/300 probe: there
 # the amplitude fill stops below the peak at AMP_FLUSH and the deficits sum only the nonzero masses, in both
-# modes; and two weak probes whose metric-check rate is far below the float epsilon of an overlap
+# modes; two weak probes whose metric-check rate is far below the float epsilon of an overlap; and a
+# metric-check at beta 1, whose truncated coherent state has squared norm 0.9999999999999999 but a deficit
+# that rounds to 0.0 when summed on the two-mode basis
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -100,6 +102,7 @@ LARGE_N_OPS = [
     ["sweep", "--scenario", "coherent", "--alpha", "300", "--beta", "300"],
     ["metric-check", "--beta", "1e-4"],
     ["metric-check", "--beta", "1e-2", "--noon-n", "1"],
+    ["metric-check", "--beta", "1"],
 ]
 
 

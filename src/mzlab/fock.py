@@ -6,8 +6,8 @@ photon number block and, inside a block, by m = (n1-n2)/2 descending, i.e.
 (N,0), (N-1,1), ..., (0,N).  Beam splitters and phase shifts conserve the
 total photon number, so they act block-diagonally on this layout and the
 only truncation error in the whole pipeline is the one introduced at state
-preparation; it is recorded in ``TwoModeState.deficit`` and never silently
-dropped.
+preparation; it is recorded on the prepared input (``SingleModeAmplitudes``
+or ``ProductProbe`` in ``states``) and never silently dropped.
 """
 
 from __future__ import annotations
@@ -57,16 +57,13 @@ def index_pairs(n_cap: int) -> tuple[np.ndarray, np.ndarray]:
 class TwoModeState:
     """Immutable amplitudes over the truncated two-mode basis.
 
-    ``deficit`` is the probability mass lost to truncation at preparation
-    time (1 - ||psi||^2 of the untruncated target).  States produced by
-    unitaries inherit the deficit of their input; states produced by
-    non-unitary operator applications (e.g. angular momentum operators) are
-    not normalized and carry deficit NaN.
+    A state records no truncation deficit: the prepared input it came from
+    does.  States produced by non-unitary operator applications (e.g.
+    angular momentum operators) are not normalized.
     """
 
     n_cap: int
     amps: np.ndarray
-    deficit: float = 0.0
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=np.complex128, copy=True)
@@ -92,8 +89,8 @@ class TwoModeState:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def with_amps(self, amps: np.ndarray, deficit: float | None = None) -> "TwoModeState":
-        return TwoModeState(self.n_cap, amps, self.deficit if deficit is None else deficit)
+    def with_amps(self, amps: np.ndarray) -> "TwoModeState":
+        return TwoModeState(self.n_cap, amps)
 
     @classmethod
     def basis_state(cls, n_cap: int, n1: int, n2: int) -> "TwoModeState":

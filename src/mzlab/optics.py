@@ -221,7 +221,7 @@ def apply_angular(s: TwoModeState, which: AngularAxis) -> TwoModeState:
         out[np.where(dn)[0] + 1] += cd * a[dn]
     else:
         raise ValueError(f"unknown axis {which!r}")
-    return s.with_amps(out, deficit=math.nan)
+    return s.with_amps(out)
 
 
 def expect_j(s: TwoModeState, which: AngularAxis) -> float:

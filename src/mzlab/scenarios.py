@@ -581,7 +581,8 @@ _METRIC_PHIS = (0.3, 1.1, 2.0)  # the phases at which run_metric_check samples t
 def run_metric_check(
     beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = EPS_TRUNC_DEFAULT
 ) -> list[MetricRow]:
-    """Rate of change of the projective distance against F/4 per family."""
+    """Rate of change of the projective distance against F/4 per family; the truncated coherent probe is
+    renormalised first, the exact NOON state is used as prepared (``normalize`` would move its last bit)."""
     eps = epsilon_trunc
     cases = [
         _coherent_case(beta_mag, eps),
@@ -594,9 +595,8 @@ def run_metric_check(
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]
-        psi = two_mode(sc.probe(cfg))
-        if psi.deficit:  # renormalise truncated probes only: normalize moves the last bit of exact ones
-            psi = normalize(psi)
+        probe = sc.probe(cfg)
+        psi = normalize(two_mode(probe)) if isinstance(probe, ProductProbe) else probe
         fam = partial(phase_shift, psi, conv=sc.phase)
         quarter = _positive_fisher(psi, sc.phase, label, "metric-check") / 4
         for phi in _METRIC_PHIS:

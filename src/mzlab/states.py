@@ -144,20 +144,14 @@ def _auto(make, floor: int, eps_trunc: float) -> SingleModeAmplitudes:
 
 
 def product_state(a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT) -> TwoModeState:
-    """Tensor product a (x) b restricted to n1 + n2 <= n_cap."""
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
+    """Tensor product a (x) b restricted to n1 + n2 <= n_cap, refused as :func:`product_probe` refuses it;
+    the state records no deficit: ``product_probe(a, b, n_cap).deficit`` is the mass it leaves out."""
+    product_probe(a, b, n_cap, eps_trunc)
     n1s, n2s = index_pairs(n_cap)
     amps = np.zeros(basis_dim(n_cap), dtype=np.complex128)
-    keep1 = n1s <= a.cutoff
-    keep2 = n2s <= b.cutoff
-    sel = keep1 & keep2
+    sel = (n1s <= a.cutoff) & (n2s <= b.cutoff)
     amps[sel] = a.amps[n1s[sel]] * b.amps[n2s[sel]]
-    p = np.abs(amps) ** 2
-    deficit = 1.0 - math.fsum(p[p != 0])
-    if deficit > eps_trunc:
-        raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
-    return TwoModeState(n_cap, amps, deficit=deficit)
+    return TwoModeState(n_cap, amps)
 
 
 class ProductProbe(NamedTuple):
@@ -178,13 +172,13 @@ class ProductProbe(NamedTuple):
 def product_probe(
     a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT, bs1: bool = False
 ) -> ProductProbe:
-    """a (x) b restricted to n1 + n2 <= n_cap, checked as :func:`product_state` checks it;
+    """a (x) b restricted to n1 + n2 <= n_cap, refused when its deficit is above ``eps_trunc`` (a nan one always is);
     the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs."""
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     p = np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap))
     deficit = 1.0 - math.fsum(p[p != 0])
-    if deficit > eps_trunc:
+    if not deficit <= eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return ProductProbe(a, b, n_cap, bs1, deficit)
 
@@ -203,7 +197,7 @@ def fock_after_symmetric_bs(n_photons: int) -> TwoModeState:
         # C(N,k)/2^N is rounded once by the int / int division, then once by sqrt.
         amps[pair_index(n_photons - k, k)] = math.sqrt(c / 2**n_photons)
         c = c * (n_photons - k) // (k + 1)
-    return TwoModeState(n_photons, amps, deficit=0.0)
+    return TwoModeState(n_photons, amps)
 
 
 def noon_state(n_photons: int) -> TwoModeState:
@@ -213,7 +207,7 @@ def noon_state(n_photons: int) -> TwoModeState:
     amps = np.zeros(basis_dim(n_photons), dtype=np.complex128)
     amps[pair_index(n_photons, 0)] = 1 / math.sqrt(2)
     amps[pair_index(0, n_photons)] = 1 / math.sqrt(2)
-    return TwoModeState(n_photons, amps, deficit=0.0)
+    return TwoModeState(n_photons, amps)
 
 
 def twin_fock(n_photons: int) -> TwoModeState:

@@ -1,0 +1,90 @@
+"""Fixed-N sweeps against references computed at 200 bits.
+
+Each sweep runs on the default grid (0 to pi in 181 steps), and every cell
+is compared with its closed form evaluated by mpmath at the float phi the
+sweep used:
+
+* fock:      mean (N/2) cos phi, second (N/2)^2 cos^2 phi + (N/4) sin^2 phi, F_Q = N;
+* twin_fock: mean 0, second N(N+1)/2 sin^2 phi, F_Q = 2N(N+1);
+* noon:      mean cos(N phi), second 1, F_Q = N^2.
+
+A cell's distance is |x - ref| / (2^-52 max(1, |ref|)), in units of the
+float epsilon.  ``WORST`` pins the largest distance per scenario, N and
+column that the code reached when these tests were written, rounded up to
+three significant digits; a change may lower a bound, and must not raise
+one.
+"""
+
+import mpmath
+import pytest
+
+from mzlab.scenarios import ScenarioConfig, run_sweep
+
+mpmath.mp.prec = 200
+EPS = mpmath.mpf(2) ** -52
+
+
+def _fock(n, phi):
+    c, s = mpmath.cos(phi), mpmath.sin(phi)
+    return mpmath.mpf(n) / 2 * c, (mpmath.mpf(n) / 2) ** 2 * c**2 + mpmath.mpf(n) / 4 * s**2
+
+
+def _twin_fock(n, phi):
+    return mpmath.mpf(0), mpmath.mpf(n * (n + 1)) / 2 * mpmath.sin(phi) ** 2
+
+
+def _noon(n, phi):
+    return mpmath.cos(n * phi), mpmath.mpf(1)
+
+
+# scenario -> (mean and second moment at phi, F_Q) as exact functions of N
+REFERENCE = {
+    "fock": (_fock, lambda n: n),
+    "twin_fock": (_twin_fock, lambda n: 2 * n * (n + 1)),
+    "noon": (_noon, lambda n: n * n),
+}
+
+# (scenario, N) -> the largest distance of (mean_o, second_o, qfi) over the grid, in units of 2^-52
+WORST = {
+    ("fock", 1): (0.621, 0.25, 0),
+    ("fock", 2): (1.25, 1.06, 0),
+    ("fock", 3): (0.625, 1.39, 0),
+    ("fock", 8): (0.43, 1.47, 0),
+    ("fock", 16): (0.43, 3.35, 0),
+    ("fock", 31): (0.727, 5.28, 0),
+    ("fock", 32): (0.43, 21.4, 32),
+    ("fock", 64): (0.43, 9.15, 0),
+    ("twin_fock", 1): (0, 0.87, 0),
+    ("twin_fock", 2): (0, 2.87, 1.34),
+    ("twin_fock", 4): (5.56e-17, 7.53, 3.2),
+    ("twin_fock", 8): (1.67e-16, 26.3, 8.89),
+    ("noon", 1): (2.25, 1, 1),
+    ("noon", 2): (3.24, 1, 1),
+    ("noon", 4): (7.25, 1, 1),
+    ("noon", 8): (12.8, 1, 1),
+    ("noon", 16): (22.3, 1, 1),
+    ("noon", 64): (88.7, 1, 1),
+}
+
+
+def _distance(x: float, ref) -> float:
+    return float(abs(mpmath.mpf(x) - ref) / (EPS * max(1, abs(ref))))
+
+
+def distances(scenario: str, n: int) -> tuple[float, float, float]:
+    """The largest distance of the sweep's mean_o, second_o and qfi cells from the 200-bit references."""
+    moments, f_q = REFERENCE[scenario]
+    table = run_sweep(ScenarioConfig(scenario=scenario, n=n))
+    worst_mean = worst_second = 0.0
+    for phi, mean, second in zip(table.phi.tolist(), table.mean_o.tolist(), table.second_o.tolist()):
+        ref_mean, ref_second = moments(n, mpmath.mpf(phi))
+        worst_mean = max(worst_mean, _distance(mean, ref_mean))
+        worst_second = max(worst_second, _distance(second, ref_second))
+    return worst_mean, worst_second, _distance(table.qfi, mpmath.mpf(f_q(n)))
+
+
+@pytest.mark.parametrize("scenario, n", list(WORST), ids=[f"{s}-{n}" for s, n in WORST])
+def test_fixed_n_sweep_stays_within_its_pinned_distance_from_exact(scenario, n):
+    got = distances(scenario, n)
+    for column, value, bound in zip(("mean_o", "second_o", "qfi"), got, WORST[scenario, n]):
+        assert value <= bound, f"{scenario} N={n} {column}: {value:.4g} eps from exact, pinned at {bound}"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
-from mzlab.estimation import SINGULAR, is_singular, qfi_analytic
+from mzlab.estimation import SINGULAR, is_singular, metric_distance, qfi_analytic
+from mzlab.fock import normalize
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, expect_j, expect_j2, phase_generator, phase_shift
 from mzlab.scenarios import (
@@ -466,7 +467,7 @@ def counting_fisher(conv, psi, phi):
     c, k = phase_generator(psi.n_cap, conv)
     inside = phase_shift(psi, phi, conv)
     out = beam_splitter(inside, _CLOSING_SPLITTER[conv]).amps
-    d_out = beam_splitter(inside.with_amps(1j * c * k * inside.amps, deficit=math.nan), _CLOSING_SPLITTER[conv]).amps
+    d_out = beam_splitter(inside.with_amps(1j * c * k * inside.amps), _CLOSING_SPLITTER[conv]).amps
     p, dp = np.abs(out) ** 2, 2 * (out.conj() * d_out).real
     return float(np.sum(np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0)))
 
@@ -624,6 +625,19 @@ def test_metric_check_rows():
     assert len(rows) == 6
     for r in rows:
         assert r.rel_error <= 1e-5
+
+
+def test_metric_check_renormalises_the_truncated_coherent_probe():
+    # at beta = 1 the two-mode state's squared norm is 0.9999999999999999 and its rounded deficit 0.0;
+    # the coherent rows read the renormalised state because the probe is truncated, whatever that number says
+    h = 1e-4
+    psi = normalize(two_mode(coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=1.0, beta_mag=1.0))))
+    quarter = qfi_analytic(psi, "mode_b") / 4
+    want = []
+    for phi in (0.3, 1.1, 2.0):
+        rate = (metric_distance(phase_shift(psi, phi, "mode_b"), phase_shift(psi, phi + h, "mode_b")) / h) ** 2
+        want.append(("coherent beta=1", phi, rate, quarter, abs(rate - quarter) / quarter))
+    assert [tuple(r) for r in run_metric_check(beta_mag=1.0, h=h)[:3]] == want
 
 
 def finite_step_rate(cfg: ScenarioConfig, h: float) -> float:

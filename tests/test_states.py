@@ -12,6 +12,7 @@ from mzlab.fock import AMP_FLUSH, inner, index_pairs
 from mzlab.numerics import log_factorials, pair_operands
 from mzlab.optics import BS1_SYMMETRIC, beam_splitter, product_exchange_sums
 from mzlab.states import (
+    SingleModeAmplitudes,
     SqueezeParams,
     auto_coherent,
     auto_squeezed,
@@ -273,9 +274,20 @@ def test_product_probe_deficit_matches_product_state():
     a, b = coherent_amplitudes(1.0, 20), coherent_amplitudes(1.5, 25)
     for n_cap in (8, 12, 45):
         probe = product_probe(a, b, n_cap, eps_trunc=1.0)
-        assert probe.deficit == pytest.approx(product_state(a, b, n_cap, eps_trunc=1.0).deficit, abs=1e-15)
+        kept = np.abs(product_state(a, b, n_cap, eps_trunc=1.0).amps) ** 2
+        assert probe.deficit == pytest.approx(1.0 - math.fsum(kept), abs=1e-15)
     with pytest.raises(TruncationError):
         product_probe(a, b, 8)
+
+
+def test_product_with_a_nan_amplitude_is_refused_by_its_deficit():
+    # a nan mass gives a nan deficit, which no tolerance passes: the probe and the state refuse it alike
+    a = coherent_amplitudes(1.0, 20)
+    bad = SingleModeAmplitudes(2, np.array([1.0, math.nan, 0.0], dtype=np.complex128), 0.0)
+    for make in (product_probe, product_state):
+        for x, y in ((a, bad), (bad, a)):
+            with pytest.raises(TruncationError, match="deficit nan"):
+                make(x, y, 22, eps_trunc=1.0)
 
 
 def test_fock_after_symmetric_bs_small():
