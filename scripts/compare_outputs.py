@@ -9,11 +9,12 @@ each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
 (``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
 and on weak metric-check probes (``LARGE_N_OPS``), one refusal of each
-kind that mzlab itself raises (``REFUSAL_OPS``), one squeezed sweep right
+kind that mzlab itself raises (``REFUSAL_OPS``), ops that read a ``--config``
+file (``CONFIG_OPS``), one squeezed sweep right
 after the edge ops (``AFTER_EDGE_OP``), shorter outputs written over longer
 ones at one path (``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
 reference sweeps and the two tables.  Each tree runs the workload, edge,
-large-N and overwrite ops in a subprocess of its own, one op after another
+large-N, config and overwrite ops in a subprocess of its own, one op after another
 in one interpreter, as the benchmark does; BLAS is pinned to one thread so
 both trees sum in the same order.  Like the benchmark's warm passes, that
 subprocess then runs the workload ops a second time over their own
@@ -121,6 +122,20 @@ REFUSAL_OPS = [
     ["metric-check", "--step", "1e-300"],
 ]
 
+# ops that read a --config file, as (file text, argv): the worker writes the text, in latin-1, to a file of
+# its own and appends --config <file>.  A fock sweep, a flag over that file's grid, a lossy sample, a coherent
+# file whose epsilon_trunc no absent flag may mask (alone, then under the flag that sets the default again),
+# and two refusals: a sample file whose scenario is not noon, and a file that is not UTF-8 (the byte 0xff)
+CONFIG_OPS = [
+    ("scenario = fock\nn = 6\nphi_steps = 31\n", ["sweep"]),
+    ("scenario = fock\nn = 6\nphi_steps = 31\n", ["sweep", "--phi", "0:1:7"]),
+    ("n = 5\neta_a = 0.9\neta_b = 0.75\ntrials = 50000\nseed = 12\npost_select = true\n", ["sample"]),
+    ("scenario = coherent\nn_cap = 28\nepsilon_trunc = 1e-7\nphi_steps = 5\n", ["sweep"]),
+    ("scenario = coherent\nn_cap = 28\nepsilon_trunc = 1e-7\nphi_steps = 5\n", ["sweep", "--epsilon-trunc", "1e-10"]),
+    ("scenario = fock\nn = 3\ntrials = 100\n", ["sample"]),
+    ("n = 4\n\xff\n", ["sweep"]),
+]
+
 AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
 
 # a long output, then a shorter one written over it at the same path: the CSV left must hold no tail of the first
@@ -161,8 +176,15 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
             + [(f"refusal:{i}", argv) for i, argv in enumerate(REFUSAL_OPS)])
 
 
-def _run_op(main, argvs: list[list[str]], path: str) -> dict:
-    """Each argv of one op in turn, written to one path; the exit code, stdout, stderr and CSV the last one left."""
+def _run_op(main, argvs: list[list[str]], path: str, config: str | None = None) -> dict:
+    """Each argv of one op in turn, written to one path; the exit code, stdout, stderr and CSV the last one left.
+    With ``config``, each argv reads a file of that text with --config."""
+    names = {path: "<out>"}
+    if config is not None:
+        cfg_path = path.removesuffix(".csv") + ".cfg"
+        Path(cfg_path).write_bytes(config.encode("latin-1"))
+        argvs = [argv + ["--config", cfg_path] for argv in argvs]
+        names[cfg_path] = "<config>"
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -170,8 +192,10 @@ def _run_op(main, argvs: list[list[str]], path: str) -> dict:
                 rc = main(argv + ["--out", path])
             except Exception as exc:  # a traceback breaks the exit-code contract; report it as a result
                 rc = f"raised {exc!r}"
-    return {"rc": rc, "stdout": out.getvalue().replace(path, "<out>"), "stderr": err.getvalue().replace(path, "<out>"),
-            "csv": _read(Path(path))}
+    stdout, stderr = out.getvalue(), err.getvalue()
+    for name, tag in names.items():
+        stdout, stderr = stdout.replace(name, tag), stderr.replace(name, tag)
+    return {"rc": rc, "stdout": stdout, "stderr": stderr, "csv": _read(Path(path))}
 
 
 def worker() -> None:
@@ -186,16 +210,17 @@ def worker() -> None:
         for argv in job["prelude"]:
             mzlab.cli.main(argv + ["--out", os.path.join(job["outdir"], "prelude.csv")])
     paths = {op_id: os.path.join(job["outdir"], op_id.replace(":", "_") + ".csv") for op_id, _ in job["ops"]}
-    results = {op_id: _run_op(mzlab.cli.main, argvs, paths[op_id]) for op_id, argvs in job["ops"]}
+    configs = job["configs"]
+    results = {op_id: _run_op(mzlab.cli.main, argvs, paths[op_id], configs.get(op_id)) for op_id, argvs in job["ops"]}
     for op_id, argvs in job["ops"] if job["rerun"] else ():
-        results[op_id]["rerun_same"] = _run_op(mzlab.cli.main, argvs, paths[op_id]) == results[op_id]
+        results[op_id]["rerun_same"] = _run_op(mzlab.cli.main, argvs, paths[op_id], configs.get(op_id)) == results[op_id]
     sys.stdout.write(json.dumps(results) + "\n")
 
 
-def _run_worker(env: dict, ops, outdir: Path, prelude=(), rerun=False) -> dict:
+def _run_worker(env: dict, ops, outdir: Path, prelude=(), rerun=False, configs=None) -> dict:
     """``ops``, each a list of argvs written to one path, in one fresh interpreter after ``prelude``;
-    op id -> result with its CSV text."""
-    job = {"ops": ops, "prelude": list(prelude), "outdir": str(outdir), "rerun": rerun}
+    ``configs`` maps an op id to the text of the config file its argvs read.  Op id -> result with its CSV text."""
+    job = {"ops": ops, "prelude": list(prelude), "outdir": str(outdir), "rerun": rerun, "configs": configs or {}}
     proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(job),
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -208,6 +233,8 @@ def run_tree(src: Path, ops, workdir: Path) -> dict:
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     results = _run_worker(env, [(op_id, [argv]) for op_id, argv in ops], outdir, rerun=True)
     results.update(_run_worker(env, [(f"overwrite:{i}", argvs) for i, argvs in enumerate(OVERWRITE_OPS)], outdir))
+    results.update(_run_worker(env, [(f"config:{i}", [argv]) for i, (_, argv) in enumerate(CONFIG_OPS)], outdir,
+                               configs={f"config:{i}": text for i, (text, _) in enumerate(CONFIG_OPS)}))
     results.update(_run_worker(env, [("after_edge:0", [AFTER_EDGE_OP])], outdir, prelude=EDGE_SAMPLE_OPS))
     results.update(_run_worker(env, [("fresh:0", [AFTER_EDGE_OP])], outdir))
     cases = subprocess.run([sys.executable, str(CASES_SCRIPT), "--outdir", "cases"], cwd=workdir,
@@ -260,7 +287,8 @@ def main() -> int:
         old = run_tree(_src_dir(args.old_tree), ops, Path(tmp) / "old")
         new = run_tree(_src_dir(args.new_tree), ops, Path(tmp) / "new")
     argv_of = {**dict(ops), "after_edge:0": AFTER_EDGE_OP, "fresh:0": AFTER_EDGE_OP,
-               **{f"overwrite:{i}": [*argvs[0], "then", *argvs[1]] for i, argvs in enumerate(OVERWRITE_OPS)}}
+               **{f"overwrite:{i}": [*argvs[0], "then", *argvs[1]] for i, argvs in enumerate(OVERWRITE_OPS)},
+               **{f"config:{i}": [*argv, "--config", ascii(text)] for i, (text, argv) in enumerate(CONFIG_OPS)}}
     worst: dict[str, float] = {}
     pattern: dict[str, int] = {}
     identical = 0

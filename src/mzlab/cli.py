@@ -5,6 +5,15 @@ would waste: argparse checks the flags, ``ScenarioConfig`` checks a config
 when it is built, and a sweep checks its grid against its readout's top
 harmonic before it reads the probe out.
 
+The parsers hold no defaults: a flag left out is absent, not set, so it
+never masks a config file.  ``sweep`` and ``sample`` build their config
+from the command's default (``sample``: ``scenario = noon``, and it
+refuses any other), then the ``--config`` file, then the flags given; a
+field none of them sets takes its ``ScenarioConfig`` default.  The tables
+pass the flags given to ``run_qfi_table`` / ``run_metric_check``, whose
+signatures hold their defaults.  A config file that cannot be read or is
+not UTF-8 exits 2.
+
 Exit codes: 0 success, 2 argument/config errors (argparse prints usage) or
 an unwritable --out, 3 numerical failures such as an exhausted
 post-selection filter, a truncation deficit above the configured epsilon,
@@ -20,7 +29,6 @@ import sys
 from .errors import ConfigError, NumericsError
 from .measurement import write_histogram_csv
 from .scenarios import (
-    _CONFIG_FIELDS,
     EPS_TRUNC_DEFAULT,
     SCENARIO_NAMES,
     ScenarioConfig,
@@ -45,14 +53,16 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"--phi expects start:stop:steps, got {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, config_file: bool) -> None:
-    """Flags of every subcommand.  Those that read a config file (sweep, sample) also take
-    --config, and leave --epsilon-trunc unset so the file's value stands."""
+def _add_parser(sub, name: str, summary: str, config_file: bool) -> argparse.ArgumentParser:
+    """A subcommand whose flags default to absent, with the flags of every subcommand.
+    Those that read a config file (sweep, sample) also take --config."""
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc", default=None if config_file else EPS_TRUNC_DEFAULT,
+    p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc",
                    help=f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})")
     if config_file:
         p.add_argument("--config", help="flat key = value config file; flags override it")
+    return p
 
 
 @functools.cache
@@ -61,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mzlab", description="Two-mode interferometer phase-estimation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sw = sub.add_parser("sweep", help="phase sweep of one scenario, written as CSV")
-    _add_common(sw, config_file=True)
+    sw = _add_parser(sub, "sweep", "phase sweep of one scenario, written as CSV", config_file=True)
     sw.add_argument("--scenario", choices=SCENARIO_NAMES)
     sw.add_argument("--n", type=int, help="photon number for fock/twin_fock/noon")
     sw.add_argument("--alpha", type=float, dest="alpha_mag", help="|alpha| of the first arm")
@@ -75,9 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--phi", help="grid as start:stop:steps (default 0:pi:181); write a negative start as --phi=-1:1:5")
     sw.add_argument("--n-cap", type=int, dest="n_cap", help="override the automatic basis cutoff (coherent, squeezed)")
 
-    sa = sub.add_parser("sample", help="Monte Carlo photon counting with loss (noon scenario)")
-    _add_common(sa, config_file=True)
-    sa.add_argument("--scenario", choices=("noon",), default="noon")
+    sa = _add_parser(sub, "sample", "Monte Carlo photon counting with loss (noon scenario)", config_file=True)
+    sa.add_argument("--scenario", choices=("noon",))
     sa.add_argument("--n", type=int)
     sa.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
     sa.add_argument("--eta", type=float, help="transmissivity of both arms")
@@ -88,81 +96,65 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="keep only events with l1 + l2 equal to the prepared photon number")
     sa.add_argument("--phi-at", type=float, dest="sample_phi", help="phase at which to sample (default pi/(3n))")
 
-    qt = sub.add_parser("qfi-table", help="Fisher-information comparison table")
-    _add_common(qt, config_file=False)
-    qt.add_argument("--beta", type=float, dest="beta_mag", default=2.0)
-    qt.add_argument("--fock-n", type=int, dest="fock_n", default=9)
-    qt.add_argument("--noon-n", type=int, dest="noon_n", default=4)
+    qt = _add_parser(sub, "qfi-table", "Fisher-information comparison table", config_file=False)
+    qt.add_argument("--beta", type=float, dest="beta_mag")
+    qt.add_argument("--fock-n", type=int, dest="fock_n")
+    qt.add_argument("--noon-n", type=int, dest="noon_n")
 
-    mc = sub.add_parser("metric-check", help="projective-metric cross-check of the Fisher information")
-    _add_common(mc, config_file=False)
-    mc.add_argument("--beta", type=float, dest="beta_mag", default=2.0)
-    mc.add_argument("--noon-n", type=int, dest="noon_n", default=4)
-    mc.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
+    mc = _add_parser(sub, "metric-check", "projective-metric cross-check of the Fisher information", config_file=False)
+    mc.add_argument("--beta", type=float, dest="beta_mag")
+    mc.add_argument("--noon-n", type=int, dest="noon_n")
+    mc.add_argument("--step", type=float, dest="h", help="finite-difference step")
     return ap
 
 
-def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    if getattr(args, "phi", None):
-        start, stop, steps = _parse_phi_range(args.phi)
-        values.update(phi_start=start, phi_stop=stop, phi_steps=steps)
-    if getattr(args, "eta", None) is not None:
-        values.update(eta_a=args.eta, eta_b=args.eta)
-    for key in _CONFIG_FIELDS:
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    return config_from_values(values)
+def _assemble_config(command: str, given: dict) -> ScenarioConfig:
+    """The command's default, then the config file, then the flags ``given`` (field name -> value, besides
+    config, phi and eta); a field none of them sets keeps its ``ScenarioConfig`` default."""
+    values = {"scenario": "noon"} if command == "sample" else {}
+    if "config" in given:
+        values.update(load_config_file(given.pop("config")))
+    if "phi" in given:
+        values.update(zip(("phi_start", "phi_stop", "phi_steps"), _parse_phi_range(given.pop("phi"))))
+    if "eta" in given:
+        values["eta_a"] = values["eta_b"] = given.pop("eta")
+    return config_from_values(values | given)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        given = vars(parser.parse_args(argv))  # only the flags given: the parsers hold no defaults
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code else 0
+    command, out = given.pop("command"), given.pop("out")
     try:
-        if args.command == "sweep":
-            cfg = _assemble_config(args)
-            table = run_sweep(cfg)
-            table.write_csv(args.out)
+        if command == "sweep":
+            table = run_sweep(_assemble_config(command, given))
+            table.write_csv(out)
             if table.annotation:
                 print(f"note: {table.annotation}")
-            print(f"wrote {args.out} ({table.phi.size} rows)")
-        elif args.command == "sample":
-            cfg = _assemble_config(args)
-            report = run_noon_sampling(cfg)
-            write_histogram_csv(report.histogram, args.out)
+            print(f"wrote {out} ({table.phi.size} rows)")
+        elif command == "sample":
+            report = run_noon_sampling(_assemble_config(command, given))
+            write_histogram_csv(report.histogram, out)
             for line in report.lines():
                 print(line)
-            print(f"wrote {args.out}")
-        elif args.command == "qfi-table":
-            rows = run_qfi_table(
-                beta_mag=args.beta_mag,
-                fock_n=args.fock_n,
-                noon_n=args.noon_n,
-                epsilon_trunc=args.epsilon_trunc,
-            )
-            write_qfi_table_csv(rows, args.out)
-            print(f"wrote {args.out} ({len(rows)} rows)")
+            print(f"wrote {out}")
+        elif command == "qfi-table":
+            rows = run_qfi_table(**given)
+            write_qfi_table_csv(rows, out)
+            print(f"wrote {out} ({len(rows)} rows)")
         else:
-            rows = run_metric_check(
-                beta_mag=args.beta_mag,
-                noon_n=args.noon_n,
-                h=args.step,
-                epsilon_trunc=args.epsilon_trunc,
-            )
-            write_metric_csv(rows, args.out)
-            print(f"wrote {args.out} ({len(rows)} rows)")
+            rows = run_metric_check(**given)
+            write_metric_csv(rows, out)
+            print(f"wrote {out} ({len(rows)} rows)")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
     except OSError as exc:  # only the CSV writes open files: a config file's OSError is a ConfigError
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

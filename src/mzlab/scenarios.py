@@ -467,7 +467,7 @@ class NoonSamplingReport(NamedTuple):
 
 def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     if cfg.scenario != "noon":
-        raise ConfigError("count sampling is defined for the noon scenario")
+        raise ConfigError(f"count sampling is defined for the noon scenario only, got scenario {cfg.scenario!r}")
     _reject_unread(cfg, _SAMPLING_READS, "sample")
     phi = cfg.sample_phi if cfg.sample_phi is not None else math.pi / (3 * cfg.n)
     c, _ = phase_generator(cfg.n, SCENARIOS["noon"].phase)
@@ -653,7 +653,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read(), source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8 text
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import mzlab.cli
 import mzlab.optics
+import mzlab.scenarios
 from mzlab.cli import main
 from mzlab.scenarios import SCENARIOS
 
@@ -81,6 +83,128 @@ def test_config_file_epsilon_trunc_is_not_masked_by_a_flag_default(tmp_path, cap
     assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "a.csv")]) == 0
     assert main(["sweep", "--config", str(cfgfile), "--epsilon-trunc", "1e-10", "--out", str(tmp_path / "b.csv")]) == 3
     capsys.readouterr()
+
+
+# (command, config line, flags): a non-default value in the file for each ScenarioConfig field a sweep or
+# sample flag sets, and flags that set the field to another value
+PRECEDENCE_CASES = [
+    ("sweep", "scenario = twin_fock", ["--scenario", "noon"]),
+    ("sweep", "n = 7", ["--n", "5"]),
+    ("sweep", "alpha_mag = 3.5", ["--alpha", "1.5"]),
+    ("sweep", "beta_mag = 3.5", ["--beta", "1.5"]),
+    ("sweep", "theta1 = 0.25", ["--theta1", "0.5"]),
+    ("sweep", "theta2 = 0.25", ["--theta2", "0.5"]),
+    ("sweep", "r = 0.25", ["--r", "0.5"]),
+    ("sweep", "theta = 0.25", ["--theta", "0.5"]),
+    ("sweep", "f = 0.25", ["--f", "0.5"]),
+    ("sweep", "phi_start = -1", ["--phi=-2:1:5"]),
+    ("sweep", "phi_stop = 2", ["--phi", "0:1:5"]),
+    ("sweep", "phi_steps = 9", ["--phi", "0:1:5"]),
+    ("sweep", "n_cap = 30", ["--n-cap", "40"]),
+    ("sweep", "epsilon_trunc = 1e-7", ["--epsilon-trunc", "1e-8"]),
+    ("sample", "scenario = fock", ["--scenario", "noon"]),
+    ("sample", "n = 7", ["--n", "5"]),
+    ("sample", "seed = 9", ["--seed", "11"]),
+    ("sample", "eta_a = 0.5", ["--eta-a", "0.7"]),
+    ("sample", "eta_b = 0.5", ["--eta-b", "0.7"]),
+    ("sample", "eta_a = 0.5", ["--eta", "0.7"]),
+    ("sample", "eta_b = 0.5", ["--eta", "0.7"]),
+    ("sample", "trials = 77", ["--trials", "88"]),
+    ("sample", "post_select = true", ["--post-select"]),  # the flag can only set the non-default value
+    ("sample", "sample_phi = 0.2", ["--phi-at", "0.3"]),
+    ("sample", "epsilon_trunc = 1e-7", ["--epsilon-trunc", "1e-8"]),
+]
+
+
+def _assembled(argv):
+    """The config ``main`` would run for ``argv``, built by ``_assemble_config`` after ``parse_args``."""
+    given = vars(mzlab.cli._build_parser().parse_args(argv + ["--out", "x.csv"]))
+    del given["out"]
+    return mzlab.cli._assemble_config(given.pop("command"), given)
+
+
+@pytest.mark.parametrize("command,line,flags", PRECEDENCE_CASES,
+                         ids=[f"{c} {line} {' '.join(f)}" for c, line, f in PRECEDENCE_CASES])
+def test_config_file_value_stands_unless_a_flag_sets_it(tmp_path, command, line, flags):
+    field = line.split()[0]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{line}\n")
+    from_file = mzlab.scenarios.parse_config_text(line)[field]
+    baseline = getattr(_assembled([command]), field)
+    assert from_file != baseline
+    assert getattr(_assembled([command, "--config", str(cfgfile)]), field) == from_file
+    from_flags = getattr(_assembled([command, *flags]), field)
+    assert from_flags != from_file or field == "post_select"
+    assert getattr(_assembled([command, *flags, "--config", str(cfgfile)]), field) == from_flags
+    assert getattr(_assembled([command, "--config", str(cfgfile), *flags]), field) == from_flags
+
+
+def test_precedence_cases_cover_every_flag_of_sweep_and_sample():
+    sub = next(a for a in mzlab.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    # the flags that set no field of their name: --phi sets the grid, --eta both arms, --config and --out no field
+    spread = {"phi": {"phi_start", "phi_stop", "phi_steps"}, "eta": {"eta_a", "eta_b"}, "config": set(), "out": set()}
+    for command in ("sweep", "sample"):
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        fields = set().union(*(spread.get(dest, {dest}) for dest in dests))
+        assert fields <= set(mzlab.scenarios._CONFIG_FIELDS)
+        assert fields == {line.split()[0] for c, line, _ in PRECEDENCE_CASES if c == command}
+
+
+def test_sample_refuses_a_config_file_scenario_other_than_noon(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario = fock\nn = 3\ntrials = 100\n")
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'fock'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sample_runs_a_config_file_noon_scenario(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario = noon\nn = 3\ntrials = 100\n")
+    assert main(["sample", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")]) == 0
+    assert "scenario = noon  n = 3" in capsys.readouterr().out
+
+
+def test_sample_without_a_scenario_samples_noon(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 3\ntrials = 100\n")
+    bare, named = tmp_path / "bare.csv", tmp_path / "named.csv"
+    assert _assembled(["sample", "--config", str(cfgfile)]).scenario == "noon"
+    assert main(["sample", "--config", str(cfgfile), "--out", str(bare)]) == 0
+    bare_stdout = capsys.readouterr().out.replace(str(bare), "<out>")
+    assert main(["sample", "--config", str(cfgfile), "--scenario", "noon", "--out", str(named)]) == 0
+    assert bare_stdout == capsys.readouterr().out.replace(str(named), "<out>")
+    assert bare.read_bytes() == named.read_bytes()
+
+
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"n = 4\n\xff\n")
+    out = tmp_path / "x.csv"
+    for command in ("sweep", "sample"):
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file ") and "Traceback" not in err
+        assert not out.exists()
+
+
+# (command, the flags that name its runner's defaults)
+TABLE_DEFAULTS = [
+    ("qfi-table", ["--beta", "2", "--fock-n", "9", "--noon-n", "4", "--epsilon-trunc", "1e-10"]),
+    ("metric-check", ["--beta", "2", "--noon-n", "4", "--step", "1e-4"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", TABLE_DEFAULTS, ids=[c for c, _ in TABLE_DEFAULTS])
+def test_bare_table_matches_its_defaults_named(tmp_path, capsys, command, flags):
+    bare, named = tmp_path / "bare.csv", tmp_path / "named.csv"
+    assert main([command, "--out", str(bare)]) == 0
+    bare_stdout = capsys.readouterr().out.replace(str(bare), "<out>")
+    assert main([command, *flags, "--out", str(named)]) == 0
+    assert bare_stdout == capsys.readouterr().out.replace(str(named), "<out>")
+    assert bare.read_bytes() == named.read_bytes()
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
