@@ -9,7 +9,8 @@ each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
 (``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
 and on weak metric-check probes (``LARGE_N_OPS``), one refusal of each
-kind that mzlab itself raises (``REFUSAL_OPS``), ops that read a ``--config``
+kind that mzlab itself raises (``REFUSAL_OPS``), command lines at the edge of
+what mzlab reads without argparse (``ARGV_OPS``), ops that read a ``--config``
 file (``CONFIG_OPS``), one squeezed sweep right
 after the edge ops (``AFTER_EDGE_OP``), shorter outputs written over longer
 ones at one path (``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
@@ -107,11 +108,10 @@ LARGE_N_OPS = [
 ]
 
 
-# inputs mzlab refuses with exit 2 after argparse has accepted them, one of each kind: a grid whose top
+# inputs mzlab refuses with exit 2 after its flags have been read, one of each kind: a grid whose top
 # harmonic overflows, a config field out of range, a field the scenario does not read, a probe the squeezed
 # scenario refuses (|alpha|^2 < 8 sinh(r)^2), a sampled phase whose phase factor overflows, a probe with no
-# Fisher information and a finite-difference step that moves no sampled phase.  Argparse's own errors are
-# left out: they print the subcommand's usage line, which lists its flags and changes whenever one does.
+# Fisher information and a finite-difference step that moves no sampled phase
 REFUSAL_OPS = [
     ["sweep", "--scenario", "noon", "--n", "400", "--phi", "0:1e306:5"],
     ["sweep", "--scenario", "fock", "--n", "0"],
@@ -122,10 +122,30 @@ REFUSAL_OPS = [
     ["metric-check", "--step", "1e-300"],
 ]
 
+# command lines at the edge of what mzlab reads without argparse (exact flags, each with a value that does
+# not start with '-'): a repeated flag (the last one wins) and a repeated --post-select, which it reads, and
+# what it leaves to argparse: an abbreviation, the '=' form, a negative value, an unknown flag, a flag with no
+# value, a bad choice, a bad int, help and an unknown command.  Their errors print the subcommand's usage line,
+# which lists its flags, so both trees must have the same flags for these to match.
+ARGV_OPS = [
+    ["sweep", "--scen", "fock", "--n", "3", "--phi", "0:1:5"],
+    ["sweep", "--scenario", "fock", "--n", "3", "--phi=-1:1:5"],
+    ["sweep", "--scenario", "coherent", "--alpha", "-1"],
+    ["sweep", "--scenario", "fock", "--n", "3", "--n", "5", "--phi", "0:1:5"],
+    ["sample", "--n", "2", "--trials", "1000", "--seed", "3", "--post-select", "--post-select"],
+    ["sweep", "--no-such-flag"],
+    ["sweep", "--scenario", "fock", "--n"],
+    ["sweep", "--scenario", "bogus"],
+    ["sweep", "--scenario", "fock", "--n", "x"],
+    ["sweep", "-h"],
+    ["bogus"],
+]
+
 # ops that read a --config file, as (file text, argv): the worker writes the text, in latin-1, to a file of
 # its own and appends --config <file>.  A fock sweep, a flag over that file's grid, a lossy sample, a coherent
 # file whose epsilon_trunc no absent flag may mask (alone, then under the flag that sets the default again),
-# and two refusals: a sample file whose scenario is not noon, and a file that is not UTF-8 (the byte 0xff)
+# and three refusals: a sample file whose scenario is not noon, a file that is not UTF-8 (the byte 0xff) and a
+# file that sets a key twice
 CONFIG_OPS = [
     ("scenario = fock\nn = 6\nphi_steps = 31\n", ["sweep"]),
     ("scenario = fock\nn = 6\nphi_steps = 31\n", ["sweep", "--phi", "0:1:7"]),
@@ -134,6 +154,7 @@ CONFIG_OPS = [
     ("scenario = coherent\nn_cap = 28\nepsilon_trunc = 1e-7\nphi_steps = 5\n", ["sweep", "--epsilon-trunc", "1e-10"]),
     ("scenario = fock\nn = 3\ntrials = 100\n", ["sample"]),
     ("n = 4\n\xff\n", ["sweep"]),
+    ("scenario = fock\nn = 3\nphi_steps = 5\nn = 4\n", ["sweep"]),
 ]
 
 AFTER_EDGE_OP = ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "1"]
@@ -173,7 +194,8 @@ def workload_ops(seeds: list[int]) -> list[tuple[str, list[str]]]:
            for i, argv in enumerate(workloads.generate(name, seed))]
     return (ops + [(f"edge_sample:{i}", argv) for i, argv in enumerate(EDGE_SAMPLE_OPS)]
             + [(f"large_n:{i}", argv) for i, argv in enumerate(LARGE_N_OPS)]
-            + [(f"refusal:{i}", argv) for i, argv in enumerate(REFUSAL_OPS)])
+            + [(f"refusal:{i}", argv) for i, argv in enumerate(REFUSAL_OPS)]
+            + [(f"argv:{i}", argv) for i, argv in enumerate(ARGV_OPS)])
 
 
 def _run_op(main, argvs: list[list[str]], path: str, config: str | None = None) -> dict:

@@ -1,7 +1,10 @@
 """Command-line surface: sweep, sample, qfi-table, metric-check.
 
-Every subcommand requires --out.  Input is refused before the work it
-would waste: argparse checks the flags, ``ScenarioConfig`` checks a config
+Every subcommand requires --out.  Each flag is declared once, in
+``_COMMANDS``: ``_read_argv`` reads a well-formed command line from it,
+and the argparse parser built from it reads any other, and alone prints
+help, usage and errors.  Input is refused before the work it would waste:
+the flags are checked as they are read, ``ScenarioConfig`` checks a config
 when it is built, and a sweep checks its grid against its readout's top
 harmonic before it reads the probe out.
 
@@ -22,7 +25,6 @@ or a basis too large for the memory at hand.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 
@@ -53,58 +55,85 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"--phi expects start:stop:steps, got {text!r}") from exc
 
 
-def _add_parser(sub, name: str, summary: str, config_file: bool) -> argparse.ArgumentParser:
-    """A subcommand whose flags default to absent, with the flags of every subcommand.
-    Those that read a config file (sweep, sample) also take --config."""
-    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--epsilon-trunc", type=float, dest="epsilon_trunc",
-                   help=f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})")
-    if config_file:
-        p.add_argument("--config", help="flat key = value config file; flags override it")
-    return p
+# Each subcommand's flags, in the order its help lists them: (flag, dest, converter, help).  A converter is the
+# callable argparse applies to the value, a tuple of the values allowed, or None for a flag that takes no value
+# and stores True.  Every subcommand requires --out; sweep and sample also read a --config file.
+_COMMON = (("--out", "out", str, "output CSV path"),
+           ("--epsilon-trunc", "epsilon_trunc", float, f"allowed truncation deficit (default {EPS_TRUNC_DEFAULT:g})"))
+_WITH_CONFIG = (*_COMMON, ("--config", "config", str, "flat key = value config file; flags override it"))
+_COMMANDS = {
+    "sweep": ("phase sweep of one scenario, written as CSV", (
+        *_WITH_CONFIG,
+        ("--scenario", "scenario", SCENARIO_NAMES, None),
+        ("--n", "n", int, "photon number for fock/twin_fock/noon"),
+        ("--alpha", "alpha_mag", float, "|alpha| of the first arm"),
+        ("--beta", "beta_mag", float, "|beta| of the second arm"),
+        ("--theta1", "theta1", float, None), ("--theta2", "theta2", float, None),
+        ("--r", "r", float, "squeezing magnitude"),
+        ("--theta", "theta", float, "squeezing phase"),
+        ("--f", "f", float, "coherent phase of the squeezed scenario (default (pi - theta)/2)"),
+        ("--phi", "phi", str, "grid as start:stop:steps (default 0:pi:181); write a negative start as --phi=-1:1:5"),
+        ("--n-cap", "n_cap", int, "override the automatic basis cutoff (coherent, squeezed)"))),
+    "sample": ("Monte Carlo photon counting with loss (noon scenario)", (
+        *_WITH_CONFIG,
+        ("--scenario", "scenario", ("noon",), None),
+        ("--n", "n", int, None),
+        ("--seed", "seed", int, "sampling seed (unsigned 64-bit)"),
+        ("--eta", "eta", float, "transmissivity of both arms"),
+        ("--eta-a", "eta_a", float, None), ("--eta-b", "eta_b", float, None),
+        ("--trials", "trials", int, None),
+        ("--post-select", "post_select", None, "keep only events with l1 + l2 equal to the prepared photon number"),
+        ("--phi-at", "sample_phi", float, "phase at which to sample (default pi/(3n))"))),
+    "qfi-table": ("Fisher-information comparison table", (
+        *_COMMON,
+        ("--beta", "beta_mag", float, None), ("--fock-n", "fock_n", int, None), ("--noon-n", "noon_n", int, None))),
+    "metric-check": ("projective-metric cross-check of the Fisher information", (
+        *_COMMON,
+        ("--beta", "beta_mag", float, None), ("--noon-n", "noon_n", int, None),
+        ("--step", "h", float, "finite-difference step"))),
+}
+_FLAGS = {name: {flag: (dest, conv) for flag, dest, conv, _ in flags} for name, (_, flags) in _COMMANDS.items()}
+
+
+def _read_argv(argv) -> dict | None:
+    """``vars(_build_parser().parse_args(argv))`` for a command, then its exact flags, each but --post-select with
+    a value that does not start with '-' and passes its converter, --out among them (the last repeat wins).  None
+    for anything else (help, an abbreviation, '=', a negative value, '--', a missing or bad value)."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags, given, tokens = _FLAGS[argv[0]], {"command": argv[0]}, iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        dest, conv = flags[token]
+        if conv is None:
+            given[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-") or isinstance(conv, tuple) and value not in conv:
+            return None
+        try:
+            given[dest] = value if isinstance(conv, tuple) else conv(value)
+        except ValueError:
+            return None
+    return given if "out" in given else None
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parsing leaves it unchanged."""
+def _build_parser():
+    """The argparse parser over ``_COMMANDS``, built on the first call and reused: parsing leaves it unchanged.
+    Only a command line ``_read_argv`` refuses, and the usage printed under a config error, need it."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="mzlab", description="Two-mode interferometer phase-estimation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sw = _add_parser(sub, "sweep", "phase sweep of one scenario, written as CSV", config_file=True)
-    sw.add_argument("--scenario", choices=SCENARIO_NAMES)
-    sw.add_argument("--n", type=int, help="photon number for fock/twin_fock/noon")
-    sw.add_argument("--alpha", type=float, dest="alpha_mag", help="|alpha| of the first arm")
-    sw.add_argument("--beta", type=float, dest="beta_mag", help="|beta| of the second arm")
-    sw.add_argument("--theta1", type=float)
-    sw.add_argument("--theta2", type=float)
-    sw.add_argument("--r", type=float, help="squeezing magnitude")
-    sw.add_argument("--theta", type=float, help="squeezing phase")
-    sw.add_argument("--f", type=float, help="coherent phase of the squeezed scenario (default (pi - theta)/2)")
-    sw.add_argument("--phi", help="grid as start:stop:steps (default 0:pi:181); write a negative start as --phi=-1:1:5")
-    sw.add_argument("--n-cap", type=int, dest="n_cap", help="override the automatic basis cutoff (coherent, squeezed)")
-
-    sa = _add_parser(sub, "sample", "Monte Carlo photon counting with loss (noon scenario)", config_file=True)
-    sa.add_argument("--scenario", choices=("noon",))
-    sa.add_argument("--n", type=int)
-    sa.add_argument("--seed", type=int, help="sampling seed (unsigned 64-bit)")
-    sa.add_argument("--eta", type=float, help="transmissivity of both arms")
-    sa.add_argument("--eta-a", type=float, dest="eta_a")
-    sa.add_argument("--eta-b", type=float, dest="eta_b")
-    sa.add_argument("--trials", type=int)
-    sa.add_argument("--post-select", dest="post_select", action="store_const", const=True,
-                    help="keep only events with l1 + l2 equal to the prepared photon number")
-    sa.add_argument("--phi-at", type=float, dest="sample_phi", help="phase at which to sample (default pi/(3n))")
-
-    qt = _add_parser(sub, "qfi-table", "Fisher-information comparison table", config_file=False)
-    qt.add_argument("--beta", type=float, dest="beta_mag")
-    qt.add_argument("--fock-n", type=int, dest="fock_n")
-    qt.add_argument("--noon-n", type=int, dest="noon_n")
-
-    mc = _add_parser(sub, "metric-check", "projective-metric cross-check of the Fisher information", config_file=False)
-    mc.add_argument("--beta", type=float, dest="beta_mag")
-    mc.add_argument("--noon-n", type=int, dest="noon_n")
-    mc.add_argument("--step", type=float, dest="h", help="finite-difference step")
+    for name, (summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for flag, dest, conv, text in flags:
+            kind = ({"action": "store_const", "const": True} if conv is None
+                    else {"choices": conv} if isinstance(conv, tuple) else {"type": conv})
+            p.add_argument(flag, dest=dest, required=flag == "--out", help=text, **kind)
     return ap
 
 
@@ -122,11 +151,12 @@ def _assemble_config(command: str, given: dict) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        given = vars(parser.parse_args(argv))  # only the flags given: the parsers hold no defaults
-    except SystemExit as exc:  # argparse already printed usage
-        return int(exc.code) if exc.code else 0
+    given = _read_argv(argv)  # only the flags given: the parsers hold no defaults
+    if given is None:
+        try:
+            given = vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:  # argparse already printed help, or usage and the error
+            return int(exc.code) if exc.code else 0
     command, out = given.pop("command"), given.pop("out")
     try:
         if command == "sweep":
@@ -151,7 +181,7 @@ def main(argv=None) -> int:
             print(f"wrote {out} ({len(rows)} rows)")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return 2
     except OSError as exc:  # only the CSV writes open files: a config file's OSError is a ConfigError
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)

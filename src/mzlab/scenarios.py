@@ -630,8 +630,9 @@ _CONFIG_FIELDS = {fld.name: _PARSERS[fld.type.removesuffix(" | None")] for fld i
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Flat ``key = value`` lines; '#' comments; unknown keys are rejected."""
+    """Flat ``key = value`` lines; '#' comments; unknown keys and a key set twice are rejected."""
     values: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -642,6 +643,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}, first set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _CONFIG_FIELDS[key](val)
         except ValueError as exc:

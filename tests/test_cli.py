@@ -215,6 +215,17 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_key_set_twice_exits_two_naming_both_lines(tmp_path, capsys):
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("scenario = fock\nn = 3\n# the second n used to win silently\nn = 5\n")
+    out = tmp_path / "x.csv"
+    for command in ("sweep", "sample"):
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgfile}:4: duplicate key 'n', first set on line 2"), err
+        assert not out.exists()
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--scenario", "coherent", "--n-cap", "5", "--out", str(out)]) == 3
@@ -798,3 +809,77 @@ def test_every_listed_flag_value_keeps_the_exit_code_contract():
     """The fuzz test's contract on each listed value of each flag, so no value depends on a random draw."""
     for argv in _one_flag_cases():
         _assert_exit_code_contract(argv, None)
+
+
+# ----- reading argv without argparse ---------------------------------------------------
+
+# tokens a well-formed command line never holds, or holds elsewhere: negatives, help, the end-of-options marker,
+# empty strings, '=' forms, abbreviations, values argparse may read differently, and flags of other subcommands
+_HOSTILE_TOKENS = ["-1", "-h", "--help", "--", "", "-", "=", "--n=3", "--phi=-1:1:5", "--out=x.csv", "--alp", "--scen",
+                   "--e", "--eta-", "nan", "1_0", " 7", "bogus", "fock", "--seed", "--fock-n", "--step", "--post-select",
+                   "--config", "--out"]
+
+
+@st.composite
+def _command_line(draw):
+    """A command (or an unknown one), then mostly its own flags with their listed values, mixed with hostile
+    tokens, and usually --out somewhere, even between a flag and its value."""
+    command = draw(st.sampled_from([*sorted(_FLAGS), "bogus"]))
+    own = _FLAGS.get(command, {})
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        if own and draw(st.integers(0, 3)):
+            flag = draw(st.sampled_from(sorted(own)))
+            argv += [flag] if own[flag] is None else [flag, draw(st.sampled_from(own[flag]))]
+        else:
+            argv.append(draw(st.sampled_from(_HOSTILE_TOKENS)))
+    if draw(st.integers(0, 3)):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = ["--out", "x.csv"]
+    return argv
+
+
+def _argparse_given(argv):
+    """``vars(parse_args(argv))``, or None where argparse exits; either shown with its order and types."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return repr(list(vars(mzlab.cli._build_parser().parse_args(argv)).items()))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_line())
+def test_read_argv_gives_argparse_dict_or_defers_to_argparse(argv):
+    read = mzlab.cli._read_argv(argv)
+    if read is not None:
+        assert repr(list(read.items())) == _argparse_given(argv), argv
+
+
+def test_read_argv_reads_every_listed_flag_value_argparse_accepts_but_negatives():
+    """The fuzz table's values, one flag at a time: the reader defers only what argparse refuses or a value
+    that starts with '-', so a well-formed line never builds the parser."""
+    for argv in _one_flag_cases():
+        argv = argv + ["--out", "x.csv"]
+        read = mzlab.cli._read_argv(argv)
+        negative = any(token.startswith("-") and not token.startswith("--") for token in argv)
+        assert (None if read is None else repr(list(read.items()))) == (None if negative else _argparse_given(argv))
+
+
+@pytest.mark.parametrize("argv,usage", [(["-h"], "usage: mzlab [-h]"), (["sweep", "-h"], "usage: mzlab sweep [-h]")])
+def test_help_exits_zero_with_usage_on_stdout(argv, usage):
+    proc = subprocess.run([sys.executable, "-m", "mzlab", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(usage)
+    assert proc.stderr == ""
+
+
+def test_well_formed_runs_never_build_the_argparse_parser(tmp_path):
+    code = ("import sys, mzlab.cli; "
+            "rc = [mzlab.cli.main(a + ['--out', sys.argv[1]]) for a in "
+            "(['sweep', '--scenario', 'fock', '--n', '4'], ['sample', '--n', '2', '--trials', '100', '--post-select'], "
+            "['qfi-table', '--noon-n', '3'], ['metric-check', '--beta', '1.5'])]; "
+            "print(rc, 'argparse' in sys.modules, mzlab.cli._build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False 0"
