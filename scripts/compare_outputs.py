@@ -84,7 +84,9 @@ EDGE_SAMPLE_OPS = [
 # the amplitude fill stops below the peak at AMP_FLUSH and the deficits sum only the nonzero masses, in both
 # modes; two weak probes whose metric-check rate is far below the float epsilon of an overlap; and a
 # metric-check at beta 1, whose truncated coherent state has squared norm 0.9999999999999999 but a deficit
-# that rounds to 0.0 when summed on the two-mode basis
+# that rounds to 0.0 when summed on the two-mode basis; and two squeezed vacua past r ~ 2.69, where a cutoff
+# search capped at 12 rebuilds gave up (exit 3): r = 2.8 and 3.5 now keep cutoffs 3,238 and 14,440, prefixes
+# of one build of 4,220 and 18,782 amplitudes at the first cutoff past the squeezed tail bound
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -105,6 +107,8 @@ LARGE_N_OPS = [
     ["metric-check", "--beta", "1e-4"],
     ["metric-check", "--beta", "1e-2", "--noon-n", "1"],
     ["metric-check", "--beta", "1"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "300", "--r", "2.8"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "60", "--r", "3.5"],
 ]
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the four benchmark interferometer cases plus the comparison tables.
+"""Run the five benchmark interferometer cases plus the comparison tables.
 
 Writes one CSV per case into --outdir and prints a one-line summary each:
 

@@ -1,11 +1,10 @@
 """Input-state preparation: coherent, squeezed vacuum, Fock, NOON, twin-Fock.
 
-Every preparation reports its truncation deficit and fails loudly when the
-deficit exceeds the allowed epsilon; nothing here returns a silently
-truncated state.  The published cutoff heuristics are treated as floors:
-``auto_coherent``/``auto_squeezed`` extend the cutoff until the measured
-tail actually meets the target, because e.g. a squeezed vacuum with r = 1
-still holds ~2e-6 of its mass above photon number 40.
+Every preparation reports its truncation deficit and refuses one above the
+allowed epsilon.  ``auto_coherent``/``auto_squeezed`` build each mode once,
+at a cutoff a tail bound proves: by Chernoff the Poisson tail above the
+coherent policy cutoff is below 2e-22, and squeezed pair masses shrink by
+tanh^2 r or more a step, so their tail above 2K is <= cosh r tanh^2K r.
 """
 
 from __future__ import annotations
@@ -38,10 +37,14 @@ class SqueezeParams(NamedTuple):
     theta: float = 0.0
 
 
+def _deficit(p: np.ndarray) -> float:
+    """1 - sum(p), correctly rounded by fsum: the zeros cannot move it, and a longer prefix of p never raises it."""
+    return 1.0 - math.fsum(p[p != 0])
+
+
 def _checked(cutoff: int, amps: np.ndarray, eps_trunc: float, what: str) -> SingleModeAmplitudes:
     """The cutoff + 1 amplitudes just built, frozen in place once their deficit passes (a nan one never does)."""
-    p = np.abs(amps) ** 2
-    deficit = 1.0 - math.fsum(p[p != 0])  # fsum is correctly rounded, so the zeros cannot move it
+    deficit = _deficit(np.abs(amps) ** 2)
     if not deficit <= eps_trunc:
         raise TruncationError(f"{what}: cutoff {cutoff} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     amps.flags.writeable = False
@@ -123,24 +126,25 @@ def policy_squeezed_cutoff(r: float) -> int:
 
 
 def auto_coherent(alpha: complex, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
-    """Coherent amplitudes with the cutoff grown until the tail is verified small."""
-    return _auto(lambda cut: coherent_amplitudes(alpha, cut, eps_trunc=1.0), policy_coherent_cutoff(abs(alpha)), eps_trunc)
+    """Coherent amplitudes at the policy cutoff, refused unless their deficit is at most eps_trunc / 4."""
+    return coherent_amplitudes(alpha, policy_coherent_cutoff(abs(alpha)), eps_trunc / 4)
 
 
 def auto_squeezed(p: SqueezeParams, eps_trunc: float = EPS_TRUNC_DEFAULT) -> SingleModeAmplitudes:
-    """Squeezed-vacuum amplitudes with the cutoff grown until the tail is verified small."""
-    return _auto(lambda cut: squeezed_vacuum_amplitudes(p, cut, eps_trunc=1.0), policy_squeezed_cutoff(p.r), eps_trunc)
-
-
-def _auto(make, floor: int, eps_trunc: float) -> SingleModeAmplitudes:
-    target = eps_trunc / 4
-    cutoff = floor
-    for _ in range(12):
-        sm = make(cutoff)
-        if sm.deficit <= target:
-            return sm
-        cutoff = math.ceil(cutoff * 1.3) + 8
-    raise TruncationError(f"no cutoff up to {cutoff} reached tail target {target:.1e}")
+    """Squeezed-vacuum amplitudes at the first cutoff of floor, x1.3 + 8, ... whose deficit is at most eps_trunc / 4, each
+    a byte-identical prefix of one build past the tail bound (which bounds a target below the least subnormal as it)."""
+    target, t = eps_trunc / 4, math.tanh(p.r)
+    bound = (math.log(max(target, math.ulp(0.0))) - math.log(math.cosh(p.r))) / math.log(t) if 0 < t < 1 else 0.0
+    if t == 1.0 or bound > sys.maxsize / 64:  # refused before policy_squeezed_cutoff, which cannot take r = inf
+        raise MemoryError(f"squeezed r={p.r:.3g} needs a cutoff past what an address space holds")
+    cutoffs = [policy_squeezed_cutoff(p.r)]
+    while cutoffs[-1] < bound:
+        cutoffs.append(math.ceil(cutoffs[-1] * 1.3) + 8)
+    sm = squeezed_vacuum_amplitudes(p, cutoffs[-1], target)  # a refusal is final: no prefix has a smaller deficit
+    for c in cutoffs[:-1]:
+        if (deficit := _deficit(np.abs(sm.amps[: c + 1]) ** 2)) <= target:
+            return SingleModeAmplitudes(c, sm.amps[: c + 1], deficit)
+    return sm
 
 
 def product_state(a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT) -> TwoModeState:
@@ -176,8 +180,7 @@ def product_probe(
     the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs."""
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
-    p = np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap))
-    deficit = 1.0 - math.fsum(p[p != 0])
+    deficit = _deficit(np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap)))
     if not deficit <= eps_trunc:
         raise TruncationError(f"product state at n_cap={n_cap} leaves deficit {deficit:.3e} > {eps_trunc:.1e}")
     return ProductProbe(a, b, n_cap, bs1, deficit)

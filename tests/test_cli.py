@@ -756,7 +756,8 @@ def _argv(draw):
         argv += [flag] if flags[flag] is None else [flag, draw(st.sampled_from(flags[flag]))]
     config = None
     if command in ("sweep", "sample") and draw(st.booleans()):
-        config = draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=3))
+        # one line a key: a key set twice stops at the duplicate-key refusal, which has its own test
+        config = draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=3, unique_by=lambda line: line.split(" = ")[0]))
     return argv, config
 
 

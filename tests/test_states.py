@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
+from mzlab import states
 from mzlab.errors import TruncationError
 from mzlab.fock import AMP_FLUSH, inner, index_pairs
 from mzlab.numerics import log_factorials, pair_operands
 from mzlab.optics import BS1_SYMMETRIC, beam_splitter, product_exchange_sums
+from mzlab.scenarios import ScenarioConfig, coherent_probe, squeezed_probe
 from mzlab.states import (
     SingleModeAmplitudes,
     SqueezeParams,
@@ -19,6 +22,7 @@ from mzlab.states import (
     coherent_amplitudes,
     fock_after_symmetric_bs,
     noon_state,
+    policy_coherent_cutoff,
     policy_squeezed_cutoff,
     product_probe,
     product_state,
@@ -243,6 +247,152 @@ def test_squeezed_heuristic_cutoff_is_insufficient_at_r1():
     aut = auto_squeezed(SqueezeParams(1.0), eps_trunc=1e-10)
     assert aut.cutoff > 40
     assert aut.deficit <= 2.5e-11
+
+
+# ----- cutoffs from a tail bound ----------------------------------------------
+
+def _auto(make, floor: int, eps_trunc: float) -> SingleModeAmplitudes:
+    """The grow-and-rebuild cutoff search the tail bounds replaced, kept verbatim as the oracle."""
+    target = eps_trunc / 4
+    cutoff = floor
+    for _ in range(12):
+        sm = make(cutoff)
+        if sm.deficit <= target:
+            return sm
+        cutoff = math.ceil(cutoff * 1.3) + 8
+    raise TruncationError(f"no cutoff up to {cutoff} reached tail target {target:.1e}")
+
+
+def _search_coherent(alpha, eps_trunc):
+    return _auto(lambda cut: states.coherent_amplitudes(alpha, cut, eps_trunc=1.0), policy_coherent_cutoff(abs(alpha)), eps_trunc)
+
+
+def _search_squeezed(p, eps_trunc):
+    return _auto(lambda cut: states.squeezed_vacuum_amplitudes(p, cut, eps_trunc=1.0), policy_squeezed_cutoff(p.r), eps_trunc)
+
+
+def _assert_same_preparation(got: SingleModeAmplitudes, want: SingleModeAmplitudes):
+    assert (got.cutoff, got.deficit) == (want.cutoff, want.deficit)
+    assert got.amps.tobytes() == want.amps.tobytes() and not got.amps.flags.writeable
+
+
+_EPS_GRID = [1e-6, 1e-10, 1e-14]
+
+
+# at 5e-324 the target eps / 4 underflows to 0, which only a deficit rounding to <= 0 meets
+@pytest.mark.parametrize("eps", [*_EPS_GRID, 5e-324])
+@pytest.mark.parametrize("theta", [0.0, 1.3])
+@pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, 0.87, 0.95, 1.0, 1.5, 2.0, 2.5, 2.69])
+def test_auto_squeezed_keeps_every_cutoff_the_search_found(r, theta, eps):
+    p = SqueezeParams(r, theta)
+    try:
+        want = _search_squeezed(p, eps)
+    except TruncationError:
+        sm = auto_squeezed(p, eps)  # the bound may run where the capped search gave up, never the other way
+        assert sm.deficit <= eps / 4
+        return
+    _assert_same_preparation(auto_squeezed(p, eps), want)
+
+
+@pytest.mark.parametrize("eps", _EPS_GRID)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 37.0, 38.0, 300.0])
+def test_auto_coherent_keeps_every_cutoff_the_search_found(alpha, eps):
+    want = _search_coherent(alpha, eps)
+    assert want.cutoff == policy_coherent_cutoff(alpha)  # the search never grew a coherent cutoff
+    _assert_same_preparation(auto_coherent(alpha, eps), want)
+
+
+def test_auto_coherent_refuses_a_deficit_above_a_quarter_of_epsilon():
+    # at |alpha| = 38 the rounded masses sum to 1 - 1.3e-15, which the test sizes epsilon around
+    deficit = auto_coherent(38.0).deficit
+    assert deficit > 0
+    with pytest.raises(TruncationError, match="leaves deficit"):
+        auto_coherent(38.0, 2 * deficit)
+    assert auto_coherent(38.0, 4 * deficit).deficit == deficit
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.3])
+@pytest.mark.parametrize("r", [2.7, 3.0, 3.5])
+def test_auto_squeezed_prepares_where_the_search_gave_up(r, theta):
+    p = SqueezeParams(r, theta)
+    with pytest.raises(TruncationError, match="no cutoff up to"):
+        _search_squeezed(p, 1e-10)
+    sm = auto_squeezed(p, 1e-10)
+    assert sm.deficit <= 2.5e-11 and sm.cutoff > 2000
+    assert sm.amps.tobytes() == squeezed_vacuum_amplitudes(p, sm.cutoff, eps_trunc=1.0).amps.tobytes()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(states, name)
+    monkeypatch.setattr(states, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_each_mode_is_built_once(monkeypatch):
+    squeezed, coherent = _counting(monkeypatch, "squeezed_vacuum_amplitudes"), _counting(monkeypatch, "coherent_amplitudes")
+    p = SqueezeParams(0.95)
+    _search_squeezed(p, 1e-10)
+    assert [args[1] for args in squeezed] == [40, 60, 86]
+    squeezed.clear()
+    assert auto_squeezed(p).cutoff == 86 and [args[1] for args in squeezed] == [86]
+    for cfg, built in ((ScenarioConfig(scenario="squeezed", alpha_mag=4.0, r=0.95), ([4.0], [0.95])),
+                       (ScenarioConfig(scenario="coherent", alpha_mag=2.0, beta_mag=38.0), ([2.0, 38.0], []))):
+        squeezed.clear()
+        coherent.clear()
+        (squeezed_probe if cfg.scenario == "squeezed" else coherent_probe)(cfg)
+        assert ([abs(args[0]) for args in coherent], [args[0].r for args in squeezed]) == built
+
+
+def _squeezed_tail(r: float, k0: int) -> float:
+    """sum over k >= k0 of P(2k) = C(2k, k) 4^-k tanh^2k r / cosh r, each term taken in log space."""
+    log_t2, log_cosh = 2 * math.log(math.tanh(r)), math.log(math.cosh(r))
+    k = np.arange(k0, k0 + math.ceil(80 / -log_t2) + 1)  # past it the terms fall below e^-80 of the first
+    log_p = gammaln(2 * k + 1) - 2 * gammaln(k + 1) - k * math.log(4.0) + k * log_t2 - log_cosh
+    return math.fsum(np.exp(log_p))
+
+
+class _Built(Exception):
+    """Stops a preparation at its amplitude build, carrying the cutoff asked for."""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-6, 4.0), st.floats(-14.0, -6.0))
+def test_the_squeezed_tail_bound_holds(r, log_eps):
+    # photon numbers above a cutoff c hold pair indices k >= floor(c / 2) + 1
+    eps = 10**log_eps
+    target = eps / 4
+    bound = math.log(target / math.cosh(r)) / math.log(math.tanh(r))
+    assert _squeezed_tail(r, math.floor(max(bound, 0.0) / 2) + 1) <= target
+
+    def build(p, cutoff, eps_trunc):
+        raise _Built(cutoff)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Built) as built:
+        mp.setattr(states, "squeezed_vacuum_amplitudes", build)
+        auto_squeezed(SqueezeParams(r), eps)
+    assert built.value.args[0] >= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 300.0))
+def test_the_coherent_policy_cutoff_leaves_no_tail(alpha):
+    x, cutoff = alpha**2, policy_coherent_cutoff(alpha)
+    if x == 0.0:
+        return  # the vacuum holds no photon at all
+    n = np.arange(cutoff + 1, cutoff + 2001)  # the terms fall by x / n <= 0.97 a step
+    tail = math.fsum(np.exp(-x + n * math.log(x) - gammaln(n + 1)))
+    chernoff = math.exp(-x + (cutoff + 1) * (1 + math.log(x / (cutoff + 1))))  # P(n >= k) <= e^-x (e x / k)^k
+    assert tail <= chernoff < 2e-22 and tail < 1e-21
+
+
+@pytest.mark.parametrize("r", [18.5, 19.06, 20.0, math.inf])
+def test_a_squeeze_past_the_address_space_is_refused_before_allocating(r, monkeypatch):
+    # past r ~ 18.2 the tail bound asks for more than 2^57 amplitudes, and tanh r rounds to 1 from r ~ 19.07
+    for name in ("squeezed_vacuum_amplitudes", "log_factorials"):
+        monkeypatch.setattr(states, name, lambda *args: pytest.fail("allocated"))
+    with pytest.raises(MemoryError, match="address space"):
+        auto_squeezed(SqueezeParams(r))
 
 
 # ----- products and special states --------------------------------------------
