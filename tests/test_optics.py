@@ -656,7 +656,9 @@ def test_plan_words_match_the_per_word_oracle_byte_for_byte(rng):
 @pytest.mark.parametrize("name", list(POLY_SETS))
 def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name, rows_per_run):
     # the plan reads its rows in runs: one row at a time once fa.size + fb.size reaches 2^20, and a smaller
-    # run limit splits these small probes alike, with the large mode on either side
+    # run limit splits these small probes alike, with the large mode on either side.  A run of one row over a
+    # one-entry mode multiplies lone elements, which numpy does without fused multiply-adds in place or when
+    # broadcasting, unlike the per-word slices
     rng = np.random.default_rng([rows_per_run, len(name)])
     runs = []
 
@@ -666,7 +668,7 @@ def test_plan_in_runs_of_words_matches_one_run_and_the_oracle(monkeypatch, name,
 
     monkeypatch.setattr(optics, "pair_operands", counted)
     n_rows = len(optics._ProductPlan(POLY_SETS[name]).rows)
-    for size_a, size_b in [(1, 1), (12, 5), (40, 173), (173, 40), (3, 1000)]:
+    for size_a, size_b in [(1, 1), (1, 12), (12, 1), (12, 5), (40, 173), (173, 40), (3, 1000)]:
         fa, fb = plan_amps(rng, size_a, 0), plan_amps(rng, size_b, 2)
         for n_cap in (0, (size_a + size_b) // 2, size_a + size_b):
             whole = np.array(product_expectations(fa, fb, n_cap, POLY_SETS[name])).tobytes()

@@ -291,6 +291,25 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("cfg", ORACLE_CASES, ids=[c.scenario for c in ORACLE_CASES])
 def test_harmonic_sweep_matches_direct_evolution(cfg):
+    assert_sweep_matches_direct_evolution(cfg)
+
+
+# n_cap below the cutoffs 76 + 40, so the BS1 plan reads partial pair sums.  At 90 (deficit 1.4e-7) the cut pairs
+# move no cell by more than 7.7e-15 relative, below the tolerances; at 60 (deficit 2.1e-7) they move second_o by
+# 5.3e-6 and the mean by 4.7e-8
+TRUNCATED_SQUEEZED = [
+    ScenarioConfig(scenario="squeezed", alpha_mag=4.0, r=0.9, n_cap=n_cap, epsilon_trunc=1e-6, phi_steps=41) for n_cap in (90, 60)
+]
+
+
+@pytest.mark.parametrize("cfg", TRUNCATED_SQUEEZED, ids=[f"n_cap{c.n_cap}" for c in TRUNCATED_SQUEEZED])
+def test_truncated_squeezed_sweep_matches_direct_evolution(cfg):
+    probe = squeezed_probe(cfg)
+    assert (probe.a.cutoff, probe.b.cutoff) == (76, 40) and 1e-7 < probe.deficit <= cfg.epsilon_trunc
+    assert_sweep_matches_direct_evolution(cfg)
+
+
+def assert_sweep_matches_direct_evolution(cfg: ScenarioConfig):
     got, want = run_sweep(cfg), direct_sweep(cfg)
     assert got.scenario == want.scenario and got.phi.size == want.phi.size
     # product probes sum the Fisher information on the single-mode arrays, in another order
