@@ -33,7 +33,8 @@ runs of the op wrote the same CSV.
 
 For every op it prints whether the exit code, the stdout, the stderr and
 the CSV are byte-identical, then the worst difference per CSV column over
-all ops, scaled by max(1, |x|), and the cells whose empty/inf/nan pattern
+all ops, scaled by max(1, |x|), with the number of numeric cells that moved
+and of the ops they are in, and the cells whose empty/inf/nan pattern
 changed.
 Exit status: 0 if every op is byte-identical and every second pass of the
 new tree wrote the bytes of its first, 1 otherwise.
@@ -287,13 +288,15 @@ def _cell(text: str) -> float | None:
         return None
 
 
-def compare_csv(old: str, new: str, worst: dict, pattern: dict) -> None:
-    """Fold the scaled differences of two CSV texts into ``worst``/``pattern``, per column name."""
+def compare_csv(old: str, new: str, worst: dict, pattern: dict, moved: dict) -> None:
+    """Fold the scaled differences of two CSV texts into ``worst``/``pattern``, per column name, and the
+    numeric cells whose text changed into ``moved`` (column name -> [cells, ops])."""
     old_rows, new_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
     if not old_rows or not new_rows or old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
         pattern["<shape or header>"] = pattern.get("<shape or header>", 0) + 1
         return
     header = old_rows[0]
+    cells: dict[str, int] = {}
     for orow, nrow in zip(old_rows[1:], new_rows[1:]):
         for name, a, b in zip(header, orow, nrow):
             x, y = _cell(a), _cell(b)
@@ -302,6 +305,12 @@ def compare_csv(old: str, new: str, worst: dict, pattern: dict) -> None:
                     pattern[name] = pattern.get(name, 0) + 1
                 continue
             worst[name] = max(worst.get(name, 0.0), abs(x - y) / max(1.0, abs(x)))
+            if a != b:
+                cells[name] = cells.get(name, 0) + 1
+    for name, count in cells.items():
+        tally = moved.setdefault(name, [0, 0])
+        tally[0] += count
+        tally[1] += 1
 
 
 def main() -> int:
@@ -322,6 +331,7 @@ def main() -> int:
                **{f"config:{i}": [*argv, "--config", ascii(text)] for i, (text, argv) in enumerate(CONFIG_OPS)}}
     worst: dict[str, float] = {}
     pattern: dict[str, int] = {}
+    moved: dict[str, list[int]] = {}
     identical = 0
     for op_id in sorted(old.keys() | new.keys(), key=lambda k: [int(p) if p.isdigit() else p for p in k.split(":")]):
         o, n = old.get(op_id), new.get(op_id)
@@ -332,7 +342,7 @@ def main() -> int:
                 "csv": o["csv"] == n["csv"]}
         identical += all(same.values())
         if o["csv"] is not None and n["csv"] is not None and o["csv"] != n["csv"]:
-            compare_csv(o["csv"], n["csv"], worst, pattern)
+            compare_csv(o["csv"], n["csv"], worst, pattern, moved)
         marks = "  ".join(f"{k} {'same' if v else 'DIFF'}" for k, v in same.items())
         rc = o["rc"] if o["rc"] == n["rc"] else f"{o['rc']}->{n['rc']}"
         print(f"{op_id:28s} rc {rc!s:6s} {marks}  {' '.join(argv_of.get(op_id, []))}")
@@ -348,7 +358,8 @@ def main() -> int:
     if worst or pattern:
         print("worst scaled difference |new - old| / max(1, |old|) per column, over the differing CSVs:")
         for name, val in sorted(worst.items()):
-            print(f"  {name:24s} {val:.3g}")
+            cells, ops = moved.get(name, (0, 0))
+            print(f"  {name:24s} {val:.3g}  ({cells} cells in {ops} ops)")
         for name, count in sorted(pattern.items()):
             print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
     return 0 if identical == total and not stale["new"] else 1

@@ -2,12 +2,12 @@
 
 Error propagation turns a measured observable curve <O>(phi), <O^2>(phi)
 into delta_phi = Delta O / |d<O>/dphi| with a central-difference derivative.
-Stationary points of the mean curve return the first-class ``SINGULAR``
+Stationary points and the grid endpoints get the first-class ``SINGULAR``
 marker (serialized as inf) instead of raising: sweeps legitimately cross
 them and the output must record the divergence.  ``error_propagation`` is
-the one entry point: it takes the grid, mean and second moment as plain
-arrays and applies the rule to every interior point at once.  It does not
-check the moments: a variance that rounds below zero is clamped to zero.
+the one entry point and the one owner of the variance: on plain arrays it
+returns var, d<O>/dphi and delta_phi = sqrt(var) / |d| for the whole curve at
+once.  A variance that rounds below zero is clamped to zero.
 
 The quantum side evaluates the pure-state Fisher information F, either from
 the variance of the known phase generator (4 Var G) or from a numerical
@@ -55,28 +55,26 @@ def check_phi_grid(phi: np.ndarray) -> None:
         raise ValueError("phi grid must be uniform")
 
 
-def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central difference d and delta_phi at every interior point 1 .. n-2 of a uniform grid.
+def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(var, d, delta_phi) of a curve on a uniform grid; d covers the interior points 1 .. n-2 only.
 
-    With step = phi[1] - phi[0], d = (mean[i+1] - mean[i-1]) / (2 step).  The
-    derivative counts as vanishing, and delta_phi is SINGULAR, when d = 0 or
-    |d| < 1e-9 max(min(1, rms), |m|)/step, i.e. when the two-point difference
-    is at the level of rounding noise; otherwise delta_phi =
-    sqrt(max(0, s - m^2)) / |d|.  rms = sqrt(max(second)) scales the floor
-    to a weak curve (a coherent probe of beta = 3e-3 has a fringe slope of
-    9e-6); an all-zero curve keeps the floor 1.
+    var = max(0, s - m * m) and delta_phi = sqrt(var) / |d| at every point, with step = phi[1] - phi[0]
+    and d = (mean[i+1] - mean[i-1]) / (2 step).  delta_phi is SINGULAR at both endpoints and where the
+    derivative counts as vanishing: d = 0 or |d| < 1e-9 max(min(1, rms), |m|)/step, i.e. a two-point
+    difference at the level of rounding noise.  rms = sqrt(max(second)) scales the floor to a weak
+    curve (a coherent probe of beta = 3e-3 has a fringe slope of 9e-6); an all-zero curve keeps 1.
     """
     step = float(phi[1] - phi[0])
-    m, s = mean[1:-1], second[1:-1]
+    var = np.fmax(0.0, second - mean * mean)
     d = (mean[2:] - mean[:-2]) / (2 * step)
     floor = min(1.0, math.sqrt(max(0.0, float(second.max())))) or 1.0
     # a subnormal step puts the threshold past the float range (inf, all singular); a tiny floor over
     # a huge step rounds it to 0, where only d = 0 is singular
     with np.errstate(over="ignore"):
-        singular = (d == 0) | (np.abs(d) < 1e-9 * np.fmax(floor, np.abs(m)) / step)
-    dp = np.full(d.shape, SINGULAR)
-    np.divide(np.sqrt(np.fmax(0.0, s - m * m)), np.abs(d), out=dp, where=~singular)
-    return d, dp
+        singular = (d == 0) | (np.abs(d) < 1e-9 * np.fmax(floor, np.abs(mean[1:-1])) / step)
+    delta = np.full(mean.shape, SINGULAR)
+    np.divide(np.sqrt(var[1:-1]), np.abs(d), out=delta[1:-1], where=~singular)
+    return var, d, delta
 
 
 def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> float:

@@ -56,9 +56,10 @@ twin-Fock and NOON keep the two-mode path.  So do ``qfi-table`` and
 ``metric-check``: they expand every probe with :func:`two_mode`, so the
 metric check stays an independent cross-check of the sweep numbers.
 
-A sweep's table, ``SweepTable``, is its numpy columns over the grid, with
-the error-propagation columns from one whole-curve evaluation on the plain
-arrays (``estimation.error_propagation``).  Its CSV is formatted with one
+A sweep's table, ``SweepTable``, is its numpy columns over the grid.  Its
+three uncertainty columns, ``var_o``, ``d_mean_dphi`` and ``delta_phi``, are
+the arrays ``estimation.error_propagation`` returns for the whole curve, so
+the table computes no variance of its own.  Its CSV is formatted with one
 template per row and written in place in one piece (``measurement.write_text``).
 """
 
@@ -74,7 +75,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import (
-    SINGULAR,
     check_phi_grid,
     cramer_rao,
     error_propagation,
@@ -260,12 +260,7 @@ def _assemble_table(
     convention: str,
     annotation: str = "",
 ) -> SweepTable:
-    d, dp = error_propagation(phis, mean, second)
-    # Python's ** squares through pow(), numpy's array ** 2 multiplies; they differ in the last bit
-    # for about 1 input in 1,400, and the table has always reported second - pow(mean, 2)
-    squared = np.array([v**2 for v in mean.tolist()])
-    var = np.fmax(0.0, second - squared)
-    delta = np.concatenate(([SINGULAR], dp, [SINGULAR]))
+    var, d, delta = error_propagation(phis, mean, second)
     for arr in (phis, mean, second, var, d, delta):
         arr.flags.writeable = False
     crb = 1.0 / math.sqrt(fisher) if fisher > 0 else math.inf
@@ -511,7 +506,7 @@ def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
     """Error-propagation delta-phi from a 5-point fine grid around ``center``."""
     mean_c, second_c = harmonics
     phis = center + step * np.arange(-2.0, 3.0)
-    return float(error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))[1][1])
+    return float(error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))[2][2])
 
 
 def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfig, str]:

@@ -32,7 +32,7 @@ def cosine_curve(amplitude, var, step=0.01, n=101):
 
 def delta_phi_at(curve, i):
     """delta_phi at interior grid point i, read off the whole-curve evaluation."""
-    return float(error_propagation(*curve)[1][i - 1])
+    return float(error_propagation(*curve)[2][i])
 
 
 # ----- error propagation ----------------------------------------------------------
@@ -58,15 +58,20 @@ def test_delta_phi_singular_at_stationary_point():
 def test_whole_curve_error_propagation_matches_each_point():
     phi = (np.arange(21) - 10) * 0.01  # crosses the stationary point of cos at phi = 0
     mean, second = 3.0 * np.cos(phi), 9.0 * np.cos(phi) ** 2 + 0.7
-    d, dp = error_propagation(phi, mean, second)
-    assert d.shape == dp.shape == (19,)
+    var, d, delta = error_propagation(phi, mean, second)
+    assert var.shape == delta.shape == (21,) and d.shape == (19,)
+    assert delta[0] == delta[-1] == SINGULAR  # no derivative at the grid endpoints
+    dp = delta[1:-1]
     # the rule point by point, in Python floats, on the step phi[1] - phi[0]
+    m, s = mean.tolist(), second.tolist()
+    want_var = [max(0.0, s[i] - m[i] * m[i]) for i in range(21)]
     step = float(phi[1] - phi[0])
     want_d = [float((mean[i + 1] - mean[i - 1]) / (2 * step)) for i in range(1, 20)]
     floor = min(1.0, math.sqrt(max(second)))  # 1 unless the curve's rms is below 1
     want_dp = [SINGULAR if x == 0 or abs(x) < 1e-9 * max(floor, abs(mean[i])) / step
                else math.sqrt(max(0.0, float(second[i] - mean[i] * mean[i]))) / abs(x)
                for i, x in zip(range(1, 20), want_d)]
+    assert var.tolist() == want_var
     assert d.tolist() == want_d
     assert dp.tolist() == want_dp
     assert is_singular(dp[9]) and not any(is_singular(x) for x in np.delete(dp, 9))
@@ -83,15 +88,16 @@ def test_error_propagation_clamps_a_variance_below_zero():
     phi = np.array([0.0, 0.1, 0.2])
     mean = np.array([681.0, 680.0, 679.0])
     second = mean**2 - np.array([0.0, 1e-7, 0.0])
-    d, dp = error_propagation(phi, mean, second)
-    assert d[0] == pytest.approx(-10.0) and dp[0] == 0.0
+    var, d, delta = error_propagation(phi, mean, second)
+    assert d[0] == pytest.approx(-10.0) and delta[1] == 0.0
+    assert var[1] == 0.0 and delta[0] == delta[2] == SINGULAR
 
 
 def test_rounding_noise_on_a_zero_second_moment_stays_singular():
     # rms = 0 keeps the floor at 1, so a 1e-33 ramp is noise, not a slope with delta_phi = 0 / |d| = 0
     phi = 0.1 * np.arange(5)
-    d, dp = error_propagation(phi, 1e-33 * np.array([0.0, 1.0, 3.0, 6.0, 10.0]), np.zeros(5))
-    assert d.all() and dp.tolist() == [SINGULAR] * 3
+    var, d, delta = error_propagation(phi, 1e-33 * np.array([0.0, 1.0, 3.0, 6.0, 10.0]), np.zeros(5))
+    assert d.all() and delta.tolist() == [SINGULAR] * 5 and var.tolist() == [0.0] * 5
 
 
 # ----- Fisher information ----------------------------------------------------------

@@ -8,12 +8,20 @@ sweep used:
 * twin_fock: mean 0, second N(N+1)/2 sin^2 phi, F_Q = 2N(N+1);
 * noon:      mean cos(N phi), second 1, F_Q = N^2.
 
+The reference var_o is second - mean^2.  The reference delta_phi applies
+the sweep's own rule, sqrt(var) / |central difference|, to the exact means
+at the sweep's float phi with its float step phi[1] - phi[0], on the rows
+the sweep reports finite; the difference cancels, so its distances run to
+thousands of eps.
+
 A cell's distance is |x - ref| / (2^-52 max(1, |ref|)), in units of the
 float epsilon.  ``WORST`` pins the largest distance per scenario, N and
 column that the code reached when these tests were written, rounded up to
 three significant digits; a change may lower a bound, and must not raise
 one.
 """
+
+import math
 
 import mpmath
 import pytest
@@ -44,47 +52,62 @@ REFERENCE = {
     "noon": (_noon, lambda n: n * n),
 }
 
-# (scenario, N) -> the largest distance of (mean_o, second_o, qfi) over the grid, in units of 2^-52
+# (scenario, N) -> the largest distance of (mean_o, second_o, var_o, delta_phi, qfi) over the grid, in units of 2^-52
 WORST = {
-    ("fock", 1): (0.621, 0.25, 0),
-    ("fock", 2): (1.25, 1.06, 0),
-    ("fock", 3): (0.625, 1.39, 0),
-    ("fock", 8): (0.43, 1.47, 0),
-    ("fock", 16): (0.43, 3.35, 0),
-    ("fock", 31): (0.727, 5.28, 0),
-    ("fock", 32): (0.43, 21.4, 32),
-    ("fock", 64): (0.43, 9.15, 0),
-    ("twin_fock", 1): (0, 0.87, 0),
-    ("twin_fock", 2): (0, 2.87, 1.34),
-    ("twin_fock", 4): (5.56e-17, 7.53, 3.2),
-    ("twin_fock", 8): (1.67e-16, 26.3, 8.89),
-    ("noon", 1): (2.25, 1, 1),
-    ("noon", 2): (3.24, 1, 1),
-    ("noon", 4): (7.25, 1, 1),
-    ("noon", 8): (12.8, 1, 1),
-    ("noon", 16): (22.3, 1, 1),
-    ("noon", 64): (88.7, 1, 1),
+    ("fock", 1): (0.621, 0.25, 0.393, 1940, 0),
+    ("fock", 2): (1.25, 1.06, 1.98, 3690, 0),
+    ("fock", 3): (0.625, 1.39, 3.75, 3490, 0),
+    ("fock", 8): (0.43, 1.47, 15.4, 1270, 0),
+    ("fock", 9): (0.698, 2.25, 24.2, 5300, 0),
+    ("fock", 16): (0.43, 3.35, 62.8, 2540, 0),
+    ("fock", 18): (0.698, 4.58, 96.7, 3750, 14.3),
+    ("fock", 31): (0.727, 5.28, 262, 5140, 0),
+    ("fock", 32): (0.43, 21.4, 276, 6440, 32),
+    ("fock", 64): (0.43, 9.15, 1020, 7840, 0),
+    ("twin_fock", 1): (0, 0.87, 0.87, 0, 0),
+    ("twin_fock", 2): (0, 2.87, 2.87, 0, 1.34),
+    ("twin_fock", 4): (5.56e-17, 7.53, 7.53, 0, 3.2),
+    ("twin_fock", 8): (1.67e-16, 26.3, 26.3, 0, 8.89),
+    ("noon", 1): (2.25, 1, 3.1, 3060, 1),
+    ("noon", 2): (3.24, 1, 5.34, 728, 1),
+    ("noon", 4): (7.25, 1, 12.5, 281, 1),
+    ("noon", 8): (12.8, 1, 22, 252, 1),
+    ("noon", 14): (32.6, 1, 45.5, 807, 1.31),
+    ("noon", 16): (22.3, 1, 36.9, 207, 1),
+    ("noon", 64): (88.7, 1, 154, 260, 1),
 }
+COLUMNS = ("mean_o", "second_o", "var_o", "delta_phi", "qfi")
 
 
 def _distance(x: float, ref) -> float:
     return float(abs(mpmath.mpf(x) - ref) / (EPS * max(1, abs(ref))))
 
 
-def distances(scenario: str, n: int) -> tuple[float, float, float]:
-    """The largest distance of the sweep's mean_o, second_o and qfi cells from the 200-bit references."""
+def distances(scenario: str, n: int) -> tuple[float, ...]:
+    """The largest distance of the sweep's mean_o, second_o, var_o, delta_phi and qfi cells from the
+    200-bit references.  The reference delta_phi is the sweep's central difference taken on the exact
+    means at the sweep's float phi, with its float step phi[1] - phi[0], on the rows it reports finite."""
     moments, f_q = REFERENCE[scenario]
     table = run_sweep(ScenarioConfig(scenario=scenario, n=n))
-    worst_mean = worst_second = 0.0
-    for phi, mean, second in zip(table.phi.tolist(), table.mean_o.tolist(), table.second_o.tolist()):
-        ref_mean, ref_second = moments(n, mpmath.mpf(phi))
-        worst_mean = max(worst_mean, _distance(mean, ref_mean))
-        worst_second = max(worst_second, _distance(second, ref_second))
-    return worst_mean, worst_second, _distance(table.qfi, mpmath.mpf(f_q(n)))
+    phi = table.phi.tolist()
+    refs = [moments(n, mpmath.mpf(p)) for p in phi]
+    step = mpmath.mpf(phi[1] - phi[0])
+    worst = [0.0] * 4
+    for i, cells in enumerate(zip(table.mean_o.tolist(), table.second_o.tolist(), table.var_o.tolist(),
+                                  table.delta_phi.tolist())):
+        ref_mean, ref_second = refs[i]
+        ref_var = ref_second - ref_mean**2
+        ref_delta = None
+        if 0 < i < len(phi) - 1 and math.isfinite(cells[3]):
+            ref_delta = mpmath.sqrt(ref_var) / abs((refs[i + 1][0] - refs[i - 1][0]) / (2 * step))
+        for k, ref in enumerate((ref_mean, ref_second, ref_var, ref_delta)):
+            if ref is not None:
+                worst[k] = max(worst[k], _distance(cells[k], ref))
+    return (*worst, _distance(table.qfi, mpmath.mpf(f_q(n))))
 
 
 @pytest.mark.parametrize("scenario, n", list(WORST), ids=[f"{s}-{n}" for s, n in WORST])
 def test_fixed_n_sweep_stays_within_its_pinned_distance_from_exact(scenario, n):
     got = distances(scenario, n)
-    for column, value, bound in zip(("mean_o", "second_o", "qfi"), got, WORST[scenario, n]):
+    for column, value, bound in zip(COLUMNS, got, WORST[scenario, n], strict=True):
         assert value <= bound, f"{scenario} N={n} {column}: {value:.4g} eps from exact, pinned at {bound}"

@@ -360,7 +360,7 @@ def reference_table(phis, mean, second, qfi, crb, closed, convention):
             m = mean[i]
             if d != 0 and not abs(d) < 1e-9 * max(floor, abs(m)) / step:
                 dp = math.sqrt(max(0.0, float(second[i] - m * m))) / abs(d)
-        var = max(0.0, second[i] - mean[i] ** 2)  # numpy scalar ** is pow(), not x * x
+        var = max(0.0, second[i] - mean[i] * mean[i])  # the same square as dp above
         rows.append((float(phi), float(mean[i]), float(second[i]), float(var), d, dp, qfi, crb, closed[i], convention))
 
     def fmt(x):
@@ -466,6 +466,29 @@ def test_every_finite_delta_phi_dominates_crb():
         for dp in table.delta_phi:
             if not is_singular(dp):
                 assert dp >= table.crb * (1 - 1e-6)
+
+
+# fixed-N sweeps, product probes on a 3 x 3 grid each, and the two squeezed inputs of the benchmark workloads
+IDENTITY_CASES = (
+    [ScenarioConfig(scenario="fock", n=n) for n in range(1, 33)]
+    + [ScenarioConfig(scenario="noon", n=n) for n in range(1, 17)]
+    + [ScenarioConfig(scenario="twin_fock", n=n) for n in range(1, 9)]
+    + [ScenarioConfig(scenario="coherent", alpha_mag=a, beta_mag=b) for a in (0.5, 2.0, 5.0) for b in (1.0, 2.0, 3.0)]
+    + [ScenarioConfig(scenario="squeezed", alpha_mag=a, r=r) for a in (4.0, 6.0, 9.0) for r in (0.3, 0.6, 1.0)]
+    + [ScenarioConfig(scenario="squeezed", alpha_mag=3.7315, r=0.9462),
+       ScenarioConfig(scenario="squeezed", alpha_mag=4.1603, r=0.9362)]
+)
+
+
+def test_delta_phi_is_the_root_of_var_o_over_the_slope_bit_for_bit():
+    # the CSV's own columns reproduce delta_phi exactly: var_o is the variance delta_phi was divided from
+    broken = []
+    for cfg in IDENTITY_CASES:
+        table = run_sweep(cfg)
+        var, d, delta = table.var_o.tolist(), table.d_mean_dphi.tolist(), table.delta_phi.tolist()
+        broken += [(cfg.scenario, cfg.n, cfg.alpha_mag, cfg.beta_mag, cfg.r, i) for i in range(1, len(var) - 1)
+                   if math.isfinite(delta[i]) and delta[i] != math.sqrt(var[i]) / abs(d[i - 1])]
+    assert broken == []
 
 
 _CLOSING_SPLITTER = {"mode_b": BS2_JY, "relative": BS2_JX}
