@@ -7,8 +7,9 @@ A tree is a checkout (holding ``src/mzlab``) or a directory holding
 ``mzlab``.  The ops are every CLI call of the three benchmark workloads for
 each seed (``perfbench/workloads.generate``, imported without writing
 anything there), fixed ``sample`` ops on edges the workloads never reach
-(``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads'
-and on weak metric-check probes (``LARGE_N_OPS``), one refusal of each
+(``EDGE_SAMPLE_OPS``), fixed ops on photon numbers above the workloads',
+on weak metric-check probes and on the tables' coherent rows at beta 5 and
+20 (``LARGE_N_OPS``), one refusal of each
 kind that mzlab itself raises (``REFUSAL_OPS``), command lines at the edge of
 what mzlab reads without argparse (``ARGV_OPS``), ops that read a ``--config``
 file (``CONFIG_OPS``), one squeezed sweep right
@@ -90,7 +91,8 @@ EDGE_SAMPLE_OPS = [
 # of one build of 4,220 and 18,782 amplitudes at the first cutoff past the squeezed tail bound; and a squeezed
 # probe capped below its cutoffs 76 + 40, so the BS1 plan, whose rows read up to two mode-b words each, takes
 # truncated partial pair sums: against the uncapped sweep, a cap of 90 moves second_o by up to 7.7e-15
-# relative and a cap of 60 by 5.3e-6
+# relative and a cap of 60 by 5.3e-6; and qfi-table and metric-check at beta 5 and 20, whose coherent rows
+# a difference <n^2> - <n>^2 would cancel (1.9e-12 relative in f_q at beta 20)
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -115,6 +117,10 @@ LARGE_N_OPS = [
     ["sweep", "--scenario", "squeezed", "--alpha", "60", "--r", "3.5"],
     ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "0.9", "--n-cap", "90", "--epsilon-trunc", "1e-6"],
     ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "0.9", "--n-cap", "60", "--epsilon-trunc", "1e-6"],
+    ["qfi-table", "--beta", "5"],
+    ["qfi-table", "--beta", "20"],
+    ["metric-check", "--beta", "5"],
+    ["metric-check", "--beta", "20"],
 ]
 
 

@@ -21,9 +21,8 @@ distance is not taken from the overlap, whose square rounds to 1 once
 F h^2 / 4 nears the float epsilon, but from x = ||u psi - psi'||^2 with the
 phase u = <psi|psi'> / |<psi|psi'>| aligned, as x (1 - x/4) = 1 - |<psi|psi'>|^2
 (the Fubini-Study distance; Wootters, Phys. Rev. D 23, 357 (1981)).  Against
-the exact finite-step rate its squared rate is within 7.3e-12 relative for
-coherent beta 1e-4 to 2, noon N 1 to 8 and steps 1e-4 and 1e-2, where the
-overlap form was 9e-9 off at the defaults and read 0 for beta = 1e-4.
+the exact finite-step rate, metric-check's NOON rates are within 7.3e-12
+relative for N 1 to 8 and steps 1e-4 and 1e-2; the overlap form was 9e-9 off.
 """
 
 from __future__ import annotations

@@ -52,9 +52,12 @@ The coherent and squeezed probes are products of two single-mode inputs
 Fisher information straight off the two amplitude arrays
 (``optics.product_exchange_sums``), with no two-mode state and no BS1
 block (Pezze and Smerzi, Phys. Rev. Lett. 100, 073601 (2008)).  Fock,
-twin-Fock and NOON keep the two-mode path.  So do ``qfi-table`` and
-``metric-check``: they expand every probe with :func:`two_mode`, so the
-metric check stays an independent cross-check of the sweep numbers.
+twin-Fock and NOON keep the two-mode path, and so do the fock and NOON rows
+of ``qfi-table`` and ``metric-check``.  Their coherent row keeps every pair
+and puts its phase on mode b alone, so it is read on mode b's weights
+q_n = |b_n|^2 / sum |b|^2: the tables take its F on the normalised probe,
+as 4 sum q (n - <n>)^2, while a sweep's coherent and squeezed ``qfi`` stays
+4 (<n2^2> - <n2>^2) on the truncated probe.
 
 A sweep's table, ``SweepTable``, is its numpy columns over the grid.  Its
 three uncertainty columns, ``var_o``, ``d_mean_dphi`` and ``delta_phi``, are
@@ -75,6 +78,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import (
+    DERIVATIVE_STEP_DEFAULT,
     check_phi_grid,
     cramer_rao,
     error_propagation,
@@ -83,7 +87,7 @@ from .estimation import (
     qfi_numeric,
     metric_distance,
 )
-from .fock import TwoModeState, basis_dim, normalize
+from .fock import TwoModeState, basis_dim
 from .measurement import (
     CountHistogram,
     ParityEstimate,
@@ -115,7 +119,6 @@ from .states import (
     fock_after_symmetric_bs,
     noon_state,
     product_probe,
-    product_state,
     twin_fock,
 )
 
@@ -292,14 +295,6 @@ def squeezed_probe(cfg: ScenarioConfig) -> ProductProbe:
     return product_probe(a, b, n_cap, cfg.epsilon_trunc, bs1=True)
 
 
-def two_mode(probe: Probe) -> TwoModeState:
-    """The probe as a two-mode state; a product probe is expanded on its basis."""
-    if isinstance(probe, TwoModeState):
-        return probe
-    psi = product_state(probe.a, probe.b, probe.n_cap, eps_trunc=1.0)  # deficit checked by product_probe
-    return beam_splitter(psi, BS1_SYMMETRIC) if probe.bs1 else psi
-
-
 # --------------------------------------------------------------------------
 # scenario runners
 # --------------------------------------------------------------------------
@@ -402,6 +397,14 @@ def _reject_unread(cfg: ScenarioConfig, reads: tuple[str, ...], run: str) -> Non
         raise ConfigError(f"{run} does not read {', '.join(unread)}; it reads {', '.join(reads)}")
 
 
+def _readout(sc: Scenario, probe: Probe) -> tuple[Harmonics, float]:
+    """The probe's readout harmonics (unscaled) and its Fisher information under the scenario's arm phase."""
+    if isinstance(probe, ProductProbe):
+        mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
+        return (mean_c, second_c), fisher_from_moments(n2_mean, n2_second)
+    return sc.readout(probe), qfi_analytic(probe, sc.phase)
+
+
 def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Sweep the scenario named by ``cfg`` over its phi grid."""
     phis = cfg.phi_grid()
@@ -412,11 +415,7 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     if not math.isfinite(top * max(abs(cfg.phi_start), abs(cfg.phi_stop))):
         raise ConfigError(f"phi grid {cfg.phi_start!r}:{cfg.phi_stop!r}:{cfg.phi_steps} refused: {top} phi, "
                           f"the phase of the {cfg.scenario} readout's top harmonic, overflows")
-    if isinstance(probe, ProductProbe):
-        mean_c, second_c, n2_mean, n2_second = product_exchange_sums(probe.a.amps, probe.b.amps, probe.n_cap, probe.bs1)
-        fisher = fisher_from_moments(n2_mean, n2_second)
-    else:
-        (mean_c, second_c), fisher = sc.readout(probe), qfi_analytic(probe, sc.phase)
+    (mean_c, second_c), fisher = _readout(sc, probe)
     mean = sc.scale * eval_harmonics(mean_c, phis)
     second = sc.scale**2 * eval_harmonics(second_c, phis)
     return _assemble_table(cfg.scenario, phis, mean, second, fisher, sc.closed_form(cfg, phis), sc.convention, sc.annotation)
@@ -502,27 +501,38 @@ class QfiRow(NamedTuple):
     note: str = ""
 
 
-def _error_prop_at(harmonics: Harmonics, center: float, step: float) -> float:
-    """Error-propagation delta-phi from a 5-point fine grid around ``center``."""
-    mean_c, second_c = harmonics
-    phis = center + step * np.arange(-2.0, 3.0)
-    return float(error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))[2][2])
-
-
 def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfig, str]:
     """The |beta>|beta> row of a table and its label."""
     cfg = ScenarioConfig(scenario="coherent", alpha_mag=beta_mag, beta_mag=beta_mag, epsilon_trunc=epsilon_trunc)
     return cfg, f"coherent beta={beta_mag:g}"
 
 
-def _positive_fisher(psi: TwoModeState, conv: PhaseConvention, label: str, command: str) -> float:
+def _positive_fisher(f_q: float, label: str, command: str) -> float:
     """The probe's Fisher information, refused below the smallest normal float: the tables divide by it,
     and a subnormal F_Q keeps too few digits to mean anything."""
-    f_q = qfi_analytic(psi, conv)
     if not f_q >= sys.float_info.min:
         raise ConfigError(f"{command} needs Fisher information >= {sys.float_info.min:g}, and {label} has "
                           f"F_Q = {f_q:g}, so the relative error is undefined")
     return f_q
+
+
+def _centred_fisher(q: list[float], v) -> float:
+    """4 Var_q(v) as 4 sum q (v - m)^2 with m = sum q v (q sums to 1), free of the cancellation of <v^2> - <v>^2."""
+    m = math.fsum(w * x for w, x in zip(q, v))
+    return 4.0 * math.fsum(w * (x - m) * (x - m) for w, x in zip(q, v))
+
+
+def _mode_b_family(probe: ProductProbe, h: float) -> tuple[float, float, float]:
+    """F, the F of the central difference of step h and the metric rate at step h of the tables' coherent probe.
+
+    With every pair kept, no BS1 and the phase on mode b, the normalised family is sum_n sqrt(q_n) e^{i phi n} times
+    mode a.  The difference's derivative is e^{i phi n} i sin(h n) / h, and with u = sum q e^{i h n},
+    1 - |u|^2 = x (1 - x/4) for x = sum q 4 sin^2((arg u - h n)/2), which sums no negative term."""
+    p = np.abs(probe.b.amps) ** 2
+    q, hn = (p / math.fsum(p)).tolist(), [h * n for n in range(len(p))]
+    arg = math.atan2(math.fsum(w * math.sin(t) for w, t in zip(q, hn)), math.fsum(w * math.cos(t) for w, t in zip(q, hn)))
+    x = math.fsum(4.0 * w * math.sin((arg - t) / 2) ** 2 for w, t in zip(q, hn))
+    return _centred_fisher(q, range(len(q))), _centred_fisher(q, [math.sin(t) / h for t in hn]), x * (1.0 - x / 4.0) / h / h
 
 
 def run_qfi_table(
@@ -534,24 +544,24 @@ def run_qfi_table(
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
     eps = epsilon_trunc
-    coherent, coherent_label = _coherent_case(beta_mag, eps)
-    fock = ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps)
-    noon = ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps)
-    # (config, label, phi of the numeric derivative, fringe centre, stencil step, note)
+    # (config, label, phi of the numeric derivative on a two-mode state, fringe centre, stencil step, note)
     cases = [
-        (coherent, coherent_label, 0.7, math.pi / 2, 1e-4,
-         "number-difference readout sits sqrt(2) above the one-arm bound"),
-        (fock, f"fock n={fock_n}", 0.7, math.pi / 2, 1e-4, ""),
-        (noon, f"noon n={noon_n}", 0.4, math.pi / (2 * noon_n), 1e-5, ""),
+        (*_coherent_case(beta_mag, eps), None, math.pi / 2, 1e-4, "number-difference readout sits sqrt(2) above the one-arm bound"),
+        (ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps), f"fock n={fock_n}", 0.7, math.pi / 2, 1e-4, ""),
+        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps), f"noon n={noon_n}", 0.4, math.pi / (2 * noon_n), 1e-5, ""),
     ]
     rows = []
     for cfg, label, phi, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
-        psi = two_mode(sc.probe(cfg))
-        f_q = _positive_fisher(psi, sc.phase, label, "qfi-table")
-        f_num = qfi_numeric(partial(phase_shift, psi, conv=sc.phase), phi)
-        bound = cramer_rao(f_q)
-        dp = _error_prop_at(sc.readout(psi), center, step)
+        probe = sc.probe(cfg)
+        harmonics, f_q = _readout(sc, probe)
+        if isinstance(probe, ProductProbe):
+            f_q, f_num, _ = _mode_b_family(probe, DERIVATIVE_STEP_DEFAULT)
+        else:
+            f_num = qfi_numeric(partial(phase_shift, probe, conv=sc.phase), phi)
+        bound = cramer_rao(_positive_fisher(f_q, label, "qfi-table"))
+        phis = center + step * np.arange(-2.0, 3.0)  # the error propagation's 5-point fine grid around the centre
+        dp = float(error_propagation(phis, *(eval_harmonics(c, phis) for c in harmonics))[2][2])
         rows.append(QfiRow(label, f_q, f_num, bound, dp, dp / bound, note))
     return rows
 
@@ -577,7 +587,7 @@ def run_metric_check(
     beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = EPS_TRUNC_DEFAULT
 ) -> list[MetricRow]:
     """Rate of change of the projective distance against F/4 per family; the truncated coherent probe is
-    renormalised first, the exact NOON state is used as prepared (``normalize`` would move its last bit)."""
+    read normalised on mode b's weights, the exact NOON state as prepared (``normalize`` would move its last bit)."""
     eps = epsilon_trunc
     cases = [
         _coherent_case(beta_mag, eps),
@@ -591,12 +601,15 @@ def run_metric_check(
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]
         probe = sc.probe(cfg)
-        psi = normalize(two_mode(probe)) if isinstance(probe, ProductProbe) else probe
-        fam = partial(phase_shift, psi, conv=sc.phase)
-        quarter = _positive_fisher(psi, sc.phase, label, "metric-check") / 4
-        for phi in _METRIC_PHIS:
-            rate = (metric_distance(fam(phi), fam(phi + h)) / h) ** 2
-            rows.append(MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter))
+        if isinstance(probe, ProductProbe):
+            f_q, _, rate = _mode_b_family(probe, h)
+            rates = [rate] * len(_METRIC_PHIS)
+        else:
+            fam = partial(phase_shift, probe, conv=sc.phase)
+            f_q = qfi_analytic(probe, sc.phase)
+            rates = [(metric_distance(fam(phi), fam(phi + h)) / h) ** 2 for phi in _METRIC_PHIS]
+        quarter = _positive_fisher(f_q, label, "metric-check") / 4
+        rows += [MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter) for phi, rate in zip(_METRIC_PHIS, rates)]
     return rows
 
 

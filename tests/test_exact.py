@@ -14,11 +14,20 @@ at the sweep's float phi with its float step phi[1] - phi[0], on the rows
 the sweep reports finite; the difference cancels, so its distances run to
 thousands of eps.
 
+The coherent rows of ``qfi-table`` and ``metric-check`` are compared with
+the normalised probe as built: mode b's weights q_n = |b_n|^2 / sum |b|^2,
+taken exactly from its float amplitudes, give F_Q = 4 Var_q(n) (``f_q``,
+and ``quarter_f_q`` as F_Q / 4), the Fisher information of the central
+difference 4 Var_q(sin(h n) / h) (``f_q_numeric``), and the finite-step
+rate (1 - |sum q e^{i h n}|^2) / h^2 (``dl_dphi_squared``), each at the
+float h = 1e-4 the tables use.  The lossless parity that ``sample`` prints
+is compared with cos(N phi) at its float phi = pi / (3N).
+
 A cell's distance is |x - ref| / (2^-52 max(1, |ref|)), in units of the
-float epsilon.  ``WORST`` pins the largest distance per scenario, N and
-column that the code reached when these tests were written, rounded up to
-three significant digits; a change may lower a bound, and must not raise
-one.
+float epsilon.  ``WORST``, ``COHERENT_WORST`` and ``PARITY_WORST`` pin the
+largest distance per case and column that the code reached when these
+tests were written, rounded up to three significant digits; a change may
+lower a bound, and must not raise one.
 """
 
 import math
@@ -26,7 +35,8 @@ import math
 import mpmath
 import pytest
 
-from mzlab.scenarios import ScenarioConfig, run_sweep
+from mzlab.measurement import parity_expectation
+from mzlab.scenarios import ScenarioConfig, coherent_probe, noon_output_distribution, run_metric_check, run_qfi_table, run_sweep
 
 mpmath.mp.prec = 200
 EPS = mpmath.mpf(2) ** -52
@@ -111,3 +121,58 @@ def test_fixed_n_sweep_stays_within_its_pinned_distance_from_exact(scenario, n):
     got = distances(scenario, n)
     for column, value, bound in zip(COLUMNS, got, WORST[scenario, n], strict=True):
         assert value <= bound, f"{scenario} N={n} {column}: {value:.4g} eps from exact, pinned at {bound}"
+
+
+# beta -> the largest distance of the coherent row's (f_q, quarter_f_q, f_q_numeric, dl_dphi_squared), in units of 2^-52
+COHERENT_WORST = {
+    0.5: (0.82, 0.205, 0.0551, 0.153),
+    1.0: (0.551, 0.551, 0.27, 0.237),
+    2.0: (0.287, 0.287, 0.0829, 0.402),
+    2.5: (0.386, 0.386, 0.371, 0.629),
+    10.0: (0.359, 0.359, 1.65, 0.218),
+    20.0: (0.0317, 0.0317, 0.115, 0.0386),
+}
+TABLE_COLUMNS = ("f_q", "quarter_f_q", "f_q_numeric", "dl_dphi_squared")
+
+
+def coherent_table_distances(beta: float) -> tuple[float, ...]:
+    """The coherent rows' distances from the 200-bit F_Q, F_Q / 4, central-difference F and finite-step rate
+    of the normalised probe as built, at the tables' step h = 1e-4."""
+    probe = coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=beta, beta_mag=beta))
+    p = [abs(mpmath.mpc(x)) ** 2 for x in probe.b.amps.tolist()]
+    total = mpmath.fsum(p)
+    q = [x / total for x in p]
+
+    def variance(v):
+        m = mpmath.fsum(w * x for w, x in zip(q, v))
+        return mpmath.fsum(w * (x - m) ** 2 for w, x in zip(q, v))
+
+    h, n = mpmath.mpf(1e-4), range(len(q))
+    f_q = 4 * variance(n)
+    f_num = 4 * variance([mpmath.sin(h * k) / h for k in n])
+    rate = (1 - abs(mpmath.fsum(w * mpmath.expj(h * k) for w, k in zip(q, n))) ** 2) / h**2
+    qfi_row, metric_rows = run_qfi_table(beta_mag=beta)[0], run_metric_check(beta_mag=beta)[:3]
+    assert all(r.family == qfi_row.case for r in metric_rows)
+    return (_distance(qfi_row.f_q, f_q), max(_distance(r.quarter_f_q, f_q / 4) for r in metric_rows),
+            _distance(qfi_row.f_q_numeric, f_num), max(_distance(r.dl_dphi_squared, rate) for r in metric_rows))
+
+
+@pytest.mark.parametrize("beta", list(COHERENT_WORST))
+def test_coherent_table_rows_stay_within_their_pinned_distance_from_exact(beta):
+    got = coherent_table_distances(beta)
+    for column, value, bound in zip(TABLE_COLUMNS, got, COHERENT_WORST[beta], strict=True):
+        assert value <= bound, f"coherent beta={beta} {column}: {value:.4g} eps from exact, pinned at {bound}"
+
+
+# N -> the largest distance of the lossless parity at phi = pi / (3N), in units of 2^-52
+PARITY_WORST = {
+    1: 0.0522, 2: 0.553, 3: 0.269, 4: 2.56, 5: 0.661, 6: 1.77, 7: 1.1, 8: 1.56, 9: 2.44, 10: 2.67,
+    11: 3.72, 12: 3.27, 13: 4.67, 14: 4.6, 15: 4.44, 16: 5.06, 40: 11.7, 64: 19.1,
+}
+
+
+@pytest.mark.parametrize("n", list(PARITY_WORST))
+def test_lossless_parity_stays_within_its_pinned_distance_from_exact(n):
+    phi = math.pi / (3 * n)  # the phase sample takes without --phi-at
+    got = _distance(parity_expectation(noon_output_distribution(n, phi), "a"), mpmath.cos(n * mpmath.mpf(phi)))
+    assert got <= PARITY_WORST[n], f"noon N={n} parity: {got:.4g} eps from exact, pinned at {PARITY_WORST[n]}"

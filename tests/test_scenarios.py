@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
-from mzlab.estimation import SINGULAR, is_singular, metric_distance, qfi_analytic
-from mzlab.fock import normalize
+from mzlab.estimation import SINGULAR, error_propagation, is_singular, qfi_analytic
+from mzlab.fock import TwoModeState, normalize
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
-from mzlab.optics import BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, expect_j, expect_j2, phase_generator, phase_shift
+from mzlab.optics import (BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, eval_harmonics, expect_j, expect_j2, phase_generator,
+                          phase_shift)
 from mzlab.scenarios import (
     SCENARIO_NAMES,
     SCENARIOS,
@@ -33,13 +34,20 @@ from mzlab.scenarios import (
     run_qfi_table,
     run_sweep,
     squeezed_probe,
-    two_mode,
     write_metric_csv,
     write_qfi_table_csv,
 )
 from mzlab.states import fock_after_symmetric_bs, noon_state, product_state, twin_fock
 
 SINC_181 = math.sin(math.pi / 180) / (math.pi / 180)  # grid derivative attenuation
+
+
+def two_mode(probe) -> TwoModeState:
+    """The probe as a two-mode state, a product probe expanded on its basis: the oracle of the product readouts."""
+    if isinstance(probe, TwoModeState):
+        return probe
+    psi = product_state(probe.a, probe.b, probe.n_cap, eps_trunc=1.0)  # deficit checked by product_probe
+    return beam_splitter(psi, BS1_SYMMETRIC) if probe.bs1 else psi
 
 
 # ----- closed forms ---------------------------------------------------------------
@@ -669,17 +677,45 @@ def test_metric_check_rows():
         assert r.rel_error <= 1e-5
 
 
-def test_metric_check_renormalises_the_truncated_coherent_probe():
-    # at beta = 1 the two-mode state's squared norm is 0.9999999999999999 and its rounded deficit 0.0;
-    # the coherent rows read the renormalised state because the probe is truncated, whatever that number says
-    h = 1e-4
-    psi = normalize(two_mode(coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=1.0, beta_mag=1.0))))
-    quarter = qfi_analytic(psi, "mode_b") / 4
-    want = []
-    for phi in (0.3, 1.1, 2.0):
-        rate = (metric_distance(phase_shift(psi, phi, "mode_b"), phase_shift(psi, phi + h, "mode_b")) / h) ** 2
-        want.append(("coherent beta=1", phi, rate, quarter, abs(rate - quarter) / quarter))
-    assert [tuple(r) for r in run_metric_check(beta_mag=1.0, h=h)[:3]] == want
+def two_mode_coherent_rows(beta: float) -> tuple[tuple, tuple]:
+    """The coherent rows of qfi-table (f_q, delta_phi_min, delta_phi_error_prop, ratio) and of metric-check
+    (quarter_f_q) as the tables took them on the expanded two-mode state, the unnormalised one for qfi-table
+    and the renormalised one for metric-check."""
+    sc = SCENARIOS["coherent"]
+    psi = two_mode(coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=beta, beta_mag=beta)))
+    f_q = qfi_analytic(psi, "mode_b")
+    mean_c, second_c = sc.readout(psi)
+    phis = math.pi / 2 + 1e-4 * np.arange(-2.0, 3.0)
+    _, _, delta = error_propagation(phis, eval_harmonics(mean_c, phis), eval_harmonics(second_c, phis))
+    bound = 1 / math.sqrt(f_q)
+    return (f_q, bound, float(delta[2]), float(delta[2]) / bound), (qfi_analytic(normalize(psi), "mode_b") / 4,)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 5.0])
+def test_coherent_table_rows_match_the_two_mode_oracle(beta):
+    # the rows read mode b's weights of the normalised probe; the expanded state gives the same numbers to
+    # rounding (f_q_numeric and the metric rate are held to their 200-bit references in test_exact.py)
+    (qfi_row, *_), (metric_row, *_) = run_qfi_table(beta_mag=beta), run_metric_check(beta_mag=beta)
+    (f_q, bound, dp, ratio), (quarter,) = two_mode_coherent_rows(beta)
+    got = [qfi_row.f_q, qfi_row.delta_phi_min, qfi_row.delta_phi_error_prop, qfi_row.ratio, metric_row.quarter_f_q]
+    for name, x, want in zip(("f_q", "delta_phi_min", "delta_phi_error_prop", "ratio", "quarter_f_q"), got,
+                             (f_q, bound, dp, ratio, quarter)):
+        assert abs(x - want) <= 1.1e-13 * max(1.0, abs(want)), (name, x, want)
+
+
+@pytest.mark.parametrize("run, n_cap", [(run_qfi_table, 9), (run_metric_check, 4)], ids=["qfi-table", "metric-check"])
+def test_tables_build_no_two_mode_state_for_the_coherent_row(monkeypatch, run, n_cap):
+    # at beta 40 the expanded coherent pair would take n_cap 4,040 (~8.2M amplitudes); the fock and noon rows
+    # keep their two-mode states, whose n_cap is their photon number (fock 9 and noon 4 by default)
+    built, init = [], TwoModeState.__post_init__
+
+    def record(self):
+        built.append(self.n_cap)
+        init(self)
+
+    monkeypatch.setattr(TwoModeState, "__post_init__", record)
+    run(beta_mag=40.0)
+    assert max(built) == n_cap
 
 
 def finite_step_rate(cfg: ScenarioConfig, h: float) -> float:
