@@ -92,7 +92,8 @@ EDGE_SAMPLE_OPS = [
 # probe capped below its cutoffs 76 + 40, so the BS1 plan, whose rows read up to two mode-b words each, takes
 # truncated partial pair sums: against the uncapped sweep, a cap of 90 moves second_o by up to 7.7e-15
 # relative and a cap of 60 by 5.3e-6; and qfi-table and metric-check at beta 5 and 20, whose coherent rows
-# a difference <n^2> - <n>^2 would cancel (1.9e-12 relative in f_q at beta 20)
+# a difference <n^2> - <n>^2 would cancel (1.9e-12 relative in f_q at beta 20); and the tables' fock and
+# noon rows above the workloads' N, read on their weights over the generator values
 LARGE_N_OPS = [
     ["sweep", "--scenario", "noon", "--n", "60"],
     ["sweep", "--scenario", "noon", "--n", "150"],
@@ -121,13 +122,16 @@ LARGE_N_OPS = [
     ["qfi-table", "--beta", "20"],
     ["metric-check", "--beta", "5"],
     ["metric-check", "--beta", "20"],
+    ["qfi-table", "--fock-n", "64", "--noon-n", "16"],
+    ["metric-check", "--noon-n", "16", "--step", "1e-2"],
 ]
 
 
 # inputs mzlab refuses with exit 2 after its flags have been read, one of each kind: a grid whose top
 # harmonic overflows, a config field out of range, a field the scenario does not read, a probe the squeezed
 # scenario refuses (|alpha|^2 < 8 sinh(r)^2), a sampled phase whose phase factor overflows, a probe with no
-# Fisher information and a finite-difference step that moves no sampled phase
+# Fisher information, a finite-difference step that moves no sampled phase and one whose product with the
+# largest generator value overflows
 REFUSAL_OPS = [
     ["sweep", "--scenario", "noon", "--n", "400", "--phi", "0:1e306:5"],
     ["sweep", "--scenario", "fock", "--n", "0"],
@@ -136,6 +140,7 @@ REFUSAL_OPS = [
     ["sample", "--n", "4", "--phi-at", "1e308"],
     ["qfi-table", "--beta", "0"],
     ["metric-check", "--step", "1e-300"],
+    ["metric-check", "--step", "1e308"],
 ]
 
 # command lines at the edge of what mzlab reads without argparse (exact flags, each with a value that does

@@ -9,20 +9,19 @@ the one entry point and the one owner of the variance: on plain arrays it
 returns var, d<O>/dphi and delta_phi = sqrt(var) / |d| for the whole curve at
 once.  A variance that rounds below zero is clamped to zero.
 
-The quantum side evaluates the pure-state Fisher information F, either from
-the variance of the known phase generator (4 Var G) or from a numerical
-derivative of the state family, 4 [<dpsi|dpsi> - |<dpsi|psi>|^2].  Each
-returns F as a plain float; the quantum Cramer-Rao bound delta_phi >=
-1/sqrt(F) (Braunstein and Caves, Phys. Rev. Lett. 72, 3439 (1994)) is
-``cramer_rao(F)``, taken by the caller that needs it.  A Hilbert-metric
-cross-check is available through ``metric_distance``: the squared rate of
-change of dL = sqrt(1 - |<psi|psi'>|^2) along the family equals F/4.  The
-distance is not taken from the overlap, whose square rounds to 1 once
-F h^2 / 4 nears the float epsilon, but from x = ||u psi - psi'||^2 with the
-phase u = <psi|psi'> / |<psi|psi'>| aligned, as x (1 - x/4) = 1 - |<psi|psi'>|^2
-(the Fubini-Study distance; Wootters, Phys. Rev. D 23, 357 (1981)).  Against
-the exact finite-step rate, metric-check's NOON rates are within 7.3e-12
-relative for N 1 to 8 and steps 1e-4 and 1e-2; the overlap form was 9e-9 off.
+The quantum side evaluates the pure-state Fisher information F, and the
+quantum Cramer-Rao bound delta_phi >= 1/sqrt(F) is ``cramer_rao(F)``
+(Braunstein and Caves, Phys. Rev. Lett. 72, 3439 (1994)).  A sweep's F is
+4 (<G^2> - <G>^2) on the probe as prepared (``qfi_analytic``,
+``fisher_from_moments``), so a truncated probe keeps its deficit in it.
+Every row of ``qfi-table`` and ``metric-check`` is taken on the normalised
+probe by ``phase_family``: for an arm phase diagonal in the generator basis,
+F, the F of the central difference and the rate of the Fubini-Study
+distance sqrt(1 - |<psi|psi(h)>|^2) (Wootters, Phys. Rev. D 23, 357
+(1981)), which tends to F/4, depend only on the probe's weights over the
+generator values.  Each is a ``math.fsum`` with no cancellation, the same at
+every phi, and within 1.7 float epsilons of 200-bit references; the state
+oracles ``qfi_numeric`` and ``metric_distance`` evolve the family instead.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BasisMismatchError, NoInformationError
+from .errors import BasisMismatchError, ConfigError, NoInformationError
 from .fock import TwoModeState, inner
 from .optics import PhaseConvention, phase_generator
 
@@ -76,15 +75,18 @@ def error_propagation(phi: np.ndarray, mean: np.ndarray, second: np.ndarray) -> 
     return var, d, delta
 
 
-def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> float:
-    """F = 4 Var(G) on the probe state, G the generator of the ``conv`` arm phase.
-
-    Only the p != 0 entries are summed: ``fsum`` is correctly rounded, so the zeros cannot move it.
-    """
-    c, k = phase_generator(s_tilde.n_cap, conv)
-    p = np.abs(s_tilde.amps) ** 2
+def generator_weights(s: TwoModeState, conv: PhaseConvention) -> tuple[np.ndarray, np.ndarray]:
+    """(p, v): the weights |amp|^2 of the state's nonzero entries and the value |c| K of the ``conv`` generator on
+    each.  An ``fsum`` over them is correctly rounded, so the dropped zeros cannot move it."""
+    c, k = phase_generator(s.n_cap, conv)
+    p = np.abs(s.amps) ** 2
     kept = p != 0
-    p, v = p[kept], abs(c) * k[kept]
+    return p[kept], abs(c) * k[kept]
+
+
+def qfi_analytic(s_tilde: TwoModeState, conv: PhaseConvention) -> float:
+    """F = 4 Var(G) on the probe state as prepared, G the generator of the ``conv`` arm phase."""
+    p, v = generator_weights(s_tilde, conv)
     return fisher_from_moments(float(math.fsum(p * v)), float(math.fsum(p * v * v)))
 
 
@@ -93,15 +95,34 @@ def fisher_from_moments(mean: float, second: float) -> float:
     return 4.0 * (second - mean * mean)
 
 
+def _centred_fisher(q: list[float], v: list[float]) -> float:
+    """4 Var_q(v) as 4 sum q (v - m)^2 with m = sum q v (q sums to 1), free of the cancellation of <v^2> - <v>^2."""
+    m = math.fsum(w * x for w, x in zip(q, v))
+    return 4.0 * math.fsum(w * (x - m) * (x - m) for w, x in zip(q, v))
+
+
+def phase_family(p: np.ndarray, v: np.ndarray, h: float) -> tuple[float, float, float]:
+    """F, the F of the central difference of step h, and the metric rate at step h of the normalised family
+    sum_j sqrt(q_j) e^{i phi v_j} |j>, q = p / sum p, of a probe's weights p over its generator values v.
+
+    The difference's derivative is e^{i phi v} i sin(h v) / h, so its F is 4 Var_q(sin(h v) / h).  With
+    u = sum q e^{i h v}, 1 - |u|^2 = x (1 - x/4) for x = sum q 4 sin^2((arg u - h v)/2), which sums no negative
+    term.  ConfigError if h max|v| overflows."""
+    top = float(np.abs(v).max())
+    if not math.isfinite(h * top):
+        raise ConfigError(f"step {h:g} times the largest generator value {top:g} overflows")
+    q, hv = (p / math.fsum(p)).tolist(), [h * x for x in v.tolist()]
+    arg = math.atan2(math.fsum(w * math.sin(t) for w, t in zip(q, hv)), math.fsum(w * math.cos(t) for w, t in zip(q, hv)))
+    x = math.fsum(4.0 * w * math.sin((arg - t) / 2) ** 2 for w, t in zip(q, hv))
+    return _centred_fisher(q, v.tolist()), _centred_fisher(q, [math.sin(t) / h for t in hv]), x * (1.0 - x / 4.0) / h / h
+
+
 def qfi_numeric(
     family: Callable[[float], TwoModeState],
     phi: float,
     h: float = DERIVATIVE_STEP_DEFAULT,
 ) -> float:
-    """Fisher information from a central-difference state derivative.
-
-    Agrees with ``qfi_analytic`` to O(h^2).
-    """
+    """F = 4 [<dpsi|dpsi> - |<dpsi|psi>|^2] of a state family, dpsi its central difference; O(h^2) from ``qfi_analytic``."""
     if h <= 0:
         raise ValueError("step h must be positive")
     plus, minus, center = family(phi + h), family(phi - h), family(phi)

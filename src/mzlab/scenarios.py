@@ -52,12 +52,11 @@ The coherent and squeezed probes are products of two single-mode inputs
 Fisher information straight off the two amplitude arrays
 (``optics.product_exchange_sums``), with no two-mode state and no BS1
 block (Pezze and Smerzi, Phys. Rev. Lett. 100, 073601 (2008)).  Fock,
-twin-Fock and NOON keep the two-mode path, and so do the fock and NOON rows
-of ``qfi-table`` and ``metric-check``.  Their coherent row keeps every pair
-and puts its phase on mode b alone, so it is read on mode b's weights
-q_n = |b_n|^2 / sum |b|^2: the tables take its F on the normalised probe,
-as 4 sum q (n - <n>)^2, while a sweep's coherent and squeezed ``qfi`` stays
-4 (<n2^2> - <n2>^2) on the truncated probe.
+twin-Fock and NOON keep the two-mode path.  The tables read every row's F,
+numeric F and metric rate on the normalised probe's weights over its
+generator values (``estimation.phase_family``): |amp|^2 over |c| K for fock
+and NOON, and mode b's |b_n|^2 over n for the coherent row, which keeps
+every pair and puts its phase on mode b alone.
 
 A sweep's table, ``SweepTable``, is its numpy columns over the grid.  Its
 three uncertainty columns, ``var_o``, ``d_mean_dphi`` and ``delta_phi``, are
@@ -71,7 +70,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,9 +82,9 @@ from .estimation import (
     cramer_rao,
     error_propagation,
     fisher_from_moments,
+    generator_weights,
+    phase_family,
     qfi_analytic,
-    qfi_numeric,
-    metric_distance,
 )
 from .fock import TwoModeState, basis_dim
 from .measurement import (
@@ -516,23 +515,12 @@ def _positive_fisher(f_q: float, label: str, command: str) -> float:
     return f_q
 
 
-def _centred_fisher(q: list[float], v) -> float:
-    """4 Var_q(v) as 4 sum q (v - m)^2 with m = sum q v (q sums to 1), free of the cancellation of <v^2> - <v>^2."""
-    m = math.fsum(w * x for w, x in zip(q, v))
-    return 4.0 * math.fsum(w * (x - m) * (x - m) for w, x in zip(q, v))
-
-
-def _mode_b_family(probe: ProductProbe, h: float) -> tuple[float, float, float]:
-    """F, the F of the central difference of step h and the metric rate at step h of the tables' coherent probe.
-
-    With every pair kept, no BS1 and the phase on mode b, the normalised family is sum_n sqrt(q_n) e^{i phi n} times
-    mode a.  The difference's derivative is e^{i phi n} i sin(h n) / h, and with u = sum q e^{i h n},
-    1 - |u|^2 = x (1 - x/4) for x = sum q 4 sin^2((arg u - h n)/2), which sums no negative term."""
-    p = np.abs(probe.b.amps) ** 2
-    q, hn = (p / math.fsum(p)).tolist(), [h * n for n in range(len(p))]
-    arg = math.atan2(math.fsum(w * math.sin(t) for w, t in zip(q, hn)), math.fsum(w * math.cos(t) for w, t in zip(q, hn)))
-    x = math.fsum(4.0 * w * math.sin((arg - t) / 2) ** 2 for w, t in zip(q, hn))
-    return _centred_fisher(q, range(len(q))), _centred_fisher(q, [math.sin(t) / h for t in hn]), x * (1.0 - x / 4.0) / h / h
+def _table_weights(sc: Scenario, probe: Probe) -> tuple[np.ndarray, np.ndarray]:
+    """The table probe's weights over the values of its arm phase's generator, for ``phase_family``.  The tables'
+    coherent row keeps every pair, has no BS1 and puts its phase on mode b, so it is mode b's |b_n|^2 over n."""
+    if isinstance(probe, ProductProbe):
+        return np.abs(probe.b.amps) ** 2, np.arange(len(probe.b.amps))
+    return generator_weights(probe, sc.phase)
 
 
 def run_qfi_table(
@@ -544,21 +532,18 @@ def run_qfi_table(
     """One row per probe family: analytic and numeric Fisher information,
     the Cramer-Rao bound, and the best error-propagation uncertainty."""
     eps = epsilon_trunc
-    # (config, label, phi of the numeric derivative on a two-mode state, fringe centre, stencil step, note)
+    # (config, label, fringe centre, stencil step, note)
     cases = [
-        (*_coherent_case(beta_mag, eps), None, math.pi / 2, 1e-4, "number-difference readout sits sqrt(2) above the one-arm bound"),
-        (ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps), f"fock n={fock_n}", 0.7, math.pi / 2, 1e-4, ""),
-        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps), f"noon n={noon_n}", 0.4, math.pi / (2 * noon_n), 1e-5, ""),
+        (*_coherent_case(beta_mag, eps), math.pi / 2, 1e-4, "number-difference readout sits sqrt(2) above the one-arm bound"),
+        (ScenarioConfig(scenario="fock", n=fock_n, epsilon_trunc=eps), f"fock n={fock_n}", math.pi / 2, 1e-4, ""),
+        (ScenarioConfig(scenario="noon", n=noon_n, epsilon_trunc=eps), f"noon n={noon_n}", math.pi / (2 * noon_n), 1e-5, ""),
     ]
     rows = []
-    for cfg, label, phi, center, step, note in cases:
+    for cfg, label, center, step, note in cases:
         sc = SCENARIOS[cfg.scenario]
         probe = sc.probe(cfg)
-        harmonics, f_q = _readout(sc, probe)
-        if isinstance(probe, ProductProbe):
-            f_q, f_num, _ = _mode_b_family(probe, DERIVATIVE_STEP_DEFAULT)
-        else:
-            f_num = qfi_numeric(partial(phase_shift, probe, conv=sc.phase), phi)
+        harmonics, _ = _readout(sc, probe)
+        f_q, f_num, _ = phase_family(*_table_weights(sc, probe), DERIVATIVE_STEP_DEFAULT)
         bound = cramer_rao(_positive_fisher(f_q, label, "qfi-table"))
         phis = center + step * np.arange(-2.0, 3.0)  # the error propagation's 5-point fine grid around the centre
         dp = float(error_propagation(phis, *(eval_harmonics(c, phis) for c in harmonics))[2][2])
@@ -586,8 +571,8 @@ _METRIC_PHIS = (0.3, 1.1, 2.0)  # the phases at which run_metric_check samples t
 def run_metric_check(
     beta_mag: float = 2.0, noon_n: int = 4, h: float = 1e-4, epsilon_trunc: float = EPS_TRUNC_DEFAULT
 ) -> list[MetricRow]:
-    """Rate of change of the projective distance against F/4 per family; the truncated coherent probe is
-    read normalised on mode b's weights, the exact NOON state as prepared (``normalize`` would move its last bit)."""
+    """Rate of change of the projective distance against F/4 per family, both on the normalised probe's weights;
+    the rate is the same at every sampled phase."""
     eps = epsilon_trunc
     cases = [
         _coherent_case(beta_mag, eps),
@@ -600,16 +585,9 @@ def run_metric_check(
     rows = []
     for cfg, label in cases:
         sc = SCENARIOS[cfg.scenario]
-        probe = sc.probe(cfg)
-        if isinstance(probe, ProductProbe):
-            f_q, _, rate = _mode_b_family(probe, h)
-            rates = [rate] * len(_METRIC_PHIS)
-        else:
-            fam = partial(phase_shift, probe, conv=sc.phase)
-            f_q = qfi_analytic(probe, sc.phase)
-            rates = [(metric_distance(fam(phi), fam(phi + h)) / h) ** 2 for phi in _METRIC_PHIS]
+        f_q, _, rate = phase_family(*_table_weights(sc, sc.probe(cfg)), h)
         quarter = _positive_fisher(f_q, label, "metric-check") / 4
-        rows += [MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter) for phi, rate in zip(_METRIC_PHIS, rates)]
+        rows += [MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter) for phi in _METRIC_PHIS]
     return rows
 
 

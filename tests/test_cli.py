@@ -294,6 +294,7 @@ OUT_OF_RANGE_CASES = [
     ["qfi-table", "--beta", "1e-200"],  # F_Q = 4 beta^2 underflows to 0
     ["metric-check", "--beta", "1e-200"],
     ["metric-check", "--step", "1e-300"],  # phi + step == phi: no step is taken, and (dist / step)^2 overflows
+    ["metric-check", "--step", "1e308"],  # step times the coherent probe's largest photon number overflows
     ["sample", "--n", "4", "--seed", "18446744073709551616"],
     ["sample", "--n", "4", "--seed", "-1"],
     ["sweep", "--scenario", "noon", "--n", "4", "--n-cap", "1"],

@@ -14,20 +14,22 @@ at the sweep's float phi with its float step phi[1] - phi[0], on the rows
 the sweep reports finite; the difference cancels, so its distances run to
 thousands of eps.
 
-The coherent rows of ``qfi-table`` and ``metric-check`` are compared with
-the normalised probe as built: mode b's weights q_n = |b_n|^2 / sum |b|^2,
-taken exactly from its float amplitudes, give F_Q = 4 Var_q(n) (``f_q``,
-and ``quarter_f_q`` as F_Q / 4), the Fisher information of the central
-difference 4 Var_q(sin(h n) / h) (``f_q_numeric``), and the finite-step
-rate (1 - |sum q e^{i h n}|^2) / h^2 (``dl_dphi_squared``), each at the
+The rows of ``qfi-table`` and ``metric-check`` are compared with the
+normalised probe as built: its weights q = |amp|^2 / sum |amp|^2 over the
+values v of its generator, taken exactly from its float amplitudes (mode
+b's |b_n|^2 over n for the coherent row, |amp|^2 over |c| K of the arm
+phase for the fock and NOON rows), give F_Q = 4 Var_q(v) (``f_q``, and
+``quarter_f_q`` as F_Q / 4), the Fisher information of the central
+difference 4 Var_q(sin(h v) / h) (``f_q_numeric``), and the finite-step
+rate (1 - |sum q e^{i h v}|^2) / h^2 (``dl_dphi_squared``), each at the
 float h = 1e-4 the tables use.  The lossless parity that ``sample`` prints
 is compared with cos(N phi) at its float phi = pi / (3N).
 
 A cell's distance is |x - ref| / (2^-52 max(1, |ref|)), in units of the
-float epsilon.  ``WORST``, ``COHERENT_WORST`` and ``PARITY_WORST`` pin the
-largest distance per case and column that the code reached when these
-tests were written, rounded up to three significant digits; a change may
-lower a bound, and must not raise one.
+float epsilon.  ``WORST``, ``COHERENT_WORST``, ``FIXED_TABLE_WORST`` and
+``PARITY_WORST`` pin the largest distance per case and column that the code
+reached when these tests were written, rounded up to three significant
+digits; a change may lower a bound, and must not raise one.
 """
 
 import math
@@ -36,7 +38,9 @@ import mpmath
 import pytest
 
 from mzlab.measurement import parity_expectation
-from mzlab.scenarios import ScenarioConfig, coherent_probe, noon_output_distribution, run_metric_check, run_qfi_table, run_sweep
+from mzlab.optics import phase_generator
+from mzlab.scenarios import (SCENARIOS, ScenarioConfig, coherent_probe, noon_output_distribution, run_metric_check,
+                             run_qfi_table, run_sweep)
 
 mpmath.mp.prec = 200
 EPS = mpmath.mpf(2) ** -52
@@ -135,26 +139,60 @@ COHERENT_WORST = {
 TABLE_COLUMNS = ("f_q", "quarter_f_q", "f_q_numeric", "dl_dphi_squared")
 
 
-def coherent_table_distances(beta: float) -> tuple[float, ...]:
-    """The coherent rows' distances from the 200-bit F_Q, F_Q / 4, central-difference F and finite-step rate
-    of the normalised probe as built, at the tables' step h = 1e-4."""
-    probe = coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=beta, beta_mag=beta))
-    p = [abs(mpmath.mpc(x)) ** 2 for x in probe.b.amps.tolist()]
+# (scenario, N) -> the same four distances of the fixed-N row; metric-check has no fock row (None)
+FIXED_TABLE_WORST = {
+    ("fock", 1): (0, None, 0.738, None),
+    ("fock", 2): (0.308, None, 1.47, None),
+    ("fock", 3): (0.627, None, 0.389, None),
+    ("fock", 8): (0.786, None, 0.467, None),
+    ("fock", 9): (0.493, None, 0.614, None),
+    ("fock", 16): (0.273, None, 0.315, None),
+    ("fock", 32): (0.783, None, 0.49, None),
+    ("noon", 1): (0, 0, 0.689, 0.0471),
+    ("noon", 2): (0, 0, 0.738, 0.263),
+    ("noon", 4): (0, 0, 0.712, 0.212),
+    ("noon", 8): (0, 0, 0.998, 1.01),
+    ("noon", 16): (0, 0, 0.521, 0.98),
+}
+
+
+def table_distances(qfi_row, metric_rows, amps, v) -> tuple[float | None, ...]:
+    """A probe's distances of (f_q, quarter_f_q, f_q_numeric, dl_dphi_squared) from the 200-bit F_Q, F_Q / 4,
+    central-difference F and finite-step rate of the weights |amps|^2, normalised, over the generator values v,
+    at the tables' step h = 1e-4; None where metric-check has no row for the probe."""
+    p = [abs(mpmath.mpc(x)) ** 2 for x in amps.tolist()]
     total = mpmath.fsum(p)
     q = [x / total for x in p]
 
-    def variance(v):
-        m = mpmath.fsum(w * x for w, x in zip(q, v))
-        return mpmath.fsum(w * (x - m) ** 2 for w, x in zip(q, v))
+    def variance(x):
+        m = mpmath.fsum(w * y for w, y in zip(q, x))
+        return mpmath.fsum(w * (y - m) ** 2 for w, y in zip(q, x))
 
-    h, n = mpmath.mpf(1e-4), range(len(q))
-    f_q = 4 * variance(n)
-    f_num = 4 * variance([mpmath.sin(h * k) / h for k in n])
-    rate = (1 - abs(mpmath.fsum(w * mpmath.expj(h * k) for w, k in zip(q, n))) ** 2) / h**2
-    qfi_row, metric_rows = run_qfi_table(beta_mag=beta)[0], run_metric_check(beta_mag=beta)[:3]
+    h = mpmath.mpf(1e-4)
+    f_q = 4 * variance(v)
+    f_num = 4 * variance([mpmath.sin(h * k) / h for k in v])
+    rate = (1 - abs(mpmath.fsum(w * mpmath.expj(h * k) for w, k in zip(q, v))) ** 2) / h**2
     assert all(r.family == qfi_row.case for r in metric_rows)
-    return (_distance(qfi_row.f_q, f_q), max(_distance(r.quarter_f_q, f_q / 4) for r in metric_rows),
-            _distance(qfi_row.f_q_numeric, f_num), max(_distance(r.dl_dphi_squared, rate) for r in metric_rows))
+    quarter, dl = ((max(_distance(getattr(r, col), ref) for r in metric_rows) if metric_rows else None)
+                   for col, ref in (("quarter_f_q", f_q / 4), ("dl_dphi_squared", rate)))
+    return _distance(qfi_row.f_q, f_q), quarter, _distance(qfi_row.f_q_numeric, f_num), dl
+
+
+def coherent_table_distances(beta: float) -> tuple[float, ...]:
+    """The coherent rows' distances, on mode b's weights over n."""
+    b = coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=beta, beta_mag=beta)).b.amps
+    return table_distances(run_qfi_table(beta_mag=beta)[0], run_metric_check(beta_mag=beta)[:3], b, range(len(b)))
+
+
+def fixed_table_distances(scenario: str, n: int) -> tuple[float | None, ...]:
+    """The fock or NOON row's distances, on the probe's weights over |c| K of its arm phase."""
+    sc = SCENARIOS[scenario]
+    probe = sc.probe(ScenarioConfig(scenario=scenario, n=n))
+    c, k = phase_generator(probe.n_cap, sc.phase)
+    v = [abs(mpmath.mpf(c)) * x for x in k.tolist()]
+    if scenario == "fock":
+        return table_distances(run_qfi_table(fock_n=n)[1], [], probe.amps, v)
+    return table_distances(run_qfi_table(noon_n=n)[2], run_metric_check(noon_n=n)[3:], probe.amps, v)
 
 
 @pytest.mark.parametrize("beta", list(COHERENT_WORST))
@@ -162,6 +200,14 @@ def test_coherent_table_rows_stay_within_their_pinned_distance_from_exact(beta):
     got = coherent_table_distances(beta)
     for column, value, bound in zip(TABLE_COLUMNS, got, COHERENT_WORST[beta], strict=True):
         assert value <= bound, f"coherent beta={beta} {column}: {value:.4g} eps from exact, pinned at {bound}"
+
+
+@pytest.mark.parametrize("scenario, n", list(FIXED_TABLE_WORST), ids=[f"{s}-{n}" for s, n in FIXED_TABLE_WORST])
+def test_fixed_n_table_rows_stay_within_their_pinned_distance_from_exact(scenario, n):
+    got = fixed_table_distances(scenario, n)
+    for column, value, bound in zip(TABLE_COLUMNS, got, FIXED_TABLE_WORST[scenario, n], strict=True):
+        assert (value is None) == (bound is None), column
+        assert bound is None or value <= bound, f"{scenario} N={n} {column}: {value:.4g} eps from exact, pinned at {bound}"
 
 
 # N -> the largest distance of the lossless parity at phi = pi / (3N), in units of 2^-52
