@@ -14,9 +14,12 @@ kind that mzlab itself raises (``REFUSAL_OPS``), command lines at the edge of
 what mzlab reads without argparse (``ARGV_OPS``), ops that read a ``--config``
 file (``CONFIG_OPS``), one squeezed sweep right
 after the edge ops (``AFTER_EDGE_OP``), shorter outputs written over longer
-ones at one path (``OVERWRITE_OPS``), and ``scripts/run_benchmark_cases.py``, the five
-reference sweeps and the two tables.  Each tree runs the workload, edge,
-large-N, config and overwrite ops in a subprocess of its own, one op after another
+ones at one path (``OVERWRITE_OPS``), ``scripts/run_benchmark_cases.py``, the five
+reference sweeps and the two tables, and ``scripts/noon_loss_study.py --trials
+20000``, whose CSV and stdout are compared too: each tree runs its own copy of the
+loss study (this checkout's, for a tree that holds only ``mzlab``).  Each tree
+runs the workload, edge, large-N, config and overwrite ops in a subprocess of
+its own, one op after another
 in one interpreter, as the benchmark does; BLAS is pinned to one thread so
 both trees sum in the same order.  Like the benchmark's warm passes, that
 subprocess then runs the workload ops a second time over their own
@@ -57,6 +60,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 CASES_SCRIPT = REPO / "scripts" / "run_benchmark_cases.py"
+LOSS_STUDY = Path("scripts") / "noon_loss_study.py"
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 # sample ops off the workloads' path: total loss, unequal arms, N = 1 and 16, no post-selection,
@@ -270,7 +274,8 @@ def _run_worker(env: dict, ops, outdir: Path, prelude=(), rerun=False, configs=N
 
 
 def run_tree(src: Path, ops, workdir: Path) -> dict:
-    """Every op under one tree, plus the benchmark cases script; op id -> result with its CSV text."""
+    """Every op under one tree, plus the benchmark cases script and the tree's loss study;
+    op id -> result with its CSV text."""
     outdir = workdir / "ops"
     outdir.mkdir(parents=True)
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -285,6 +290,12 @@ def run_tree(src: Path, ops, workdir: Path) -> dict:
     results["cases:script"] = {"rc": cases.returncode, "stdout": cases.stdout, "stderr": cases.stderr, "csv": None}
     for path in sorted((workdir / "cases").glob("*.csv")):
         results[f"cases:{path.stem}"] = {"rc": cases.returncode, "stdout": "", "stderr": "", "csv": _read(path)}
+    study = (src.parent if src.name == "src" else src) / LOSS_STUDY
+    study = study if study.is_file() else REPO / LOSS_STUDY
+    loss = subprocess.run([sys.executable, str(study), "--trials", "20000", "--out", "loss_study.csv"], cwd=workdir,
+                          capture_output=True, text=True, env=env)
+    results["loss_study:script"] = {"rc": loss.returncode, "stdout": loss.stdout, "stderr": loss.stderr,
+                                    "csv": _read(workdir / "loss_study.csv")}
     return results
 
 

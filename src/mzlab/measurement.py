@@ -73,7 +73,6 @@ class CountHistogram(NamedTuple):
     n_cap: int
     counts: np.ndarray
     trials: int
-    seed: int
 
 
 class ParityEstimate(NamedTuple):
@@ -164,7 +163,7 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     counts = np.empty_like(occupancy)
     counts[order] = occupancy
     counts.flags.writeable = False
-    return CountHistogram(d.n_cap, counts, trials, seed)
+    return CountHistogram(d.n_cap, counts, trials)
 
 
 def jz_moments(src: Union[CountDistribution, CountHistogram]) -> tuple[float, float]:

@@ -125,22 +125,18 @@ class BeamSplitterSpec:
         object.__setattr__(self, "matrix", m)
 
 
-def _preset(matrix, label):
-    return BeamSplitterSpec(matrix=np.asarray(matrix, dtype=np.complex128), label=label)
-
-
 _RT2 = math.sqrt(2.0)
 
-BS1_SYMMETRIC = _preset([[1 / _RT2, 1 / _RT2], [1 / _RT2, -1 / _RT2]], "bs1_symmetric")
+BS1_SYMMETRIC = BeamSplitterSpec([[1 / _RT2, 1 / _RT2], [1 / _RT2, -1 / _RT2]], "bs1_symmetric")
 
 # exp(+i pi/2 Jy): creation map Ry(-pi/2); real, so the mode matrix is equal.
-BS2_JY = _preset([[1 / _RT2, -1 / _RT2], [1 / _RT2, 1 / _RT2]], "bs2_jy")
+BS2_JY = BeamSplitterSpec([[1 / _RT2, -1 / _RT2], [1 / _RT2, 1 / _RT2]], "bs2_jy")
 
 # exp(i pi/2 Jx) after exp(-i pi/2 Jz); see module docstring.
 _C_JX = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)]) @ (
     np.array([[1, 1j], [1j, 1]]) / _RT2
 )
-BS2_JX = _preset(_C_JX.conj(), "bs2_jx")
+BS2_JX = BeamSplitterSpec(_C_JX.conj(), "bs2_jx")
 
 
 # --------------------------------------------------------------------------

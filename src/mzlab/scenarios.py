@@ -427,14 +427,10 @@ def noon_output_distribution(n: int, phi: float):
 
 
 class NoonSamplingReport(NamedTuple):
-    """Monte Carlo parity estimation with loss and optional post-selection."""
+    """Monte Carlo parity estimation with loss and optional post-selection: the config run and what it measured."""
 
-    n: int
+    config: ScenarioConfig
     phi: float
-    eta_a: float
-    eta_b: float
-    trials: int
-    seed: int
     exact_parity_lossless: float
     exact_parity_lossy: float
     unfiltered: ParityEstimate
@@ -442,10 +438,11 @@ class NoonSamplingReport(NamedTuple):
     histogram: CountHistogram
 
     def lines(self) -> list[str]:
+        cfg = self.config
         out = [
-            f"scenario = noon  n = {self.n}",
+            f"scenario = noon  n = {cfg.n}",
             f"phi = {_fmt(self.phi)}",
-            f"eta_a = {_fmt(self.eta_a)}  eta_b = {_fmt(self.eta_b)}  trials = {self.trials}  seed = {self.seed}",
+            f"eta_a = {_fmt(cfg.eta_a)}  eta_b = {_fmt(cfg.eta_b)}  trials = {cfg.trials}  seed = {cfg.seed}",
             f"exact_parity_lossless = {_fmt(self.exact_parity_lossless)}",
             f"exact_parity_lossy = {_fmt(self.exact_parity_lossy)}",
             f"unfiltered_estimate = {_fmt(self.unfiltered.estimate)}  stderr = {_fmt(self.unfiltered.stderr)}",
@@ -470,19 +467,8 @@ def run_noon_sampling(cfg: ScenarioConfig) -> NoonSamplingReport:
     lossy = lossy_distribution(ideal, cfg.eta_a, cfg.eta_b)
     hist = sample_counts(lossy, cfg.trials, cfg.seed)
     filtered = parity_from_histogram(hist, post_select_total=cfg.n) if cfg.post_select else None
-    return NoonSamplingReport(
-        n=cfg.n,
-        phi=phi,
-        eta_a=cfg.eta_a,
-        eta_b=cfg.eta_b,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        exact_parity_lossless=parity_expectation(ideal, "a"),
-        exact_parity_lossy=parity_expectation(lossy, "a"),
-        unfiltered=parity_from_histogram(hist, post_select_total=None),
-        filtered=filtered,
-        histogram=hist,
-    )
+    return NoonSamplingReport(cfg, phi, parity_expectation(ideal, "a"), parity_expectation(lossy, "a"),
+                              parity_from_histogram(hist, post_select_total=None), filtered, hist)
 
 
 # --------------------------------------------------------------------------
@@ -506,21 +492,22 @@ def _coherent_case(beta_mag: float, epsilon_trunc: float) -> tuple[ScenarioConfi
     return cfg, f"coherent beta={beta_mag:g}"
 
 
-def _positive_fisher(f_q: float, label: str, command: str) -> float:
-    """The probe's Fisher information, refused below the smallest normal float: the tables divide by it,
-    and a subnormal F_Q keeps too few digits to mean anything."""
+def _table_probe(cfg: ScenarioConfig, label: str, command: str, h: float) -> tuple[Probe, float, float, float]:
+    """The table probe of ``cfg`` and ``phase_family``'s (F, F_h, rate) on its weights over the values of its arm
+    phase's generator.  The tables' coherent row keeps every pair, has no BS1 and puts its phase on mode b, so its
+    weights are mode b's |b_n|^2 over n.  F is refused below the smallest normal float: the tables divide by it,
+    and a subnormal F keeps too few digits to mean anything."""
+    sc = SCENARIOS[cfg.scenario]
+    probe = sc.probe(cfg)
+    if isinstance(probe, ProductProbe):
+        weights = np.abs(probe.b.amps) ** 2, np.arange(len(probe.b.amps))
+    else:
+        weights = generator_weights(probe, sc.phase)
+    f_q, f_h, rate = phase_family(*weights, h)
     if not f_q >= sys.float_info.min:
         raise ConfigError(f"{command} needs Fisher information >= {sys.float_info.min:g}, and {label} has "
                           f"F_Q = {f_q:g}, so the relative error is undefined")
-    return f_q
-
-
-def _table_weights(sc: Scenario, probe: Probe) -> tuple[np.ndarray, np.ndarray]:
-    """The table probe's weights over the values of its arm phase's generator, for ``phase_family``.  The tables'
-    coherent row keeps every pair, has no BS1 and puts its phase on mode b, so it is mode b's |b_n|^2 over n."""
-    if isinstance(probe, ProductProbe):
-        return np.abs(probe.b.amps) ** 2, np.arange(len(probe.b.amps))
-    return generator_weights(probe, sc.phase)
+    return probe, f_q, f_h, rate
 
 
 def run_qfi_table(
@@ -540,11 +527,9 @@ def run_qfi_table(
     ]
     rows = []
     for cfg, label, center, step, note in cases:
-        sc = SCENARIOS[cfg.scenario]
-        probe = sc.probe(cfg)
-        harmonics, _ = _readout(sc, probe)
-        f_q, f_num, _ = phase_family(*_table_weights(sc, probe), DERIVATIVE_STEP_DEFAULT)
-        bound = cramer_rao(_positive_fisher(f_q, label, "qfi-table"))
+        probe, f_q, f_num, _ = _table_probe(cfg, label, "qfi-table", DERIVATIVE_STEP_DEFAULT)
+        harmonics, _ = _readout(SCENARIOS[cfg.scenario], probe)
+        bound = cramer_rao(f_q)
         phis = center + step * np.arange(-2.0, 3.0)  # the error propagation's 5-point fine grid around the centre
         dp = float(error_propagation(phis, *(eval_harmonics(c, phis) for c in harmonics))[2][2])
         rows.append(QfiRow(label, f_q, f_num, bound, dp, dp / bound, note))
@@ -584,9 +569,8 @@ def run_metric_check(
         raise ConfigError(f"step must move every sampled phase {_METRIC_PHIS} (phi + step != phi), got {h!r}")
     rows = []
     for cfg, label in cases:
-        sc = SCENARIOS[cfg.scenario]
-        f_q, _, rate = phase_family(*_table_weights(sc, sc.probe(cfg)), h)
-        quarter = _positive_fisher(f_q, label, "metric-check") / 4
+        _, f_q, _, rate = _table_probe(cfg, label, "metric-check", h)
+        quarter = f_q / 4
         rows += [MetricRow(label, phi, rate, quarter, abs(rate - quarter) / quarter) for phi in _METRIC_PHIS]
     return rows
 

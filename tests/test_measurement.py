@@ -136,7 +136,7 @@ def on_pairs(n_cap: int, counts: dict) -> np.ndarray:
 
 
 def histogram(n_cap: int, counts: dict) -> CountHistogram:
-    return CountHistogram(n_cap, on_pairs(n_cap, counts), sum(counts.values()), 0)
+    return CountHistogram(n_cap, on_pairs(n_cap, counts), sum(counts.values()))
 
 
 def test_sampling_deterministic_and_complete():
@@ -413,7 +413,7 @@ def test_jz_moments_histogram_against_exact():
 
 def test_jz_moments_empty_histogram_rejected():
     with pytest.raises(ValueError):
-        jz_moments(CountHistogram(2, np.zeros(basis_dim(2), dtype=np.int64), 0, 0))
+        jz_moments(CountHistogram(2, np.zeros(basis_dim(2), dtype=np.int64), 0))
 
 
 # ----- parity ------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mzlab.cli import main as cli_main
 from mzlab.errors import ConfigError, TruncationError
-from mzlab.estimation import SINGULAR, error_propagation, is_singular, qfi_analytic
+from mzlab.estimation import SINGULAR, error_propagation, is_singular, qfi_analytic, qfi_numeric
 from mzlab.fock import TwoModeState, normalize
 from mzlab.measurement import jz_moments, parity_expectation, photon_distribution
 from mzlab.optics import (BS1_SYMMETRIC, BS2_JX, BS2_JY, beam_splitter, eval_harmonics, expect_j, expect_j2, phase_generator,
@@ -227,6 +227,7 @@ def test_noon_single_photon():
 def test_noon_sampling_report():
     cfg = ScenarioConfig(scenario="noon", n=4, eta_a=0.9, eta_b=0.9, trials=20_000, seed=7, post_select=True)
     rep = run_noon_sampling(cfg)
+    assert rep.config is cfg
     assert rep.phi == pytest.approx(math.pi / 12)
     assert rep.exact_parity_lossless == pytest.approx(math.cos(4 * rep.phi), abs=1e-12)
     assert abs(rep.filtered.estimate - rep.exact_parity_lossless) <= 4 * rep.filtered.stderr
@@ -701,6 +702,25 @@ def test_coherent_table_rows_match_the_two_mode_oracle(beta):
     for name, x, want in zip(("f_q", "delta_phi_min", "delta_phi_error_prop", "ratio", "quarter_f_q"), got,
                              (f_q, bound, dp, ratio, quarter)):
         assert abs(x - want) <= 1.1e-13 * max(1.0, abs(want)), (name, x, want)
+
+
+NUMERIC_ORACLE_CASES = ([("fock", n) for n in range(1, 17)] + [("noon", n) for n in range(1, 9)]
+                        + [("coherent", beta) for beta in (0.5, 1.0, 2.0, 2.5)])
+
+
+@pytest.mark.parametrize("family, size", NUMERIC_ORACLE_CASES, ids=[f"{f}-{x:g}" for f, x in NUMERIC_ORACLE_CASES])
+def test_table_f_q_numeric_matches_the_evolved_stencil(family, size):
+    # f_q_numeric is read on the probe's weights; qfi_numeric differentiates the phase-shifted two-mode probe
+    # (the normalised product_state expansion for the coherent row) at the same step h = 1e-4
+    if family == "coherent":
+        (row, *_) = run_qfi_table(beta_mag=size)
+        probe = normalize(two_mode(coherent_probe(ScenarioConfig(scenario="coherent", alpha_mag=size, beta_mag=size))))
+    else:
+        row = run_qfi_table(**{f"{family}_n": size})[1 if family == "fock" else 2]
+        probe = SCENARIOS[family].probe(ScenarioConfig(scenario=family, n=size))
+    phase = SCENARIOS[family].phase
+    want = qfi_numeric(lambda phi: phase_shift(probe, phi, phase), 0.7, h=1e-4)
+    assert abs(row.f_q_numeric - want) <= 2e-12 * want, (row.f_q_numeric, want)
 
 
 @pytest.mark.parametrize("run, n_caps", [(run_qfi_table, [9, 4]), (run_metric_check, [4])], ids=["qfi-table", "metric-check"])
