@@ -30,17 +30,27 @@ float epsilon.  ``WORST``, ``COHERENT_WORST``, ``FIXED_TABLE_WORST`` and
 ``PARITY_WORST`` pin the largest distance per case and column that the code
 reached when these tests were written, rounded up to three significant
 digits; a change may lower a bound, and must not raise one.
+
+The single-mode amplitude arrays of ``auto_coherent`` and ``auto_squeezed``
+are compared entry by entry with their closed forms at 40 digits,
+e^{-|a|^2/2} a^n / sqrt(n!) and cosh(r)^{-1/2} (-tanh r)^k sqrt((2k)!) /
+(2^k k!) at n = 2k (odd n hold exactly 0), on every entry of at least
+``AMP_FLUSH``.  ``COHERENT_AMP_WORST`` and ``SQUEEZED_AMP_WORST`` pin the
+largest relative error |x - ref| / |ref| in the same way.
 """
 
+import cmath
 import math
 
 import mpmath
 import pytest
 
+from mzlab.fock import AMP_FLUSH
 from mzlab.measurement import parity_expectation
 from mzlab.optics import phase_generator
 from mzlab.scenarios import (SCENARIOS, ScenarioConfig, coherent_probe, noon_output_distribution, run_metric_check,
                              run_qfi_table, run_sweep)
+from mzlab.states import SqueezeParams, auto_coherent, auto_squeezed
 
 mpmath.mp.prec = 200
 EPS = mpmath.mpf(2) ** -52
@@ -222,3 +232,51 @@ def test_lossless_parity_stays_within_its_pinned_distance_from_exact(n):
     phi = math.pi / (3 * n)  # the phase sample takes without --phi-at
     got = _distance(parity_expectation(noon_output_distribution(n, phi), "a"), mpmath.cos(n * mpmath.mpf(phi)))
     assert got <= PARITY_WORST[n], f"noon N={n} parity: {got:.4g} eps from exact, pinned at {PARITY_WORST[n]}"
+
+
+# alpha -> the largest relative error of auto_coherent's amplitudes; up to |alpha| = 37 the fill starts from the
+# vacuum term, from 38 on from the peak n0 = floor(|alpha|^2) both ways
+COHERENT_AMP_WORST = {
+    0.5: 1.76e-16, 2.0: 1.16e-15, cmath.rect(4.16, 0.3): 1.34e-15, 20.0: 2.23e-15, 37.0: 2.45e-15,
+    38.0: 7.68e-14, 100.0: 1.01e-13,
+}
+# r -> the largest relative error of auto_squeezed's amplitudes
+SQUEEZED_AMP_WORST = {0.3: 7.05e-15, 0.95: 3.05e-14, 1.5: 2.58e-13}
+
+
+def _worst_relative_error(amps, ref) -> float:
+    """The largest |x - ref(n)| / |ref(n)| over the entries x = amps[n] of at least AMP_FLUSH."""
+    worst = 0.0
+    for n, x in enumerate(amps.tolist()):
+        if abs(x) >= AMP_FLUSH:
+            exact = ref(n)
+            worst = max(worst, float(abs(mpmath.mpc(x) - exact) / abs(exact)))
+    return worst
+
+
+def _log_factorials(m: int) -> list:
+    out = [mpmath.mpf(0)]
+    for n in range(1, m + 1):
+        out.append(out[-1] + mpmath.log(n))
+    return out
+
+
+@pytest.mark.parametrize("alpha", list(COHERENT_AMP_WORST), ids=[f"{a:.3g}" for a in COHERENT_AMP_WORST])
+def test_coherent_amplitudes_stay_within_their_pinned_error_from_exact(alpha):
+    sm = auto_coherent(alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        log_a, lf = mpmath.log(a), _log_factorials(sm.cutoff)
+        got = _worst_relative_error(sm.amps, lambda n: mpmath.exp(n * log_a - abs(a) ** 2 / 2 - lf[n] / 2))
+    assert got <= COHERENT_AMP_WORST[alpha], f"coherent alpha={alpha:.3g}: {got:.4g} from exact"
+
+
+@pytest.mark.parametrize("r", list(SQUEEZED_AMP_WORST))
+def test_squeezed_amplitudes_stay_within_their_pinned_error_from_exact(r):
+    sm = auto_squeezed(SqueezeParams(r))
+    assert not sm.amps[1::2].any()
+    with mpmath.workdps(40):
+        t, lf = mpmath.mpf(r), _log_factorials(sm.cutoff)
+        base, step = -mpmath.log(mpmath.cosh(t)) / 2, mpmath.log(mpmath.tanh(t) / 2)
+        got = _worst_relative_error(sm.amps[::2], lambda k: (-1) ** k * mpmath.exp(base + k * step + lf[2 * k] / 2 - lf[k]))
+    assert got <= SQUEEZED_AMP_WORST[r], f"squeezed r={r}: {got:.4g} from exact"

@@ -237,6 +237,16 @@ def test_noon_sampling_report():
     assert rep.filtered.kept_fraction < 1.0
 
 
+def test_readme_tour_runs_on_the_package_namespace():
+    # the package re-exports only the tour's names, so the tour is what pins them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(tour, scope)
+    assert abs(scope["parity"]) <= 1e-14
+    assert abs(scope["f_q"] - 16) <= 1e-14 * 16
+
+
 def test_noon_sampling_requires_noon():
     cfg = ScenarioConfig(scenario="fock", n=4)
     with pytest.raises(ConfigError):
