@@ -39,7 +39,8 @@ For every op it prints whether the exit code, the stdout, the stderr and
 the CSV are byte-identical, then the worst difference per CSV column over
 all ops, scaled by max(1, |x|), with the number of numeric cells that moved
 and of the ops they are in, and the cells whose empty/inf/nan pattern
-changed.
+changed.  It ends with each tree's ``mzlab/*.py`` line total, counted as
+``wc -l`` counts it (newline bytes).
 Exit status: 0 if every op is byte-identical and every second pass of the
 new tree wrote the bytes of its first, 1 otherwise.
 """
@@ -299,6 +300,11 @@ def run_tree(src: Path, ops, workdir: Path) -> dict:
     return results
 
 
+def line_total(src: Path) -> int:
+    """The newline bytes of the tree's ``mzlab/*.py``: the total line of ``wc -l src/mzlab/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "mzlab").glob("*.py"))
+
+
 def _read(path: Path) -> str | None:
     return path.read_text(encoding="utf-8") if path.exists() else None
 
@@ -345,9 +351,10 @@ def main() -> int:
     ap.add_argument("--seeds", default="1-3", help="workload seeds, e.g. 1-3 or 1,5,7919 (default 1-3)")
     args = ap.parse_args()
     ops = workload_ops(_seeds(args.seeds))
+    srcs = {"old": _src_dir(args.old_tree), "new": _src_dir(args.new_tree)}
     with tempfile.TemporaryDirectory() as tmp:
-        old = run_tree(_src_dir(args.old_tree), ops, Path(tmp) / "old")
-        new = run_tree(_src_dir(args.new_tree), ops, Path(tmp) / "new")
+        old = run_tree(srcs["old"], ops, Path(tmp) / "old")
+        new = run_tree(srcs["new"], ops, Path(tmp) / "new")
     argv_of = {**dict(ops), "after_edge:0": AFTER_EDGE_OP, "fresh:0": AFTER_EDGE_OP,
                **{f"overwrite:{i}": [*argvs[0], "then", *argvs[1]] for i, argvs in enumerate(OVERWRITE_OPS)},
                **{f"config:{i}": [*argv, "--config", ascii(text)] for i, (text, argv) in enumerate(CONFIG_OPS)}}
@@ -384,6 +391,7 @@ def main() -> int:
             print(f"  {name:24s} {val:.3g}  ({cells} cells in {ops} ops)")
         for name, count in sorted(pattern.items()):
             print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
+    print("mzlab/*.py lines (wc -l): " + ", ".join(f"{side} {line_total(src):,}" for side, src in srcs.items()))
     return 0 if identical == total and not stale["new"] else 1
 
 

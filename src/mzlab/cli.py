@@ -34,7 +34,6 @@ from .scenarios import (
     EPS_TRUNC_DEFAULT,
     SCENARIO_NAMES,
     ScenarioConfig,
-    config_from_values,
     load_config_file,
     run_metric_check,
     run_noon_sampling,
@@ -147,7 +146,7 @@ def _assemble_config(command: str, given: dict) -> ScenarioConfig:
         values.update(zip(("phi_start", "phi_stop", "phi_steps"), _parse_phi_range(given.pop("phi"))))
     if "eta" in given:
         values["eta_a"] = values["eta_b"] = given.pop("eta")
-    return config_from_values(values | given)
+    return ScenarioConfig(**(values | given))
 
 
 def main(argv=None) -> int:

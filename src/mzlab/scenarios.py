@@ -280,8 +280,7 @@ def coherent_probe(cfg: ScenarioConfig) -> ProductProbe:
     """Post-splitter coherent pair |alpha>|beta> on a verified basis."""
     a = auto_coherent(cfg.alpha_mag * np.exp(1j * cfg.theta1), cfg.epsilon_trunc)
     b = auto_coherent(cfg.beta_mag * np.exp(1j * cfg.theta2), cfg.epsilon_trunc)
-    n_cap = cfg.n_cap if cfg.n_cap is not None else a.cutoff + b.cutoff
-    return product_probe(a, b, n_cap, cfg.epsilon_trunc)
+    return product_probe(a, b, cfg.n_cap, cfg.epsilon_trunc)
 
 
 def squeezed_probe(cfg: ScenarioConfig) -> ProductProbe:
@@ -290,8 +289,7 @@ def squeezed_probe(cfg: ScenarioConfig) -> ProductProbe:
         raise ConfigError(f"squeezed scenario requires |alpha|^2 >= 8 sinh(r)^2; got |alpha| = {cfg.alpha_mag:.3g}, r = {cfg.r:.3g}")
     a = auto_coherent(cfg.alpha_mag * np.exp(1j * cfg.f_effective()), cfg.epsilon_trunc)
     b = auto_squeezed(SqueezeParams(cfg.r, cfg.theta), cfg.epsilon_trunc)
-    n_cap = cfg.n_cap if cfg.n_cap is not None else a.cutoff + b.cutoff
-    return product_probe(a, b, n_cap, cfg.epsilon_trunc, bs1=True)
+    return product_probe(a, b, cfg.n_cap, cfg.epsilon_trunc, bs1=True)
 
 
 # --------------------------------------------------------------------------
@@ -646,9 +644,3 @@ def config_lines(cfg: ScenarioConfig) -> list[str]:
             text = str(val)
         out.append(f"{fld.name} = {text}")
     return out
-
-
-def config_from_values(values: dict) -> ScenarioConfig:
-    if unknown := [key for key in values if key not in _CONFIG_FIELDS]:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    return ScenarioConfig(**values)

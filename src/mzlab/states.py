@@ -174,10 +174,12 @@ class ProductProbe(NamedTuple):
 
 
 def product_probe(
-    a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int, eps_trunc: float = EPS_TRUNC_DEFAULT, bs1: bool = False
+    a: SingleModeAmplitudes, b: SingleModeAmplitudes, n_cap: int | None = None, eps_trunc: float = EPS_TRUNC_DEFAULT, bs1: bool = False
 ) -> ProductProbe:
     """a (x) b restricted to n1 + n2 <= n_cap, refused when its deficit is above ``eps_trunc`` (a nan one always is);
-    the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs."""
+    the kept mass is the truncated pair sum of |a|^2 and |b|^2, linear in the two cutoffs.  The default cap,
+    ``a.cutoff + b.cutoff``, keeps every pair of the two cutoffs."""
+    n_cap = a.cutoff + b.cutoff if n_cap is None else n_cap
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     deficit = _deficit(np.multiply(*pair_operands(np.abs(a.amps) ** 2, np.abs(b.amps) ** 2, n_cap)))

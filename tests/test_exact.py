@@ -37,6 +37,11 @@ e^{-|a|^2/2} a^n / sqrt(n!) and cosh(r)^{-1/2} (-tanh r)^k sqrt((2k)!) /
 (2^k k!) at n = 2k (odd n hold exactly 0), on every entry of at least
 ``AMP_FLUSH``.  ``COHERENT_AMP_WORST`` and ``SQUEEZED_AMP_WORST`` pin the
 largest relative error |x - ref| / |ref| in the same way.
+
+A coherent sweep's ``qfi`` and ``var_o`` are compared with the closed forms
+of the untruncated pair, 4 |beta|^2 and (|alpha|^2 + |beta|^2) / 4 (the
+latter at every phi), and ``COHERENT_SWEEP_WORST`` pins their relative
+errors in the same way.  These hold truncation and rounding together.
 """
 
 import cmath
@@ -212,6 +217,23 @@ def test_coherent_table_rows_stay_within_their_pinned_distance_from_exact(beta):
         assert value <= bound, f"coherent beta={beta} {column}: {value:.4g} eps from exact, pinned at {bound}"
 
 
+# (|alpha|, |beta|) -> the relative errors of a coherent sweep's qfi from 4 |beta|^2 and of its worst var_o from
+# (|alpha|^2 + |beta|^2) / 4, the closed forms of the untruncated pair, on the probe at its default cap
+COHERENT_SWEEP_WORST = {
+    (2, 2): (1.78e-15, 8.00e-15), (2, 30): (5.18e-13, 1.61e-14), (30, 30): (5.18e-13, 1.82e-12),
+    (2, 100): (2.99e-12, 4.37e-14), (2, 300): (1.22e-9, 2.82e-13), (300, 300): (2.60e-9, 6.19e-9),
+}
+
+
+@pytest.mark.parametrize("alpha, beta", list(COHERENT_SWEEP_WORST), ids=[f"{a}-{b}" for a, b in COHERENT_SWEEP_WORST])
+def test_coherent_sweep_stays_within_its_pinned_error_from_its_closed_forms(alpha, beta):
+    table = run_sweep(ScenarioConfig(scenario="coherent", alpha_mag=alpha, beta_mag=beta))
+    f_q, var = 4 * beta**2, (alpha**2 + beta**2) / 4
+    got = abs(float(table.qfi) - f_q) / f_q, max(abs(x - var) for x in table.var_o.tolist()) / var
+    for column, value, bound in zip(("qfi", "var_o"), got, COHERENT_SWEEP_WORST[alpha, beta], strict=True):
+        assert value <= bound, f"coherent {alpha}/{beta} {column}: {value:.4g} from its closed form, pinned at {bound}"
+
+
 @pytest.mark.parametrize("scenario, n", list(FIXED_TABLE_WORST), ids=[f"{s}-{n}" for s, n in FIXED_TABLE_WORST])
 def test_fixed_n_table_rows_stay_within_their_pinned_distance_from_exact(scenario, n):
     got = fixed_table_distances(scenario, n)
@@ -241,7 +263,7 @@ COHERENT_AMP_WORST = {
     38.0: 7.68e-14, 100.0: 1.01e-13,
 }
 # r -> the largest relative error of auto_squeezed's amplitudes
-SQUEEZED_AMP_WORST = {0.3: 7.05e-15, 0.95: 3.05e-14, 1.5: 2.58e-13}
+SQUEEZED_AMP_WORST = {0.3: 7.05e-15, 0.95: 3.05e-14, 1.5: 2.58e-13, 2.5: 1.36e-11, 3.0: 4.07e-11}
 
 
 def _worst_relative_error(amps, ref) -> float:

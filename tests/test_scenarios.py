@@ -25,7 +25,6 @@ from mzlab.scenarios import (
     _assemble_table,
     _phi_text,
     coherent_probe,
-    config_from_values,
     config_lines,
     noon_output_distribution,
     parse_config_text,
@@ -786,7 +785,7 @@ def test_metric_rate_matches_the_exact_finite_step_rate(beta, noon_n, h):
 def test_config_text_round_trip():
     cfg = ScenarioConfig(scenario="noon", n=6, eta_a=0.8, eta_b=0.75, trials=5000, seed=11, post_select=True, phi_steps=21)
     text = "\n".join(config_lines(cfg))
-    reloaded = config_from_values(parse_config_text(text))
+    reloaded = ScenarioConfig(**parse_config_text(text))
     assert reloaded == cfg
 
 
@@ -795,7 +794,7 @@ def test_config_text_round_trip_with_optional_fields():
     cfg = ScenarioConfig(scenario="coherent", f=0.25, sample_phi=0.125, n_cap=30, post_select=False, phi_steps=21)
     text = "\n".join(config_lines(cfg))
     assert {"f = 0.25", "sample_phi = 0.125", "n_cap = 30", "post_select = false"} <= set(text.splitlines())
-    reloaded = config_from_values(parse_config_text(text))
+    reloaded = ScenarioConfig(**parse_config_text(text))
     assert reloaded == cfg
     assert [type(v) for v in astuple(reloaded)] == [type(v) for v in astuple(cfg)]  # 30.0 == 30, so check types too
 
@@ -803,7 +802,7 @@ def test_config_text_round_trip_with_optional_fields():
 def test_config_round_trip_reproduces_runs(tmp_path):
     cfg = ScenarioConfig(scenario="noon", n=3, phi_steps=21)
     text = "\n".join(config_lines(cfg))
-    again = config_from_values(parse_config_text(text))
+    again = ScenarioConfig(**parse_config_text(text))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_sweep(cfg).write_csv(a)
     run_sweep(again).write_csv(b)
@@ -845,9 +844,8 @@ def test_config_is_frozen_and_checked_whenever_one_is_built():
         ScenarioConfig(scenario="fock", n=0)
     with pytest.raises(ConfigError):
         replace(cfg, n=0)
-    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
-        config_from_values({"n": 3, "bogus": 1})
-    assert config_from_values({"scenario": "fock", "n": 3}) == cfg
+    with pytest.raises(TypeError, match="'bogus'"):  # a library caller's unknown key; the CLI never passes one
+        ScenarioConfig(**{"n": 3, "bogus": 1})
 
 
 # each scenario's declared fields, one at a time, moved off a base config

@@ -537,3 +537,14 @@ def test_product_probe_deficit_matches_the_convolution(pair):
     for n_cap in (default, default - 1, default - 7, default // 2, default // 5, 0):  # at, below, well below
         got = product_probe(a, b, n_cap, eps_trunc=1.0).deficit
         assert got == pytest.approx(_convolved_deficit(a, b, n_cap), abs=1e-15), n_cap
+
+
+@pytest.mark.parametrize("pair", ["coherent", "squeezed"])
+def test_product_probe_default_cap_keeps_every_pair_of_the_two_cutoffs(pair):
+    a, b, bs1 = {
+        "coherent": lambda: (auto_coherent(2.0), auto_coherent(1.5j), False),
+        "squeezed": lambda: (auto_coherent(4.0j), auto_squeezed(SqueezeParams(1.0)), True),
+    }[pair]()
+    got, want = product_probe(a, b, None, bs1=bs1), product_probe(a, b, a.cutoff + b.cutoff, bs1=bs1)
+    for name, x, y in zip(want._fields, got, want, strict=True):
+        assert x is y or x == y, name
