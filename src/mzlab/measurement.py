@@ -9,8 +9,9 @@ is exact while avoiding density matrices entirely.
 Monte Carlo sampling draws i.i.d. counts by inverse CDF over the outcomes
 ordered by (total, l1): a uniform u lands on the first outcome whose CDF
 value exceeds it.  Trials are split into fixed-size chunks of 2**16, chunk c
-seeded from (seed, c); the merged histogram is therefore identical however
-the chunks are distributed over workers.
+seeded from (seed, c).  The chunks run on one thread per usable CPU, at most
+one per chunk; the per-thread counts are integers, so their sum, and the
+histogram, is the same bit for bit for any number of threads.
 
 A histogram needs only the number of uniforms in each CDF interval, so the
 sampler counts buckets instead of searching the CDF once per trial.  [0, 1)
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+import threading
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
@@ -123,6 +125,10 @@ def _bucket_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo != hi
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogram:
     """Draw ``trials`` i.i.d. outcomes; reproducible and chunk-parallelizable.
 
@@ -132,6 +138,8 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     [0, 1) (see the module docstring): a clean bucket's count goes to its one
     outcome after the last chunk.  At most K of the 4096 buckets are dirty, and
     only the uniforms that fall in one, about K / 4096 of them, are searched.
+    Worker w of W = min(usable CPUs, chunks) counts chunks w, w + W, ...; worker 0
+    is the calling thread, and every other is joined before the call returns.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,24 +148,45 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     cdf /= cdf[-1]  # distribution may carry a truncation deficit ~1e-12
     last = cdf.size - 1
     lo, dirty = _bucket_table(cdf)
-    occupancy = np.zeros(cdf.size, dtype=np.int64)
-    per_bucket = np.zeros(_BUCKETS, dtype=np.int64)
+    chunks = -(-trials // _SAMPLE_CHUNK)
+    workers = min(_usable_cpus(), chunks)
     size = min(_SAMPLE_CHUNK, trials)
-    # one set of buffers for every chunk: fresh 512 KB arrays would page-fault each time
-    uniforms, buckets, in_dirty = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_SAMPLE_CHUNK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        u = rng.random(out=uniforms[:n])
-        g = buckets[:n]
-        np.multiply(u, _BUCKETS, out=g, casting="unsafe")  # exact product; u >= 0, so the cast is floor
-        per_bucket += np.bincount(g, minlength=_BUCKETS)
-        hits = np.searchsorted(cdf, u[dirty.take(g, out=in_dirty[:n])], side="right")
-        occupancy += np.bincount(np.minimum(hits, last), minlength=cdf.size)
-        done += n
-        chunk_index += 1
+    tallies, errors = [], []
+
+    def work(w: int) -> None:  # chunks w, w + workers, ...; an error stops every worker at its next chunk
+        try:
+            occupancy, per_bucket = np.zeros(cdf.size, dtype=np.int64), np.zeros(_BUCKETS, dtype=np.int64)
+            # one set of buffers for all of a worker's chunks: fresh 512 KB arrays would page-fault each time
+            uniforms, buckets, in_dirty = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+            for chunk_index in range(w, chunks, workers):
+                if errors:
+                    return
+                n = min(_SAMPLE_CHUNK, trials - chunk_index * _SAMPLE_CHUNK)
+                rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+                u = rng.random(out=uniforms[:n])
+                g = buckets[:n]
+                np.multiply(u, _BUCKETS, out=g, casting="unsafe")  # exact product; u >= 0, so the cast is floor
+                per_bucket += np.bincount(g, minlength=_BUCKETS)
+                hits = np.searchsorted(cdf, u[dirty.take(g, out=in_dirty[:n])], side="right")
+                occupancy += np.bincount(np.minimum(hits, last), minlength=cdf.size)
+            tallies.append((occupancy, per_bucket))
+        except BaseException as exc:  # re-raised in the calling thread, after every worker is joined
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            t = threading.Thread(target=work, args=(w,))
+            t.start()
+            threads.append(t)
+    except BaseException as exc:  # a thread that cannot start: the started ones stop, and it is raised below
+        errors.append(exc)
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    occupancy, per_bucket = (sum(parts) for parts in zip(*tallies))  # integer sums: the same in any order
     clean = ~dirty
     np.add.at(occupancy, lo[clean], per_bucket[clean])
     counts = np.empty_like(occupancy)

@@ -3,17 +3,21 @@ import contextlib
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzlab.cli
+import mzlab.measurement
 import mzlab.optics
 import mzlab.scenarios
 from mzlab.cli import main
@@ -439,13 +443,16 @@ def test_cli_import_loads_no_scipy():
 def test_sweeps_and_tables_load_no_random_sampler(tmp_path):
     # only sample draws random numbers; numpy loads numpy.random on first use, so no other command pays for it
     out = str(tmp_path / "x.csv")
-    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; import mzlab.cli; "
-            "rc = [mzlab.cli.main(a + ['--out', sys.argv[1]]) for a in "
+    # nor does any of them start a thread: only the sampler spreads its chunks over the CPUs
+    code = ("import sys, threading, numpy; eager = 'numpy.random' in sys.modules; started = []; "
+            "start = threading.Thread.start; threading.Thread.start = lambda t: (started.append(t), start(t))[1]; "
+            "import mzlab.cli; rc = [mzlab.cli.main(a + ['--out', sys.argv[1]]) for a in "
             "(['sweep', '--scenario', 'fock', '--n', '4'], ['qfi-table'], ['metric-check'])]; "
-            "print(eager, rc, 'numpy.random' in sys.modules)")
+            "print(len(started), eager, rc, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, out], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    eager, rest = proc.stdout.splitlines()[-1].split(" ", 1)  # the tables print their paths first
+    threads, eager, rest = proc.stdout.splitlines()[-1].split(" ", 2)  # the tables print their paths first
+    assert threads == "0"
     if eager == "True":
         pytest.skip("this numpy loads numpy.random with numpy itself")
     assert rest.strip() == "[0, 0, 0] False"
@@ -531,6 +538,40 @@ def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: out of memory") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_chunk", [2, 3])  # with two workers, chunk 2 is the caller's and chunk 3 a thread's
+def test_sampler_out_of_memory_in_any_worker_exits_three(bad_chunk, tmp_path, capsys, monkeypatch):
+    seed_sequence = np.random.SeedSequence
+
+    def failing(entropy):
+        if entropy[1] == bad_chunk:
+            raise MemoryError("Unable to allocate 512. KiB for an array with shape (65536,)")
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(mzlab.measurement, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np.random, "SeedSequence", failing)
+    before = threading.active_count()
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--n", "4", "--trials", "300000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory: Unable to allocate 512. KiB") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two usable CPUs")
+def test_sample_output_is_the_same_on_one_cpu_and_on_all(tmp_path):
+    one = {min(os.sched_getaffinity(0))}
+    outputs = []
+    for name, preexec in (("one", lambda: os.sched_setaffinity(0, one)), ("all", None)):
+        out = tmp_path / f"{name}.csv"
+        argv = ["sample", "--n", "8", "--eta", "0.8", "--trials", "300000", "--post-select", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "mzlab", *argv], capture_output=True, preexec_fn=preexec)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout.replace(bytes(out), b"OUT"), out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_large_coherent_sweep(tmp_path):

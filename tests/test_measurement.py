@@ -1,12 +1,15 @@
 import math
 import os
 import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mzlab.measurement
 from mzlab.cli import main
 from mzlab.errors import FilterExhaustedError
 from mzlab.fock import TwoModeState, basis_dim, index_pairs, pair_index
@@ -309,6 +312,37 @@ def test_sampling_pinned_histograms(case):
     draw, expected = _PINNED[case]
     h = draw()
     assert h.counts.tolist() == on_pairs(h.n_cap, expected).tolist()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_sampling_is_the_same_on_any_number_of_workers(cpus, monkeypatch):
+    """One worker per usable CPU, at most one per chunk, each joined before the call returns; the
+    histogram is the per-trial oracle's and the pinned one whatever the count."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(mzlab.measurement, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", Thread)
+    before = threading.active_count()
+    d = lossy_distribution(noon_output_distribution(8, math.pi / 24), 0.8, 0.7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a lost tally update would show
+    try:
+        for trials in (1, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 3, 1_000_000):
+            started.clear()
+            h = sample_counts(d, trials, seed=3)
+            assert len(started) == min(cpus, -(-trials // (1 << 16))) - 1
+            assert threading.active_count() == before
+            assert h.counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 3)).tolist()
+        pinned = [draw() for draw, _ in _PINNED]
+    finally:
+        sys.setswitchinterval(interval)
+    for h, (_, expected) in zip(pinned, _PINNED):
+        assert h.counts.tolist() == on_pairs(h.n_cap, expected).tolist()
 
 
 def test_sampling_frequency_matches_probability():
