@@ -39,8 +39,10 @@ For every op it prints whether the exit code, the stdout, the stderr and
 the CSV are byte-identical, then the worst difference per CSV column over
 all ops, scaled by max(1, |x|), with the number of numeric cells that moved
 and of the ops they are in, and the cells whose empty/inf/nan pattern
-changed.  It ends with each tree's ``mzlab/*.py`` line total, counted as
-``wc -l`` counts it (newline bytes).
+changed; and the same per numeric ``key = value`` field of stdout (the
+``sample`` report), over all ops whose stdout differs.  It ends with each
+tree's ``mzlab/*.py`` line total, counted as ``wc -l`` counts it (newline
+bytes).
 Exit status: 0 if every op is byte-identical and every second pass of the
 new tree wrote the bytes of its first, 1 otherwise.
 """
@@ -54,6 +56,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -316,6 +319,25 @@ def _cell(text: str) -> float | None:
         return None
 
 
+def _fold_cell(name: str, a: str, b: str, worst: dict, pattern: dict, cells: dict) -> None:
+    """Fold one cell pair of column or field ``name`` into ``worst``/``pattern`` and count it in ``cells`` if it moved."""
+    x, y = _cell(a), _cell(b)
+    if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+        if a != b:  # empty, text, inf or nan cells must match exactly
+            pattern[name] = pattern.get(name, 0) + 1
+        return
+    worst[name] = max(worst.get(name, 0.0), abs(x - y) / max(1.0, abs(x)))
+    if a != b:
+        cells[name] = cells.get(name, 0) + 1
+
+
+def _tally(cells: dict, moved: dict) -> None:
+    for name, count in cells.items():
+        tally = moved.setdefault(name, [0, 0])
+        tally[0] += count
+        tally[1] += 1
+
+
 def compare_csv(old: str, new: str, worst: dict, pattern: dict, moved: dict) -> None:
     """Fold the scaled differences of two CSV texts into ``worst``/``pattern``, per column name, and the
     numeric cells whose text changed into ``moved`` (column name -> [cells, ops])."""
@@ -323,22 +345,36 @@ def compare_csv(old: str, new: str, worst: dict, pattern: dict, moved: dict) -> 
     if not old_rows or not new_rows or old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
         pattern["<shape or header>"] = pattern.get("<shape or header>", 0) + 1
         return
-    header = old_rows[0]
     cells: dict[str, int] = {}
     for orow, nrow in zip(old_rows[1:], new_rows[1:]):
-        for name, a, b in zip(header, orow, nrow):
-            x, y = _cell(a), _cell(b)
-            if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
-                if a != b:  # empty, text, inf or nan cells must match exactly
-                    pattern[name] = pattern.get(name, 0) + 1
-                continue
-            worst[name] = max(worst.get(name, 0.0), abs(x - y) / max(1.0, abs(x)))
-            if a != b:
-                cells[name] = cells.get(name, 0) + 1
-    for name, count in cells.items():
-        tally = moved.setdefault(name, [0, 0])
-        tally[0] += count
-        tally[1] += 1
+        for name, a, b in zip(old_rows[0], orow, nrow):
+            _fold_cell(name, a, b, worst, pattern, cells)
+    _tally(cells, moved)
+
+
+_FIELD = re.compile(r"(\w+) = (\S+)")
+
+
+def compare_stdout(old: str, new: str, worst: dict, pattern: dict, moved: dict) -> None:
+    """As :func:`compare_csv`, over the ``key = value`` fields of two stdout texts, taken in order."""
+    old_fields, new_fields = _FIELD.findall(old), _FIELD.findall(new)
+    if [k for k, _ in old_fields] != [k for k, _ in new_fields]:
+        pattern["<fields>"] = pattern.get("<fields>", 0) + 1
+        return
+    cells: dict[str, int] = {}
+    for (name, a), (_, b) in zip(old_fields, new_fields):
+        _fold_cell(name, a, b, worst, pattern, cells)
+    _tally(cells, moved)
+
+
+def _report(title: str, worst: dict, pattern: dict, moved: dict) -> None:
+    if worst or pattern:
+        print(f"worst scaled difference |new - old| / max(1, |old|) per {title}:")
+        for name, val in sorted(worst.items()):
+            cells, ops = moved.get(name, (0, 0))
+            print(f"  {name:24s} {val:.3g}  ({cells} cells in {ops} ops)")
+        for name, count in sorted(pattern.items()):
+            print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
 
 
 def main() -> int:
@@ -361,6 +397,9 @@ def main() -> int:
     worst: dict[str, float] = {}
     pattern: dict[str, int] = {}
     moved: dict[str, list[int]] = {}
+    out_worst: dict[str, float] = {}
+    out_pattern: dict[str, int] = {}
+    out_moved: dict[str, list[int]] = {}
     identical = 0
     for op_id in sorted(old.keys() | new.keys(), key=lambda k: [int(p) if p.isdigit() else p for p in k.split(":")]):
         o, n = old.get(op_id), new.get(op_id)
@@ -372,6 +411,8 @@ def main() -> int:
         identical += all(same.values())
         if o["csv"] is not None and n["csv"] is not None and o["csv"] != n["csv"]:
             compare_csv(o["csv"], n["csv"], worst, pattern, moved)
+        if not same["stdout"]:
+            compare_stdout(o["stdout"], n["stdout"], out_worst, out_pattern, out_moved)
         marks = "  ".join(f"{k} {'same' if v else 'DIFF'}" for k, v in same.items())
         rc = o["rc"] if o["rc"] == n["rc"] else f"{o['rc']}->{n['rc']}"
         print(f"{op_id:28s} rc {rc!s:6s} {marks}  {' '.join(argv_of.get(op_id, []))}")
@@ -384,13 +425,8 @@ def main() -> int:
              for side, res in (("old", old), ("new", new))}
     print("second pass of the workload ops over their first-pass CSVs: "
           + ", ".join(f"{side} {'same' if not ids else 'DIFF in ' + ' '.join(ids)}" for side, ids in stale.items()))
-    if worst or pattern:
-        print("worst scaled difference |new - old| / max(1, |old|) per column, over the differing CSVs:")
-        for name, val in sorted(worst.items()):
-            cells, ops = moved.get(name, (0, 0))
-            print(f"  {name:24s} {val:.3g}  ({cells} cells in {ops} ops)")
-        for name, count in sorted(pattern.items()):
-            print(f"  {name:24s} {count} empty/inf/nan/text cells differ")
+    _report("column, over the differing CSVs", worst, pattern, moved)
+    _report("numeric `key = value` stdout field, over the differing stdouts", out_worst, out_pattern, out_moved)
     print("mzlab/*.py lines (wc -l): " + ", ".join(f"{side} {line_total(src):,}" for side, src in srcs.items()))
     return 0 if identical == total and not stale["new"] else 1
 

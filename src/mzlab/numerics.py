@@ -20,6 +20,14 @@ def log_factorials(n_max: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
 
 
+def binomial_weights(n: int) -> np.ndarray:
+    """C(n, k) / 2^n for k = 0..n, each from the exact integer C(n, k) by one correctly rounded int / int division."""
+    c, d = [1], 2**n  # C(n, k) by the exact integer recurrence, and 2^n
+    for k in range(n):
+        c.append(c[-1] * (n - k) // (k + 1))
+    return np.array([x / d for x in c], dtype=np.float64)
+
+
 def binomial_thinning_matrix(l_max: int, eta: float) -> np.ndarray:
     """Column-stochastic matrix T with T[k, l] = C(l, k) eta^k (1-eta)^(l-k).
 

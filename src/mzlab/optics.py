@@ -48,7 +48,9 @@ Convention notes, fixed once here and relied on everywhere else:
   the output-port parity of a NOON probe exactly +cos(N phi) for every N;
   the bare exp(i pi/2 Jx) yields (-1)^(N/2) cos(N phi) / +-sin(N phi)
   depending on N mod 4, which is the same fringe up to an unobservable
-  phase origin.
+  phase origin.  Every entry of its one-photon block is an eighth turn over
+  sqrt(2), so a NOON probe's two columns of block N are binomial
+  (``bs2_jx_edges``) and no CLI path climbs its ladder.
 
 Sweep readouts are evaluated harmonically.  The arm phase is generated by
 n2 (``mode_b``) or Jz (``relative``), whose spectra step by whole units
@@ -56,8 +58,8 @@ inside a fixed-total block, and every readout used here conserves the
 total photon number.  So each swept moment is an exact trigonometric
 polynomial Re(sum_d c_d e^{i d phi}) whose coefficients are sums over the
 probe: ``exchange_harmonics`` (degree 1 and 2) and ``parity_harmonics``
-(degree N) compute them once, and ``eval_harmonics`` evaluates a whole
-grid in one expression.
+(degree N, a NOON probe on ``BS2_JX``'s two edge columns) compute them once,
+and ``eval_harmonics`` evaluates a whole grid in one expression.
 
 Product probes skip the two-mode state.  When the probe is U (|a> (x) |b>)
 with single-mode inputs a, b and a passive U, a readout sum <P> equals
@@ -96,8 +98,8 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import TwoModeState, block_slice, index_pairs
-from .numerics import pair_operands
+from .fock import TwoModeState, block_slice, index_pairs, pair_index
+from .numerics import binomial_weights, pair_operands
 
 AngularAxis = Literal["x", "y", "z"]
 PhaseConvention = Literal["relative", "mode_b"]
@@ -137,6 +139,14 @@ _C_JX = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)]) @ (
     np.array([[1, 1j], [1j, 1]]) / _RT2
 )
 BS2_JX = BeamSplitterSpec(_C_JX.conj(), "bs2_jx")
+
+
+def bs2_jx_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, signs) of columns 0 and N of ``BS2_JX``'s block N: |U_k0|^2 = |U_kN|^2 = w_k = C(N, k) / 2^N, rounded
+    once, and conj(U_k0) U_kN = signs_k w_k, signs_k = (-1)^(N-k) exactly.  The columns are (g00 a+ + g10 b+)^N and
+    (g01 a+ + g11 b+)^N on the vacuum over sqrt(N!), and every entry of the one-photon block g is an eighth turn over
+    sqrt(2): |g|^2 = 1/2, conj(g00) g01 = -1/2 and conj(g10) g11 = +1/2."""
+    return binomial_weights(n), np.where(np.arange(n, -1, -1) % 2 == 0, 1.0, -1.0)
 
 
 # --------------------------------------------------------------------------
@@ -254,34 +264,21 @@ def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeSt
 
 @functools.lru_cache(maxsize=64)
 def _bs_block(matrix: bytes, total: int) -> np.ndarray:
-    """Block ``total`` of the splitter whose mode matrix has the bytes ``matrix``, memoized.
-
-    Only single blocks are kept, never the ladder below them.  The bound is a
-    count: a small-probe benchmark pass asks for at most 10 (splitter, total)
-    pairs, and 64 blocks of totals up to N hold at most 64 x 16 (N+1)^2 bytes.
-    """
+    """Block ``total`` of the splitter whose mode matrix has the bytes ``matrix``, memoized: single blocks, never
+    the ladder below them, and a bound on their count: 64 blocks of totals up to N hold 64 x 16 (N+1)^2 bytes."""
     return _climb(np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2).conj().T, total)
 
 
-def _walk(s: TwoModeState, spec: BeamSplitterSpec):
-    """(total, splitter block) for each occupied block of ``s``.
-
-    The lowest comes from the memo and each later block is one ladder step
-    up, so every block equals the one climbed from block 0.
-    """
+def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:
+    """Apply the element block-diagonally, exactly photon-number conserving: the lowest occupied block comes from
+    the memo and each later one is one ladder step up, so every block equals the one climbed from block 0."""
+    out = np.zeros_like(s.amps)
     occupied = {total for total in range(s.n_cap + 1) if s.amps[block_slice(total)].any()}
     u = None
     for total in range(min(occupied, default=0), max(occupied, default=-1) + 1):
         u = _bs_block(spec.matrix.tobytes(), total) if u is None else _ladder_step(u, spec.matrix.conj().T)
         if total in occupied:
-            yield total, u
-
-
-def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:
-    """Apply the element block-diagonally; exactly photon-number conserving."""
-    out = np.zeros_like(s.amps)
-    for total, u in _walk(s, spec):
-        out[block_slice(total)] = u @ s.amps[block_slice(total)]
+            out[block_slice(total)] = u @ s.amps[block_slice(total)]
     return s.with_amps(out)
 
 
@@ -322,27 +319,21 @@ def _exchange_coeffs(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_harmonics(s: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier coefficients in phi of the output parity <(-1)^l1> and its square.
+    """Fourier coefficients in phi of the output parity <(-1)^l1> and its square on v0 |N,0> + vN |0,N>, N = n_cap.
 
-    The phase is the ``relative`` one, exp(-i phi m), and ``BS2_JX`` closes
-    the interferometer.  On a block with splitter block U the parity pulls
-    back to M = U^dagger Pi_a U, and with m_k - m_l = l - k inside the block
-
-        <Pi_a>(phi) = sum_{k,l} conj(psi_k) M_kl psi_l e^{i (l - k) phi},
-
-    so the coefficient of e^{i d phi} is the d-th diagonal sum of
-    conj(psi) M psi.  That matrix is Hermitian, so the d < 0 terms fold into
-    twice the real part of the d > 0 ones.  Parity squares to one, so the
-    second moment is the squared norm at every phi.
+    Any other nonzero amplitude is refused.  The ``relative`` phase, ``BS2_JX``'s edge columns
+    (:func:`bs2_jx_edges`) and parity signs_k on row k of block N give <Pi_a>(phi) =
+    (|v0|^2 + |vN|^2) fsum(signs w) + 2 Re(conj(v0) vN e^{i N phi}) fsum(w); the second moment is the squared norm.
     """
-    coeffs = np.zeros(s.n_cap + 1, dtype=np.complex128)
-    for total, u in _walk(s, BS2_JX):
-        v = s.amps[block_slice(total)]
-        parity = np.where(np.arange(total, -1, -1) % 2 == 0, 1.0, -1.0)  # (-1)^n1 down the block
-        g = v.conj()[:, None] * (u.conj().T @ (parity[:, None] * u)) * v[None, :]
-        coeffs[0] += np.trace(g)
-        for d in range(1, total + 1):
-            coeffs[d] += 2.0 * np.trace(g, offset=d)
+    n = s.n_cap
+    edges = [pair_index(n, 0), pair_index(0, n)]
+    if n < 1 or np.delete(s.amps, edges).any():
+        raise ValueError("the parity readout takes a state on |N,0> and |0,N> alone, N = n_cap >= 1")
+    v0, vn = s.amps[edges]
+    w, signs = bs2_jx_edges(n)
+    coeffs = np.zeros(n + 1, dtype=np.complex128)
+    coeffs[0] = (abs(v0) ** 2 + abs(vn) ** 2) * math.fsum(signs * w)
+    coeffs[n] = 2 * v0.conjugate() * vn * math.fsum(w)
     return coeffs, np.array([s.squared_norm()])
 
 

@@ -38,13 +38,14 @@ one pass over the probe (``optics.exchange_harmonics``,
 readout of the coherent and Fock scenarios rests on the pullback identity:
 through ``BS2_JY`` the output half difference (l1 - l2)/2 equals Jx inside
 the interferometer, moment by moment, so ``jz_half`` and ``jx_half`` share
-one kernel and no ``BS2_JY`` block is built.  Direct evolution (phase,
-splitter and count distribution at each phi) remains the reference the
-tests compare against, and ``noon_output_distribution`` still uses it for
-Monte Carlo sampling.  Each scenario is one ``Scenario`` entry of
-``SCENARIOS``, run by :func:`run_sweep`; the Fisher-information table and
-the metric cross-check take their probes, readouts and arm phases from the
-same entries.
+one kernel and no ``BS2_JY`` block is built.  The NOON parity and the
+count distribution ``sample`` draws from read ``BS2_JX``'s two edge columns
+(``optics.bs2_jx_edges``), so no ``BS2_JX`` block is built either.  Direct
+evolution (phase, splitter and count distribution at each phi) remains
+the reference the tests compare against.  Each scenario is one
+``Scenario`` entry of ``SCENARIOS``, run by :func:`run_sweep`; the
+Fisher-information table and the metric cross-check take their probes,
+readouts and arm phases from the same entries.
 
 The coherent and squeezed probes are products of two single-mode inputs
 (the squeezed one followed by BS1), so their probe is a
@@ -86,22 +87,22 @@ from .estimation import (
     phase_family,
     qfi_analytic,
 )
-from .fock import TwoModeState, basis_dim
+from .fock import TwoModeState, basis_dim, block_slice
 from .measurement import (
+    CountDistribution,
     CountHistogram,
     ParityEstimate,
     lossy_distribution,
     parity_expectation,
-    photon_distribution,
     parity_from_histogram,
     sample_counts,
     write_text,
 )
 from .optics import (
     BS1_SYMMETRIC,
-    BS2_JX,
     PhaseConvention,
     beam_splitter,
+    bs2_jx_edges,
     eval_harmonics,
     exchange_harmonics,
     parity_harmonics,
@@ -418,10 +419,15 @@ def run_sweep(cfg: ScenarioConfig) -> SweepTable:
     return _assemble_table(cfg.scenario, phis, mean, second, fisher, sc.closed_form(cfg, phis), sc.convention, sc.annotation)
 
 
-def noon_output_distribution(n: int, phi: float):
-    """Exact output count distribution of the NOON probe at one phase."""
-    st = beam_splitter(phase_shift(noon_state(n), phi, SCENARIOS["noon"].phase), BS2_JX)
-    return photon_distribution(st)
+def noon_output_distribution(n: int, phi: float) -> CountDistribution:
+    """Exact output count distribution of the NOON probe at one phase: the phase leaves a on |N,0> and b on |0,N>,
+    and row k of block N is |U_k0 a + U_kN b|^2 = w_k (|a|^2 + |b|^2 + 2 signs_k Re(conj(a) b)) (``bs2_jx_edges``)."""
+    st = phase_shift(noon_state(n), phi, SCENARIOS["noon"].phase)
+    a, b = st.amplitude(n, 0), st.amplitude(0, n)
+    w, signs = bs2_jx_edges(n)
+    probs = np.zeros(basis_dim(n))
+    probs[block_slice(n)] = w * (abs(a) ** 2 + abs(b) ** 2 + 2 * signs * (a.conjugate() * b).real)
+    return CountDistribution(n, probs)
 
 
 class NoonSamplingReport(NamedTuple):

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TruncationError
-from .fock import AMP_FLUSH, TwoModeState, basis_dim, index_pairs, pair_index
-from .numerics import log_factorials, pair_operands
+from .fock import AMP_FLUSH, TwoModeState, basis_dim, block_slice, index_pairs, pair_index
+from .numerics import binomial_weights, log_factorials, pair_operands
 
 EPS_TRUNC_DEFAULT = 1e-10
 
@@ -189,19 +189,12 @@ def product_probe(
 
 
 def fock_after_symmetric_bs(n_photons: int) -> TwoModeState:
-    """State of |N> mixed with vacuum on a symmetric 50:50 splitter.
-
-    Amplitude over |k, N-k> is sqrt(C(N,k) / 2^N): an exactly normalized
-    binomial profile, with no truncation (n_cap = N).
-    """
+    """|N> mixed with vacuum on a symmetric 50:50 splitter: sqrt(C(N, k) / 2^N) on |N-k, k>, the square roots of
+    ``binomial_weights``, an exactly normalized binomial profile with no truncation (n_cap = N)."""
     if n_photons < 0:
         raise ValueError("photon number must be >= 0")
     amps = np.zeros(basis_dim(n_photons), dtype=np.complex128)
-    c = 1  # C(N, k), by the exact integer recurrence
-    for k in range(n_photons + 1):
-        # C(N,k)/2^N is rounded once by the int / int division, then once by sqrt.
-        amps[pair_index(n_photons - k, k)] = math.sqrt(c / 2**n_photons)
-        c = c * (n_photons - k) // (k + 1)
+    amps[block_slice(n_photons)] = np.sqrt(binomial_weights(n_photons))  # k = n2 runs down the block
     return TwoModeState(n_photons, amps)
 
 

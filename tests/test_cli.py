@@ -495,7 +495,7 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_overflowing_noon_grid_is_refused_before_any_splitter_block(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(mzlab.optics, "_walk", _must_not_run)  # the parity readout walks the BS2_JX blocks
+    monkeypatch.setattr(mzlab.optics, "bs2_jx_edges", _must_not_run)  # the parity readout's BS2_JX edge columns
     out = tmp_path / "x.csv"
     assert main(["sweep", "--scenario", "noon", "--n", "400", "--phi", "0:1e306:5", "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -25,6 +25,7 @@ from mzlab.optics import (
     BeamSplitterSpec,
     apply_angular,
     beam_splitter,
+    bs2_jx_edges,
     eval_harmonics,
     exchange_harmonics,
     expect_j,
@@ -249,15 +250,14 @@ def test_ladder_cache_holds_only_the_splitters_the_subcommands_use(tmp_path):
     for argv in (["sweep", "--scenario", "twin_fock", "--n", "3"], ["sweep", "--scenario", "noon", "--n", "4"],
                  ["sample", "--n", "4", "--trials", "100"], ["qfi-table"], ["metric-check"]):
         assert main(argv + ["--out", out]) == 0, argv
-    # the twin_fock probe reads BS1_SYMMETRIC block 2N; the noon parity, sample and qfi-table BS2_JX block N
-    used = [(BS1_SYMMETRIC.matrix.tobytes(), 6), (BS2_JX.matrix.tobytes(), 4)]
-    assert memo.cache_info().currsize == len(used)
+    # only the twin_fock probe reads a block, BS1_SYMMETRIC block 2N: the noon parity, sample and qfi-table read
+    # BS2_JX's edge columns, so no subcommand climbs BS2_JX
+    assert memo.cache_info().currsize == 1
     misses = memo.cache_info().misses
-    for key in used:
-        memo(*key)
-    assert memo.cache_info().misses == misses  # these are the blocks held
+    memo(BS1_SYMMETRIC.matrix.tobytes(), 6)
+    assert memo.cache_info().misses == misses  # this is the one block held, so no BS2_JX block is
     wigner_d_block(9, 0.77)
-    assert memo.cache_info().currsize == len(used)  # d-blocks keep nothing in it
+    assert memo.cache_info().currsize == 1  # d-blocks keep nothing in it
     bound = memo.cache_info().maxsize
     for total in range(bound + 5):
         memo(BS2_JY.matrix.tobytes(), total)
@@ -405,17 +405,6 @@ def test_walk_from_the_memo_matches_fresh_climbs():
     for _ in range(2):  # a miss, then a hit
         assert beam_splitter(s, spec).amps.tobytes() == s.with_amps(want).amps.tobytes()
     assert optics._bs_block.cache_info()[:2] == (1, 1)  # one miss, for the lowest occupied block, then one hit
-    # the parity readout walks the same way
-    coeffs, _ = parity_harmonics(s)
-    fresh = np.zeros(15, dtype=complex)
-    for total in (5, 6, 7, 9, 10, 11, 12):
-        v, u = s.amps[block_slice(total)], optics._climb(BS2_JX.matrix.conj().T, total)
-        parity = np.where(np.arange(total, -1, -1) % 2 == 0, 1.0, -1.0)
-        m = v.conj()[:, None] * (u.conj().T @ (parity[:, None] * u)) * v[None, :]
-        fresh[0] += np.trace(m)
-        for d in range(1, total + 1):
-            fresh[d] += 2.0 * np.trace(m, offset=d)
-    assert coeffs.tobytes() == fresh.tobytes()
 
 
 # ----- harmonic sweep kernels against direct evolution ------------------------------
@@ -437,10 +426,6 @@ def test_harmonic_kernels_match_direct_evolution(n_cap, seed, phi, sparse):
     out_mean, out_second = jz_moments(photon_distribution(beam_splitter(inside, BS2_JY)))
     assert close(mean, out_mean) and close(second, out_second)
     assert close(mean, expect_j(inside, "x")) and close(second, expect_j2(inside, "x"))
-    parity_c, norm_c = parity_harmonics(psi)
-    out = photon_distribution(beam_splitter(phase_shift(psi, phi, "relative"), BS2_JX))
-    assert close(eval_harmonics(parity_c, grid)[0], parity_expectation(out, "a"))
-    assert close(eval_harmonics(norm_c, grid)[0], out.total())
 
 
 def test_harmonic_basis_memo_stays_bounded_and_evaluations_stay_exact(rng):
@@ -460,15 +445,51 @@ def test_harmonic_basis_memo_stays_bounded_and_evaluations_stay_exact(rng):
 
 
 def test_parity_harmonics_match_noon_output_distribution():
+    # both edge-column readouts against direct evolution through the climbed BS2_JX block
     phis = np.linspace(-0.3, math.pi + 0.3, 53)
-    for n in range(1, 17):
+    for n in (*range(1, 17), 40):
         parity_c, norm_c = parity_harmonics(noon_state(n))
         assert parity_c.size == n + 1  # a degree-N trigonometric polynomial
         got, norm = eval_harmonics(parity_c, phis), eval_harmonics(norm_c, phis)
         for i, phi in enumerate(phis):
+            direct = photon_distribution(beam_splitter(phase_shift(noon_state(n), float(phi), "relative"), BS2_JX))
             d = noon_output_distribution(n, float(phi))
-            assert abs(got[i] - parity_expectation(d, "a")) <= 1e-12
-            assert abs(norm[i] - d.total()) <= 1e-12
+            assert np.abs(d.probs - direct.probs).max() <= 1e-12
+            assert abs(got[i] - parity_expectation(direct, "a")) <= 1e-12
+            assert abs(norm[i] - direct.total()) <= 1e-12
+
+
+def test_parity_harmonics_weigh_any_two_edge_amplitudes_as_direct_evolution(rng):
+    phis = np.linspace(-1.0, 4.0, 23)
+    for n in (1, 2, 5, 12):
+        amps = np.zeros(basis_dim(n), dtype=complex)
+        amps[[pair_index(n, 0), pair_index(0, n)]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        s = TwoModeState(n, amps)
+        parity_c, norm_c = parity_harmonics(s)
+        for phi, got, norm in zip(phis, eval_harmonics(parity_c, phis), eval_harmonics(norm_c, phis)):
+            out = photon_distribution(beam_splitter(phase_shift(s, float(phi), "relative"), BS2_JX))
+            assert close(got, parity_expectation(out, "a")) and close(norm, out.total())
+
+
+@pytest.mark.parametrize("n_cap, off_edge", [(3, (1, 2)), (4, (2, 2)), (4, (0, 0)), (4, (3, 0)), (0, (0, 0))])
+def test_parity_harmonics_refuse_an_amplitude_off_the_two_edges(n_cap, off_edge):
+    amps = np.zeros(basis_dim(n_cap), dtype=complex)
+    amps[pair_index(*off_edge)] = 1e-3
+    if n_cap:
+        amps[[pair_index(n_cap, 0), pair_index(0, n_cap)]] = 1 / RT2
+    with pytest.raises(ValueError, match="N,0> and .0,N> alone"):
+        parity_harmonics(TwoModeState(n_cap, amps))
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 150])
+def test_bs2_jx_edges_match_the_climbed_block(n):
+    u = optics._climb(BS2_JX.matrix.conj().T, n)
+    w, signs = bs2_jx_edges(n)
+    assert w.tolist() == [math.comb(n, k) / 2**n for k in range(n + 1)]
+    assert signs.tolist() == [(-1.0) ** (n - k) for k in range(n + 1)]
+    assert np.abs(np.abs(u[:, 0]) ** 2 - w).max() <= 1e-14
+    assert np.abs(np.abs(u[:, n]) ** 2 - w).max() <= 1e-14
+    assert np.abs(u[:, 0].conj() * u[:, n] - signs * w).max() <= 1e-14
 
 
 # ----- product-form readout against the two-mode state ------------------------------

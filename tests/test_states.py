@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from mzlab import states
 from mzlab.errors import TruncationError
 from mzlab.fock import AMP_FLUSH, inner, index_pairs
-from mzlab.numerics import log_factorials, pair_operands
+from mzlab.numerics import binomial_weights, log_factorials, pair_operands
 from mzlab.optics import BS1_SYMMETRIC, beam_splitter, product_exchange_sums
 from mzlab.scenarios import ScenarioConfig, coherent_probe, squeezed_probe
 from mzlab.states import (
@@ -462,6 +462,14 @@ def test_fock_after_symmetric_bs_matches_fraction_oracle():
         s = fock_after_symmetric_bs(n)
         for k in range(n + 1):
             assert s.amplitude(n - k, k) == math.sqrt(Fraction(math.comb(n, k), 2**n)), (n, k)
+
+
+def test_binomial_weights_are_the_exact_binomials_rounded_once():
+    # oracle: C(n,k)/2^n held exactly as a Fraction, then rounded to float; 2^1100 itself is past float range
+    for n in (*range(65), 200, 1100):
+        w = binomial_weights(n)
+        assert w.dtype == np.float64 and w.shape == (n + 1,)
+        assert w.tolist() == [float(Fraction(math.comb(n, k), 2**n)) for k in range(n + 1)], n
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
