@@ -19,8 +19,9 @@ new column k+1 with weight sqrt(n2 n2'), where the primed number belongs to
 the new column and the unprimed one to the new row (g00/g01 keep the row,
 g10/g11 move it down one), and the sum is divided by N+1.  Vacuum maps to
 +vacuum, so block N is the N-th symmetric power of G and unique.  A climb
-keeps only its current block, and ``_bs_block`` memoizes at most 64 single
-blocks, so a probe on one block of total N needs O(N^2) memory.
+keeps only its current block and nothing is memoized, so a block of total
+N needs O(N^2) memory.  No CLI path climbs: each fixed-N probe reads its
+splitter columns in closed form (``bs2_jx_edges``, ``states``).
 
 Two numerical points.  Both ladder terms are kept: the one-sided form (a+
 only, divided by sqrt(n1)) is exact in algebra but amplifies rounding by
@@ -262,21 +263,13 @@ def phase_shift(s: TwoModeState, phi: float, conv: PhaseConvention) -> TwoModeSt
 # --------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _bs_block(matrix: bytes, total: int) -> np.ndarray:
-    """Block ``total`` of the splitter whose mode matrix has the bytes ``matrix``, memoized: single blocks, never
-    the ladder below them, and a bound on their count: 64 blocks of totals up to N hold 64 x 16 (N+1)^2 bytes."""
-    return _climb(np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2).conj().T, total)
-
-
 def beam_splitter(s: TwoModeState, spec: BeamSplitterSpec) -> TwoModeState:
-    """Apply the element block-diagonally, exactly photon-number conserving: the lowest occupied block comes from
-    the memo and each later one is one ladder step up, so every block equals the one climbed from block 0."""
-    out = np.zeros_like(s.amps)
+    """Apply the element block-diagonally, exactly photon-number conserving, in one climb from block 0 to the highest
+    occupied block, so every block is the one :func:`_climb` gives; library API and test oracle, on no CLI path."""
+    out, g, u = np.zeros_like(s.amps), spec.matrix.conj().T, None
     occupied = {total for total in range(s.n_cap + 1) if s.amps[block_slice(total)].any()}
-    u = None
-    for total in range(min(occupied, default=0), max(occupied, default=-1) + 1):
-        u = _bs_block(spec.matrix.tobytes(), total) if u is None else _ladder_step(u, spec.matrix.conj().T)
+    for total in range(max(occupied, default=-1) + 1):
+        u = _climb(g, 0) if u is None else _ladder_step(u, g)
         if total in occupied:
             out[block_slice(total)] = u @ s.amps[block_slice(total)]
     return s.with_amps(out)

@@ -40,9 +40,10 @@ through ``BS2_JY`` the output half difference (l1 - l2)/2 equals Jx inside
 the interferometer, moment by moment, so ``jz_half`` and ``jx_half`` share
 one kernel and no ``BS2_JY`` block is built.  The NOON parity and the
 count distribution ``sample`` draws from read ``BS2_JX``'s two edge columns
-(``optics.bs2_jx_edges``), so no ``BS2_JX`` block is built either.  Direct
-evolution (phase, splitter and count distribution at each phi) remains
-the reference the tests compare against.  Each scenario is one
+(``optics.bs2_jx_edges``), and the fock and twin-Fock probes are columns of
+``BS1``'s block in closed form (``states``), so no subcommand climbs a
+splitter ladder.  Direct evolution (phase, splitter and count distribution
+at each phi) is the reference the tests compare against.  Each scenario is one
 ``Scenario`` entry of ``SCENARIOS``, run by :func:`run_sweep`; the
 Fisher-information table and the metric cross-check take their probes,
 readouts and arm phases from the same entries.
@@ -99,9 +100,7 @@ from .measurement import (
     write_text,
 )
 from .optics import (
-    BS1_SYMMETRIC,
     PhaseConvention,
-    beam_splitter,
     bs2_jx_edges,
     eval_harmonics,
     exchange_harmonics,
@@ -119,7 +118,7 @@ from .states import (
     fock_after_symmetric_bs,
     noon_state,
     product_probe,
-    twin_fock,
+    twin_fock_after_symmetric_bs,
 )
 
 
@@ -365,7 +364,7 @@ SCENARIOS: dict[str, Scenario] = {
         lambda cfg: fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, _fock_closed, "mode_b/jz_half", ("n",)
     ),
     "twin_fock": Scenario(
-        lambda cfg: beam_splitter(twin_fock(cfg.n), BS1_SYMMETRIC), exchange_harmonics, 1.0, lambda cfg, phis: [None] * len(phis),
+        lambda cfg: twin_fock_after_symmetric_bs(cfg.n), exchange_harmonics, 1.0, lambda cfg, phis: [None] * len(phis),
         "mode_b/jx_half", ("n",), annotation="number-difference readout carries no first-order signal for a twin-Fock input",
     ),
     # reported observable is the unhalved pair exchange a+ b + b+ a

@@ -1,4 +1,4 @@
-"""Input-state preparation: coherent, squeezed vacuum, Fock, NOON, twin-Fock.
+"""Input-state preparation: coherent, squeezed vacuum, Fock, NOON, twin-Fock, and BS1's closed-form columns.
 
 Every preparation reports its truncation deficit and refuses one above the
 allowed epsilon.  ``auto_coherent``/``auto_squeezed`` build each mode once,
@@ -213,3 +213,16 @@ def twin_fock(n_photons: int) -> TwoModeState:
     if n_photons < 1:
         raise ValueError("twin-Fock state needs N >= 1")
     return TwoModeState.basis_state(2 * n_photons, n_photons, n_photons)
+
+
+def twin_fock_after_symmetric_bs(n_photons: int) -> TwoModeState:
+    """|N, N> through a symmetric 50:50 splitter (Holland and Burnett, PRL 71, 1355 (1993)), n_cap = 2N: on |2N-2l, 2l>,
+    (-1)^l sqrt(C(2l, l) C(2N-2l, N-l) / 4^N), each weight an exact integer rounded once, and exactly 0 at odd n2."""
+    if n_photons < 1:
+        raise ValueError("twin-Fock state needs N >= 1")
+    amps, n = np.zeros(basis_dim(2 * n_photons), dtype=np.complex128), n_photons  # first: too large a basis fails here
+    c, d = [1], 4**n  # C(2l, l) by the exact integer recurrence, and 4^N
+    for l in range(n):
+        c.append(c[-1] * (4 * l + 2) // (l + 1))
+    amps[block_slice(2 * n)][::2] = [(-1) ** l * math.sqrt(c[l] * c[n - l] / d) for l in range(n + 1)]  # n2 = 2l
+    return TwoModeState(2 * n, amps)

@@ -376,6 +376,11 @@ TOO_LARGE_CASES = [
     ["qfi-table", "--fock-n", "1073741823"],
     ["metric-check", "--noon-n", "1073741823"],
     ["sample", "--n", str(10**11)],
+    # under the sys.maxsize / 16 guard but past any 2^47-byte address space: the padded basis is allocated before
+    # the column's exact integers are computed, so the allocation fails at once and touches no memory
+    ["sweep", "--scenario", "twin_fock", "--n", "100000000"],
+    ["sweep", "--scenario", "fock", "--n", "100000000"],
+    ["sweep", "--scenario", "noon", "--n", "100000000"],
 ]
 
 

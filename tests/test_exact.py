@@ -99,10 +99,15 @@ WORST = {
     ("fock", 31): (0.727, 5.28, 262, 5140, 0),
     ("fock", 32): (0.43, 21.4, 276, 6440, 32),
     ("fock", 64): (0.43, 9.15, 1020, 7840, 0),
-    ("twin_fock", 1): (0, 0.87, 0.87, 0, 0),
-    ("twin_fock", 2): (0, 2.87, 2.87, 0, 1.34),
-    ("twin_fock", 4): (5.56e-17, 7.53, 7.53, 0, 3.2),
-    ("twin_fock", 8): (1.67e-16, 26.3, 26.3, 0, 8.89),
+    ("twin_fock", 1): (0, 1.34, 1.34, 0, 0),
+    ("twin_fock", 2): (0, 1.6, 1.6, 0, 0),
+    ("twin_fock", 3): (0, 1.72, 1.72, 0, 0),
+    ("twin_fock", 4): (0, 3.05, 3.05, 0, 1.6),
+    ("twin_fock", 5): (0, 3.66, 3.66, 0, 0),
+    ("twin_fock", 6): (0, 5.87, 5.87, 0, 0),
+    ("twin_fock", 7): (0, 5.34, 5.34, 0, 0),
+    ("twin_fock", 8): (0, 10.7, 10.7, 0, 0),
+    ("twin_fock", 40): (0, 257, 210, 0, 0),
     ("noon", 1): (1.24, 1, 1.62, 1420, 1),
     ("noon", 2): (1.25, 1, 1.53, 111, 1),
     ("noon", 3): (4.12, 1, 4.19, 118, 1.78),

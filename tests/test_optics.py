@@ -38,7 +38,7 @@ from mzlab.optics import (
     wigner_d_block,
 )
 from mzlab.scenarios import noon_output_distribution
-from mzlab.states import SingleModeAmplitudes, fock_after_symmetric_bs, noon_state, product_state
+from mzlab.states import SingleModeAmplitudes, fock_after_symmetric_bs, noon_state, product_state, twin_fock
 
 from conftest import random_fixed_total_state, random_state
 
@@ -243,25 +243,21 @@ def test_wigner_orthogonality_to_twice_j_100():
         assert err <= 1e-12, f"2j={tj}: {err}"
 
 
-def test_ladder_cache_holds_only_the_splitters_the_subcommands_use(tmp_path):
-    memo = optics._bs_block
-    memo.cache_clear()
+def test_no_subcommand_climbs_a_splitter_ladder(tmp_path, monkeypatch):
+    # every fixed-N probe reads its splitter columns in closed form, so no subcommand takes one ladder step
+    steps = []
+    step = optics._ladder_step
+    monkeypatch.setattr(optics, "_ladder_step", lambda u, g: steps.append(u.shape[0]) or step(u, g))
     out = str(tmp_path / "x.csv")
-    for argv in (["sweep", "--scenario", "twin_fock", "--n", "3"], ["sweep", "--scenario", "noon", "--n", "4"],
-                 ["sample", "--n", "4", "--trials", "100"], ["qfi-table"], ["metric-check"]):
+    sweeps = [["sweep", "--scenario", "coherent"], ["sweep", "--scenario", "fock", "--n", "16"],
+              ["sweep", "--scenario", "twin_fock", "--n", "40"], ["sweep", "--scenario", "noon", "--n", "64"],
+              ["sweep", "--scenario", "squeezed", "--alpha", "4", "--r", "0.95"]]
+    for argv in sweeps + [["sample", "--n", "40", "--eta", "0.9", "--trials", "1000", "--post-select"],
+                          ["qfi-table", "--noon-n", "30", "--fock-n", "40"], ["metric-check", "--noon-n", "30"]]:
         assert main(argv + ["--out", out]) == 0, argv
-    # only the twin_fock probe reads a block, BS1_SYMMETRIC block 2N: the noon parity, sample and qfi-table read
-    # BS2_JX's edge columns, so no subcommand climbs BS2_JX
-    assert memo.cache_info().currsize == 1
-    misses = memo.cache_info().misses
-    memo(BS1_SYMMETRIC.matrix.tobytes(), 6)
-    assert memo.cache_info().misses == misses  # this is the one block held, so no BS2_JX block is
-    wigner_d_block(9, 0.77)
-    assert memo.cache_info().currsize == 1  # d-blocks keep nothing in it
-    bound = memo.cache_info().maxsize
-    for total in range(bound + 5):
-        memo(BS2_JY.matrix.tobytes(), total)
-    assert memo.cache_info().currsize == bound
+    assert steps == []
+    beam_splitter(twin_fock(2), BS1_SYMMETRIC)  # the library path still climbs, through the patched step
+    assert steps == [1, 2, 3, 4]
 
 
 def test_fixed_n_sweeps_keep_no_ladder():
@@ -392,8 +388,8 @@ def test_ladder_blocks_match_euler_jacobi_oracle():
             assert err <= 1e-12, f"{spec.label} 2j={tj}: unitarity off by {err}"
 
 
-def test_walk_from_the_memo_matches_fresh_climbs():
-    # blocks 5..12 occupied except 8: the walk starts at the memo's block 5 and steps through the empty one
+def test_beam_splitter_matches_fresh_climbs():
+    # blocks 5..12 occupied except 8: one climb from block 0 applies each occupied block and steps through the rest
     spec = random_spec(1300)
     g = np.random.default_rng(1301)
     amps = np.zeros(basis_dim(14), dtype=complex)
@@ -401,10 +397,7 @@ def test_walk_from_the_memo_matches_fresh_climbs():
         amps[block_slice(total)] = g.normal(size=total + 1) + 1j * g.normal(size=total + 1)
     s = TwoModeState(14, amps)
     want = np.concatenate([optics._climb(spec.matrix.conj().T, t) @ s.amps[block_slice(t)] for t in range(15)])
-    optics._bs_block.cache_clear()
-    for _ in range(2):  # a miss, then a hit
-        assert beam_splitter(s, spec).amps.tobytes() == s.with_amps(want).amps.tobytes()
-    assert optics._bs_block.cache_info()[:2] == (1, 1)  # one miss, for the lowest occupied block, then one hit
+    assert beam_splitter(s, spec).amps.tobytes() == s.with_amps(want).amps.tobytes()
 
 
 # ----- harmonic sweep kernels against direct evolution ------------------------------

@@ -28,6 +28,7 @@ from mzlab.states import (
     product_state,
     squeezed_vacuum_amplitudes,
     twin_fock,
+    twin_fock_after_symmetric_bs,
 )
 
 
@@ -521,6 +522,29 @@ def test_twin_fock_through_splitter_matches_polynomial_oracle(n):
     # support only where n1 - n2 is even
     occupied = np.abs(out.amps) > 1e-14
     assert np.all((n1s[occupied] - n2s[occupied]) % 2 == 0)
+
+
+def test_twin_fock_column_matches_the_climbed_block():
+    # block 2N of BS1 climbed from block 0, applied to |N, N>, against the closed-form middle column
+    for n in range(1, 65):
+        column, climbed = twin_fock_after_symmetric_bs(n), beam_splitter(twin_fock(n), BS1_SYMMETRIC)
+        assert column.n_cap == climbed.n_cap == 2 * n
+        assert np.abs(column.amps - climbed.amps).max() <= 1e-14, n
+
+
+def test_twin_fock_column_weights_are_the_exact_integers_rounded_once():
+    # oracle: C(2l,l) C(2N-2l,N-l) / 4^N held exactly as a Fraction, rounded to float, then its square root with
+    # the sign (-1)^l at n2 = 2l; odd n2 and every other block hold exactly 0
+    from mzlab.fock import block_slice
+
+    for n in (*range(1, 65), 200):
+        amps = twin_fock_after_symmetric_bs(n).amps
+        block = block_slice(2 * n)
+        assert not amps[: block.start].any() and not amps[block][1::2].any() and not amps.imag.any()
+        weights = [float(Fraction(math.comb(2 * l, l) * math.comb(2 * n - 2 * l, n - l), 4**n)) for l in range(n + 1)]
+        assert amps[block][::2].real.tolist() == ((-1.0) ** np.arange(n + 1) * np.sqrt(weights)).tolist(), n
+    with pytest.raises(ValueError):
+        twin_fock_after_symmetric_bs(0)
 
 
 def test_auto_coherent_meets_target():
