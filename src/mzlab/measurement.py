@@ -11,7 +11,11 @@ ordered by (total, l1): a uniform u lands on the first outcome whose CDF
 value exceeds it.  Trials are split into fixed-size chunks of 2**16, chunk c
 seeded from (seed, c).  The chunks run on one thread per usable CPU, at most
 one per chunk; the per-thread counts are integers, so their sum, and the
-histogram, is the same bit for bit for any number of threads.
+histogram, is the same bit for bit for any number of threads.  Each thread
+takes a full-chunk set of scratch buffers from ``_SPARE`` and gives it back
+when it finishes, so a warm call reuses memory that is already mapped; the
+list keeps at most one 1.1 MB set per usable CPU, and
+``measurement._SPARE.clear()`` frees them.
 
 A histogram needs only the number of uniforms in each CDF interval, so the
 sampler counts buckets instead of searching the CDF once per trial.  [0, 1)
@@ -28,12 +32,13 @@ rows are reductions of that array, and the rows go in sampling order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
 import threading
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Union
+from typing import Iterator, Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -129,6 +134,29 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+_ChunkBuffers = tuple[np.ndarray, np.ndarray, np.ndarray]
+_SPARE: list[_ChunkBuffers] = []  # full-chunk sets kept between sample_counts calls, at most one per usable CPU
+
+
+def _new_chunk_buffers() -> _ChunkBuffers:
+    """(uniforms, buckets, in_dirty) for one full chunk: 512 KB + 512 KB + 64 KB."""
+    return np.empty(_SAMPLE_CHUNK), np.empty(_SAMPLE_CHUNK, dtype=np.intp), np.empty(_SAMPLE_CHUNK, dtype=bool)
+
+
+@contextlib.contextmanager
+def _chunk_buffers(keep: int) -> Iterator[_ChunkBuffers]:
+    """A spare set, or a new one when none is left; given back afterwards, the list cut to ``keep`` sets."""
+    try:
+        buffers = _SPARE.pop()  # not a check for an empty list first: another worker may pop in between
+    except IndexError:
+        buffers = _new_chunk_buffers()
+    try:
+        yield buffers
+    finally:
+        _SPARE.append(buffers)
+        del _SPARE[keep:]  # one atomic cut, so racing give-backs still leave at most ``keep``
+
+
 def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogram:
     """Draw ``trials`` i.i.d. outcomes; reproducible and chunk-parallelizable.
 
@@ -140,6 +168,9 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     only the uniforms that fall in one, about K / 4096 of them, are searched.
     Worker w of W = min(usable CPUs, chunks) counts chunks w, w + W, ...; worker 0
     is the calling thread, and every other is joined before the call returns.
+    Each worker draws into a full-chunk buffer set taken from ``_SPARE`` and
+    given back when it finishes; at most one 1.1 MB set per usable CPU stays
+    there between calls, until ``measurement._SPARE.clear()``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -149,26 +180,26 @@ def sample_counts(d: CountDistribution, trials: int, seed: int) -> CountHistogra
     last = cdf.size - 1
     lo, dirty = _bucket_table(cdf)
     chunks = -(-trials // _SAMPLE_CHUNK)
-    workers = min(_usable_cpus(), chunks)
-    size = min(_SAMPLE_CHUNK, trials)
+    cpus = _usable_cpus()
+    workers = min(cpus, chunks)
     tallies, errors = [], []
 
     def work(w: int) -> None:  # chunks w, w + workers, ...; an error stops every worker at its next chunk
         try:
             occupancy, per_bucket = np.zeros(cdf.size, dtype=np.int64), np.zeros(_BUCKETS, dtype=np.int64)
-            # one set of buffers for all of a worker's chunks: fresh 512 KB arrays would page-fault each time
-            uniforms, buckets, in_dirty = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
-            for chunk_index in range(w, chunks, workers):
-                if errors:
-                    return
-                n = min(_SAMPLE_CHUNK, trials - chunk_index * _SAMPLE_CHUNK)
-                rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-                u = rng.random(out=uniforms[:n])
-                g = buckets[:n]
-                np.multiply(u, _BUCKETS, out=g, casting="unsafe")  # exact product; u >= 0, so the cast is floor
-                per_bucket += np.bincount(g, minlength=_BUCKETS)
-                hits = np.searchsorted(cdf, u[dirty.take(g, out=in_dirty[:n])], side="right")
-                occupancy += np.bincount(np.minimum(hits, last), minlength=cdf.size)
+            with _chunk_buffers(cpus) as (uniforms, buckets, in_dirty):
+                for chunk_index in range(w, chunks, workers):
+                    if errors:
+                        return
+                    n = min(_SAMPLE_CHUNK, trials - chunk_index * _SAMPLE_CHUNK)
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+                    u = rng.random(out=uniforms[:n])
+                    g = buckets[:n]
+                    np.multiply(u, _BUCKETS, out=g, casting="unsafe")  # exact product; u >= 0, so the cast is floor
+                    per_bucket += np.bincount(g, minlength=_BUCKETS)
+                    # u < 1 puts every g in [0, 4096), so "wrap" never wraps; "raise" would copy through a temporary
+                    hits = np.searchsorted(cdf, u[dirty.take(g, out=in_dirty[:n], mode="wrap")], side="right")
+                    occupancy += np.bincount(np.minimum(hits, last), minlength=cdf.size)
             tallies.append((occupancy, per_bucket))
         except BaseException as exc:  # re-raised in the calling thread, after every worker is joined
             errors.append(exc)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mzlab.fock import TwoModeState, basis_dim, normalize
+from mzlab.fock import TwoModeState, basis_dim, index_pairs, normalize
+from mzlab.measurement import CountDistribution
 
 # Property tests draw the same examples on every run, so a pass or a failure
 # repeats.  Per-test max_examples and deadline settings still apply.
@@ -24,6 +25,26 @@ def random_fixed_total_state(total: int, seed: int) -> TwoModeState:
     block = rng.normal(size=total + 1) + 1j * rng.normal(size=total + 1)
     amps[-(total + 1):] = block
     return normalize(TwoModeState(total, amps))
+
+
+def oracle_counts(d: CountDistribution, trials: int, seed: int) -> dict:
+    """The per-trial sampler: each chunk's uniforms searched in the CDF one by one, then counted into the
+    (l1, l2) -> count dict that sample_counts used to return."""
+    n1, n2 = index_pairs(d.n_cap)
+    order = np.lexsort((n1, n1 + n2))
+    cdf = np.cumsum(d.probs[order])
+    cdf /= cdf[-1]
+    occupancy = np.zeros(cdf.size, dtype=np.int64)
+    done = 0
+    chunk = 0
+    while done < trials:
+        n = min(1 << 16, trials - done)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+        hits = np.searchsorted(cdf, rng.random(n), side="right")
+        occupancy += np.bincount(np.minimum(hits, cdf.size - 1), minlength=cdf.size)
+        done += n
+        chunk += 1
+    return {(int(n1[order[pos]]), int(n2[order[pos]])): int(occupancy[pos]) for pos in np.nonzero(occupancy)[0]}
 
 
 @pytest.fixture

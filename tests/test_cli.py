@@ -21,7 +21,10 @@ import mzlab.measurement
 import mzlab.optics
 import mzlab.scenarios
 from mzlab.cli import main
-from mzlab.scenarios import SCENARIOS
+from mzlab.measurement import histogram_rows, lossy_distribution, sample_counts
+from mzlab.scenarios import SCENARIOS, noon_output_distribution
+
+from conftest import oracle_counts
 
 
 def test_sweep_writes_csv_and_exits_zero(tmp_path, capsys):
@@ -545,17 +548,25 @@ def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad_chunk", [2, 3])  # with two workers, chunk 2 is the caller's and chunk 3 a thread's
+# with two workers, chunk 2 is the caller's and chunk 3 a thread's; "buffers" fails while a worker allocates its set
+@pytest.mark.parametrize("bad_chunk", [2, 3, "caller buffers", "thread buffers"])
 def test_sampler_out_of_memory_in_any_worker_exits_three(bad_chunk, tmp_path, capsys, monkeypatch):
-    seed_sequence = np.random.SeedSequence
+    seed_sequence, new_buffers = np.random.SeedSequence, mzlab.measurement._new_chunk_buffers
 
     def failing(entropy):
         if entropy[1] == bad_chunk:
             raise MemoryError("Unable to allocate 512. KiB for an array with shape (65536,)")
         return seed_sequence(entropy)
 
+    def failing_buffers():
+        if (threading.current_thread() is threading.main_thread()) == (bad_chunk == "caller buffers"):
+            raise MemoryError("Unable to allocate 512. KiB for an array with shape (65536,)")
+        return new_buffers()
+
     monkeypatch.setattr(mzlab.measurement, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(np.random, "SeedSequence", failing)
+    monkeypatch.setattr(mzlab.measurement, "_new_chunk_buffers", failing_buffers)
+    monkeypatch.setattr(mzlab.measurement, "_SPARE", [])  # every worker allocates its first set
     before = threading.active_count()
     out = tmp_path / "x.csv"
     assert main(["sample", "--n", "4", "--trials", "300000", "--out", str(out)]) == 3
@@ -563,6 +574,12 @@ def test_sampler_out_of_memory_in_any_worker_exits_three(bad_chunk, tmp_path, ca
     assert err.startswith("numerical failure: out of memory: Unable to allocate 512. KiB") and err.count("\n") == 1
     assert "Traceback" not in err and not out.exists()
     assert threading.active_count() == before
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    monkeypatch.setattr(mzlab.measurement, "_new_chunk_buffers", new_buffers)
+    d = lossy_distribution(noon_output_distribution(4, 0.3), 0.9, 0.8)
+    h = sample_counts(d, 300000, seed=5)
+    assert {(l1, l2): c for l1, l2, c in histogram_rows(h)} == oracle_counts(d, 300000, 5)
+    assert len(mzlab.measurement._SPARE) <= 2 and threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -31,7 +31,7 @@ from mzlab.optics import BS2_JX, BS2_JY, beam_splitter, phase_shift
 from mzlab.scenarios import ScenarioConfig, noon_output_distribution, run_noon_sampling
 from mzlab.states import fock_after_symmetric_bs, noon_state
 
-from conftest import random_state
+from conftest import oracle_counts, random_state
 
 
 # ----- exact distributions ------------------------------------------------------
@@ -157,26 +157,6 @@ def test_sampling_point_mass():
     assert h.counts.tolist() == on_pairs(3, {(2, 1): 777}).tolist()
 
 
-def _oracle_counts(d: CountDistribution, trials: int, seed: int) -> dict:
-    """The per-trial sampler: each chunk's uniforms searched in the CDF one by one, then counted into the
-    (l1, l2) -> count dict that sample_counts used to return."""
-    n1, n2 = index_pairs(d.n_cap)
-    order = np.lexsort((n1, n1 + n2))
-    cdf = np.cumsum(d.probs[order])
-    cdf /= cdf[-1]
-    occupancy = np.zeros(cdf.size, dtype=np.int64)
-    done = 0
-    chunk = 0
-    while done < trials:
-        n = min(1 << 16, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-        hits = np.searchsorted(cdf, rng.random(n), side="right")
-        occupancy += np.bincount(np.minimum(hits, cdf.size - 1), minlength=cdf.size)
-        done += n
-        chunk += 1
-    return {(int(n1[order[pos]]), int(n2[order[pos]])): int(occupancy[pos]) for pos in np.nonzero(occupancy)[0]}
-
-
 def _in_sampling_order(n_cap: int, p_sorted: np.ndarray) -> CountDistribution:
     """The distribution whose probabilities, in sampling order (total, then l1), are ``p_sorted``."""
     n1, n2 = index_pairs(n_cap)
@@ -210,7 +190,7 @@ def test_sampling_chunk_merge_invariance():
     """Histogram must be the sum of the fixed-size chunk substreams."""
     d = photon_distribution(noon_state(2))
     trials = (1 << 16) + 12345  # spans two chunks
-    assert sample_counts(d, trials, seed=31).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 31)).tolist()
+    assert sample_counts(d, trials, seed=31).counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, 31)).tolist()
 
 
 @pytest.mark.parametrize("trials", [1, 4097, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
@@ -223,19 +203,19 @@ def test_sampling_chunk_merge_invariance():
 )
 def test_sampling_matches_per_trial_oracle(trials, kind, n_cap, dist_seed, seed):
     d = _drawn_distribution(kind, n_cap, dist_seed)
-    assert sample_counts(d, trials, seed).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, seed)).tolist()
+    assert sample_counts(d, trials, seed).counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, seed)).tolist()
 
 
 @pytest.mark.parametrize("trials", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1_000_000])
 def test_sampling_matches_oracle_across_chunk_edges(trials):
     d = lossy_distribution(noon_output_distribution(8, math.pi / 24), 0.8, 0.7)
-    assert sample_counts(d, trials, seed=3).counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 3)).tolist()
+    assert sample_counts(d, trials, seed=3).counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, 3)).tolist()
 
 
 def test_sampling_total_loss_point_mass():
     d = lossy_distribution(noon_output_distribution(6, 0.2), 0.0, 0.0)
     h = sample_counts(d, (1 << 16) + 1, seed=12)
-    assert _oracle_counts(d, (1 << 16) + 1, 12) == {(0, 0): (1 << 16) + 1}
+    assert oracle_counts(d, (1 << 16) + 1, 12) == {(0, 0): (1 << 16) + 1}
     assert h.counts.tolist() == on_pairs(d.n_cap, {(0, 0): (1 << 16) + 1}).tolist()
 
 
@@ -256,7 +236,7 @@ def test_sampling_uniform_on_a_cdf_value_takes_the_next_outcome():
     assert np.array_equal(np.cumsum(d.probs[order]), edges[1:])
     h = sample_counts(d, trials, seed)
     assert h.counts[order].tolist() == np.histogram(u, edges)[0].tolist()  # half-open bins [edges[k], edges[k+1])
-    assert h.counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, seed)).tolist()
+    assert h.counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, seed)).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,7 +297,8 @@ def test_sampling_pinned_histograms(case):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_sampling_is_the_same_on_any_number_of_workers(cpus, monkeypatch):
     """One worker per usable CPU, at most one per chunk, each joined before the call returns; the
-    histogram is the per-trial oracle's and the pinned one whatever the count."""
+    histogram is the per-trial oracle's and the pinned one whatever the count.  The spare buffer sets
+    never outnumber the CPUs, and a reused full-size set serves the small calls of the reverse pass."""
     started = []
 
     class Thread(threading.Thread):
@@ -332,17 +313,47 @@ def test_sampling_is_the_same_on_any_number_of_workers(cpus, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that a lost tally update would show
     try:
-        for trials in (1, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 3, 1_000_000):
+        sizes = (1, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 3, 1_000_000)
+        for trials in sizes + sizes[::-1]:
             started.clear()
             h = sample_counts(d, trials, seed=3)
             assert len(started) == min(cpus, -(-trials // (1 << 16))) - 1
             assert threading.active_count() == before
-            assert h.counts.tolist() == on_pairs(d.n_cap, _oracle_counts(d, trials, 3)).tolist()
+            assert len(mzlab.measurement._SPARE) <= cpus
+            assert h.counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, 3)).tolist()
         pinned = [draw() for draw, _ in _PINNED]
     finally:
         sys.setswitchinterval(interval)
     for h, (_, expected) in zip(pinned, _PINNED):
         assert h.counts.tolist() == on_pairs(h.n_cap, expected).tolist()
+
+
+def test_concurrent_callers_share_the_spare_buffers():
+    """Two threads sample at once with their own seeds and distributions; each gets the per-trial
+    oracle's histogram, and the shared spare list ends within its bound."""
+    calls = [(lossy_distribution(noon_output_distribution(8, math.pi / 24), 0.8, 0.7), 5 * (1 << 16) + 3, 3),
+             (_drawn_distribution("sparse", 6, 17), 3 * (1 << 16) + 1, 2**40 + 9)]
+    results = [None] * len(calls)
+    barrier = threading.Barrier(len(calls))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the callers interleave on the spare list
+
+    def call(i):
+        barrier.wait()
+        results[i] = [sample_counts(d, trials, seed) for d, trials, seed in calls[i:] + calls[:i]]
+
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(mzlab.measurement._SPARE) <= mzlab.measurement._usable_cpus()
+    for i, hs in enumerate(results):
+        for h, (d, trials, seed) in zip(hs, calls[i:] + calls[:i]):
+            assert h.counts.tolist() == on_pairs(d.n_cap, oracle_counts(d, trials, seed)).tolist()
 
 
 def test_sampling_frequency_matches_probability():
@@ -402,7 +413,7 @@ def float_bytes(values) -> bytes:
 def test_histogram_array_matches_the_dict_it_replaced(kind, n_cap, dist_seed, trials, seed):
     d = _drawn_distribution(kind, n_cap, dist_seed)
     h = sample_counts(d, trials, seed)
-    counts = _oracle_counts(d, trials, seed)
+    counts = oracle_counts(d, trials, seed)
     pairs = [(l1, total - l1) for total in range(d.n_cap + 1) for l1 in range(total + 1)]
     assert [int(h.counts[pair_index(l1, l2)]) for l1, l2 in pairs] == [counts.get(pair, 0) for pair in pairs]
     for post in [None, *range(d.n_cap + 2)]:  # d.n_cap + 1 keeps no event

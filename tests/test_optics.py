@@ -377,11 +377,14 @@ def ladder(spec: BeamSplitterSpec):
 
 
 def test_ladder_blocks_match_euler_jacobi_oracle():
-    specs = [BS1_SYMMETRIC, BS2_JX, BS2_JY] + [random_spec(1200 + i) for i in range(4)]
+    identity = BeamSplitterSpec(np.eye(2), "identity")
+    specs = [identity, BS1_SYMMETRIC, BS2_JX, BS2_JY] + [random_spec(1200 + i) for i in range(4)]
     ladders = [ladder(spec) for spec in specs]
     for tj in range(171):
         for spec, blocks in zip(specs, ladders):
             blk = next(blocks)
+            if spec is identity:  # a complex block divided componentwise: exactly the identity all the way up
+                assert blk.dtype == np.complex128 and np.array_equal(blk, np.eye(tj + 1)), tj
             err = np.abs(blk - euler_jacobi_block(spec, tj)).max()
             assert err <= 1e-12, f"{spec.label} 2j={tj}: entries off by {err}"
             err = np.abs(blk @ blk.conj().T - np.eye(tj + 1)).max()
